@@ -49,14 +49,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     _apply_threads(args.threads)
 
-    from .config import PipelineConfig
+    from .config import PipelineConfig, validate_seed
     from .errors import ConfigError, ToolkitError
     from . import pipeline
 
     try:
         cfg = PipelineConfig.from_file(args.config)
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg.seed = validate_seed(args.seed, "--seed")
         if args.command == "simulate":
             pipeline.cmd_simulate(cfg, args.out, args.seed)
         elif args.command == "calibrate":

@@ -45,6 +45,20 @@ def _number(value, path: str, minimum=None, maximum=None, integer: bool = False)
     return int(value) if integer else float(value)
 
 
+def _boolean(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: expected true or false, got {value!r}")
+    return value
+
+
+SEED_MAX = 2**64 - 1  # seeds key a 64-bit Philox counter
+
+
+def validate_seed(value, path: str) -> int:
+    """An integer seed in [0, 2**64 - 1], or a ConfigError naming `path`."""
+    return _number(value, path, minimum=0, maximum=SEED_MAX, integer=True)
+
+
 def _point(value, path: str):
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{path}: expected [x, y]")
@@ -76,8 +90,8 @@ class PipelineConfig:
 
     def _validate(self):
         raw = self.raw
-        self.seed = _number(_get(raw, "seed", "config", default=0), "seed", integer=True)
-        self.noise = bool(_get(raw, "noise", "config", default=True))
+        self.seed = validate_seed(_get(raw, "seed", "config", default=0), "seed")
+        self.noise = _boolean(_get(raw, "noise", "config", default=True), "noise")
         out = _get(raw, "output_dir", "config", default="out")
         if not isinstance(out, str) or not out:
             raise ConfigError("output_dir: expected a non-empty string")
@@ -127,7 +141,8 @@ class PipelineConfig:
                                   minimum=2, integer=True)
         self.spec_filtration = _number(_get(sp, "filtration_cm_al", "spectrum", default=0.3),
                                        "spectrum.filtration_cm_al", minimum=0.0)
-        self.spec_klines = bool(_get(sp, "k_lines", "spectrum", default=True))
+        self.spec_klines = _boolean(_get(sp, "k_lines", "spectrum", default=True),
+                                    "spectrum.k_lines")
 
         d = _get(raw, "dose", "config", default={})
         self.air_counts_total = _number(_get(d, "air_counts_total", "dose", default=2.0e4),
@@ -180,9 +195,11 @@ class PipelineConfig:
                                    "calibration.repeats", minimum=1, integer=True)
         self.cal_air_counts = _number(_get(cal, "air_counts_total", "calibration", default=1.0e6),
                                       "calibration.air_counts_total", minimum=1e-9)
-        self.cal_noise = bool(_get(cal, "noise", "calibration", default=True))
-        self.cal_seed = _number(_get(cal, "seed", "calibration", default=self.seed + 1),
-                                "calibration.seed", integer=True)
+        self.cal_noise = _boolean(_get(cal, "noise", "calibration", default=True),
+                                  "calibration.noise")
+        self.cal_seed = validate_seed(_get(cal, "seed", "calibration",
+                                           default=(self.seed + 1) % (SEED_MAX + 1)),
+                                      "calibration.seed")
 
         ml = _get(raw, "mle", "config", default={})
         gp = _get(ml, "grid_points", "mle", default=[41, 41])
@@ -213,7 +230,7 @@ class PipelineConfig:
         rc = _get(raw, "recon", "config", default={})
         self.mono_kev = _number(_get(rc, "mono_kev", "recon", default=70.0), "recon.mono_kev",
                                 minimum=20.0, maximum=150.0)
-        self.recon_hann = bool(_get(rc, "hann", "recon", default=False))
+        self.recon_hann = _boolean(_get(rc, "hann", "recon", default=False), "recon.hann")
         self.window_center = _number(_get(rc, "window_center", "recon", default=1000.0),
                                      "recon.window_center")
         self.window_width = _number(_get(rc, "window_width", "recon", default=20.0),

@@ -23,6 +23,15 @@ from .solver import mle_decompose, run_mace
 
 METHODS = ("mle", "mace")
 
+# Config sections each decomposition's manifest hashes; `decompose` and
+# `pipeline` both read this table.  The MLE reads only `mle` and
+# `calibration`, but its entry still lists `mace` and `prior`, so a prior
+# edit reruns it (see ROADMAP O3).
+DECOMPOSE_SECTIONS = {
+    "mle": ["mle", "mace", "prior", "calibration"],
+    "mace": ["mle", "mace", "prior", "calibration"],
+}
+
 
 def _sha256(path) -> str:
     h = hashlib.sha256()
@@ -150,7 +159,7 @@ def cmd_decompose(cfg: PipelineConfig, method: str, out_dir=None) -> list:
     if method not in METHODS:
         raise ConfigError(f"decompose: method must be one of {METHODS}, got {method!r}")
     out = _paths(cfg, out_dir)
-    stage = Stage(f"decompose_{method}", cfg, out, ["mle", "mace", "prior", "calibration"],
+    stage = Stage(f"decompose_{method}", cfg, out, DECOMPOSE_SECTIONS[method],
                   inputs=[os.path.join(out, "transmission.pcmd"),
                           os.path.join(out, "air_totals.pcmd"),
                           os.path.join(out, "calibration.pcmdcal")])
@@ -166,22 +175,24 @@ def cmd_decompose(cfg: PipelineConfig, method: str, out_dir=None) -> list:
     t0 = time.perf_counter()
     if method == "mle":
         result = mle_decompose(t_sino, air, drf, cfg.mle_config())
-        iterations = cfg.mle_iters
+        summary = {"iterations": cfg.mle_iters, "passes": len(result.steps)}
     else:
         result = run_mace(t_sino, air, drf, cfg.mace_config(domain=drf.domain), sino_shape=(v, c))
-        iterations = cfg.mace_iters
+        summary = {"iterations": cfg.mace_iters, "mle_init_passes": len(result.mle_init.steps)}
     elapsed = time.perf_counter() - t0
 
     path = os.path.join(out, f"pathlengths_{method}.pcmd")
     write_array(path, result.p.reshape(v, c, -1), ["view", "channel", "material"])
     log_path = os.path.join(out, f"decompose_{method}.log.jsonl")
     with open(log_path, "w") as fh:
+        for i, step in enumerate(result.steps):
+            fh.write(json.dumps({"pass": i, "max_step_cm": step}) + "\n")
         for i, r in enumerate(result.residuals):
             fh.write(json.dumps({"iteration": i, "equilibrium_residual": r}) + "\n")
         fh.write(json.dumps({
             "method": method,
             "rows": v * c,
-            "iterations": iterations,
+            **summary,
             "flagged_rows": 0 if result.flagged_rows is None else int(result.flagged_rows.size),
             "elapsed_s": round(elapsed, 3),
             "seconds_per_row": elapsed / (v * c),
@@ -274,7 +285,7 @@ def cmd_pipeline(cfg: PipelineConfig, out_dir=None, seed=None, force: bool = Fal
         ["geometry", "spectrum", "materials", "calibration"])
     for method in METHODS:
         run(f"decompose_{method}", lambda m=method: cmd_decompose(cfg, m, out),
-            ["mle", "mace", "prior", "calibration"],
+            DECOMPOSE_SECTIONS[method],
             inputs=[os.path.join(out, "transmission.pcmd"),
                     os.path.join(out, "air_totals.pcmd"),
                     os.path.join(out, "calibration.pcmdcal")])

@@ -28,14 +28,17 @@ class MleConfig:
     """Grid-search initialization plus refinement settings for the MLE."""
 
     grid_points: tuple = (41, 41)
-    n_iter: int = 100
+    n_iter: int = 100  # cap on refinement passes
     sigma: float = 1.0e3
     n_sub: int = 1
     epsilon: float = 1.0e-3
+    tol: float = 1.0e-10  # stop once no row moves by more than this (cm) in a pass
 
     def __post_init__(self):
         if self.n_iter < 1:
             raise ToolkitError("mle config: need at least one refinement iteration")
+        if not self.tol >= 0.0:
+            raise ToolkitError("mle config: tol must be nonnegative")
         if any(g < 1 for g in self.grid_points):
             raise ToolkitError("mle config: grid needs at least one point per material")
 
@@ -66,6 +69,8 @@ class SolveResult:
     consensus: np.ndarray = None
     flagged_rows: np.ndarray = None
     seconds: float = 0.0
+    steps: list = field(default_factory=list)  # MLE: largest row step (cm) per refinement pass
+    mle_init: "SolveResult" = None  # MACE: the MLE result it started from, if it ran one
 
 
 def equilibrium_residual(f_out: np.ndarray, h_out: np.ndarray) -> float:
@@ -138,9 +143,11 @@ def mle_decompose(t_sino: np.ndarray, air_totals: np.ndarray, drf,
                   cfg: MleConfig = MleConfig()) -> SolveResult:
     """Maximum-likelihood pathlengths per projection row.
 
-    Grid search over the calibration domain seeds `cfg.n_iter` partial-update
-    refinements with both the tether and the linearization at the current
-    iterate.  Rows that leave twice the calibration domain (or go non-finite)
+    Grid search over the calibration domain seeds up to `cfg.n_iter`
+    partial-update refinements with both the tether and the linearization at
+    the current iterate.  Refinement stops after the first pass in which no
+    row moves by more than `cfg.tol`; `steps` records each pass's largest
+    move.  Rows that leave twice the calibration domain (or go non-finite)
     are re-run through the equilibrium solver with a clip prior.
     """
     t_sino = np.atleast_2d(np.asarray(t_sino, dtype=float))
@@ -149,9 +156,15 @@ def mle_decompose(t_sino: np.ndarray, air_totals: np.ndarray, drf,
     p0 = _grid_search(t_sino, drf, cfg.grid_points)
     p = p0.copy()
     params = ProxParams(sigma=cfg.sigma, n_sub=cfg.n_sub, epsilon=cfg.epsilon)
+    steps = []
     for _ in range(cfg.n_iter):
-        p = detector_agent_apply(p, t_sino, air, drf, params, p_prime=p,
-                                 on_nonfinite="hold")
+        new = detector_agent_apply(p, t_sino, air, drf, params, p_prime=p,
+                                   on_nonfinite="hold")
+        steps.append(float(np.max(np.abs(new - p), initial=0.0)))
+        p = new
+        # a pass is a fixed map of p: once it leaves p unchanged, later passes would too
+        if steps[-1] <= cfg.tol:
+            break
     flagged = _diverged_rows(p, drf.domain)
     if flagged.size:
         channels = (flagged % drf.n_channels) if drf.n_channels > 1 else np.zeros_like(flagged)
@@ -163,7 +176,7 @@ def mle_decompose(t_sino: np.ndarray, air_totals: np.ndarray, drf,
                               p_init=p0[flagged], sino_shape=(flagged.size, 1),
                               channels=channels)
         p[flagged] = redo.p
-    return SolveResult(p=p, flagged_rows=flagged, seconds=time.perf_counter() - t0)
+    return SolveResult(p=p, flagged_rows=flagged, seconds=time.perf_counter() - t0, steps=steps)
 
 
 def _run_mace_rows(t_sino, air, drf, cfg: MaceConfig, p_init, sino_shape, channels=None):
@@ -199,14 +212,17 @@ def run_mace(t_sino: np.ndarray, air_totals: np.ndarray, drf, cfg: MaceConfig,
         raise ToolkitError("mace: sino_shape does not match row count")
     t0 = time.perf_counter()
     init = cfg.init
+    mle = None
     if init is None:
         init = MleConfig(n_iter=15)
     if isinstance(init, MleConfig):
-        p_init = mle_decompose(t_sino, air, drf, init).p
+        mle = mle_decompose(t_sino, air, drf, init)
+        p_init = mle.p
     else:
         p_init = np.asarray(init, dtype=float)
         if p_init.shape != (t_sino.shape[0], drf.n_materials):
             raise ToolkitError("mace: init sinogram shape mismatch")
     result = _run_mace_rows(t_sino, air, drf, cfg, p_init, sino_shape)
+    result.mle_init = mle
     result.seconds = time.perf_counter() - t0
     return result

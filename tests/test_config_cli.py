@@ -46,6 +46,12 @@ def write_config(tmp_path, cfg):
     return str(path)
 
 
+def set_key(cfg, key, value):
+    """Set a top-level or one-section-deep key given as "section.name"."""
+    section, _, name = key.rpartition(".")
+    (cfg[section] if section else cfg)[name] = value
+
+
 # --- validation ---
 
 def test_missing_required_key_is_path_qualified(tmp_path):
@@ -88,6 +94,41 @@ def test_prior_validation_is_recursive(tmp_path):
     cfg["prior"] = {"kind": "compose", "parts": [{"kind": "gaussian", "std": [1.0]}]}
     with pytest.raises(ConfigError, match=r"prior\.parts\[0\]\.std"):
         PipelineConfig(cfg)
+
+
+@pytest.mark.parametrize("key", ["noise", "spectrum.k_lines", "calibration.noise", "recon.hann"])
+@pytest.mark.parametrize("value", ["false", 0, 1, None])
+def test_boolean_keys_accept_only_booleans(tmp_path, capsys, key, value):
+    cfg = tiny_config(tmp_path / "out")
+    set_key(cfg, key, value)
+    assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+    assert f"{key}: expected true or false" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [-1, 2**64, 1.5, "7"])
+@pytest.mark.parametrize("key", ["seed", "calibration.seed"])
+def test_config_seeds_must_be_64_bit_unsigned(tmp_path, capsys, key, value):
+    cfg = tiny_config(tmp_path / "out")
+    set_key(cfg, key, value)
+    assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}:")
+
+
+@pytest.mark.parametrize("value", ["-1", str(2**64)])
+def test_seed_flag_must_be_64_bit_unsigned(tmp_path, capsys, value):
+    path = write_config(tmp_path, tiny_config(tmp_path / "out"))
+    assert main(["simulate", "--config", path, "--seed", value]) == 2
+    assert capsys.readouterr().err.startswith("config error: --seed:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_range_ends_are_accepted(tmp_path):
+    cfg = tiny_config(tmp_path / "out")
+    cfg["seed"] = 2**64 - 1
+    assert PipelineConfig(cfg).cal_seed == 0  # the derived calibration seed wraps
+    cfg["calibration"]["seed"] = 0
+    assert PipelineConfig(cfg).cal_seed == 0
 
 
 def test_bad_json_reports_file(tmp_path):
@@ -175,6 +216,18 @@ def test_decompose_log_reports_iterations_and_rate(pipeline_dir):
     assert summary["iterations"] == 25
     assert summary["rows"] == 45 * 48
     assert summary["seconds_per_row"] > 0
+
+
+def test_mle_log_records_each_refinement_pass(pipeline_dir):
+    out, _ = pipeline_dir
+    records = [json.loads(l) for l in
+               (out / "decompose_mle.log.jsonl").read_text().splitlines()]
+    passes, summary = records[:-1], records[-1]
+    assert [r["pass"] for r in passes] == list(range(summary["passes"]))
+    assert 1 <= summary["passes"] <= summary["iterations"]
+    assert all(r["max_step_cm"] >= 0 for r in passes)
+    mace = json.loads((out / "decompose_mace.log.jsonl").read_text().splitlines()[-1])
+    assert 1 <= mace["mle_init_passes"] <= 8
 
 
 def test_mace_log_has_equilibrium_residuals(pipeline_dir):

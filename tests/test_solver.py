@@ -189,6 +189,77 @@ def test_divergent_rows_are_clipped_back(noiseless_drf):
     assert np.all(res.p >= lo - 0.5) and np.all(res.p <= up + 0.5)
 
 
+# --- early stop of the refinement loop ---
+
+def hand_refinement(t, air, drf, n_iter):
+    """The refinement loop without a stop: n_iter held detector passes from the grid."""
+    from pcmd.detector import ProxParams, detector_agent_apply
+    from pcmd.solver import _grid_search
+
+    p = _grid_search(t, drf, MleConfig().grid_points)
+    for _ in range(n_iter):
+        p = detector_agent_apply(p, t, air, drf, ProxParams(sigma=1.0e3, n_sub=1),
+                                 p_prime=p, on_nonfinite="hold")
+    return p
+
+
+@pytest.fixture(scope="module")
+def noiseless_study(default_spectrum, basis_materials):
+    rng = np.random.default_rng(11)
+    p_true = rng.uniform([0.3, 0.05], [25, 2], size=(40, 2))
+    return noiseless_rows(default_spectrum, basis_materials, p_true), np.full(40, 3.0e5)
+
+
+def test_zero_tol_matches_every_pass_bit_for_bit(noiseless_study, noiseless_drf):
+    t, air = noiseless_study
+    res = mle_decompose(t, air, noiseless_drf, MleConfig(n_iter=30, tol=0.0))
+    assert np.array_equal(res.p, hand_refinement(t, air, noiseless_drf, 30))
+    assert res.flagged_rows.size == 0
+
+
+def test_default_tol_stops_early_within_tolerance(noiseless_study, noiseless_drf):
+    t, air = noiseless_study
+    res = mle_decompose(t, air, noiseless_drf, MleConfig(n_iter=30))
+    assert np.abs(res.p - hand_refinement(t, air, noiseless_drf, 30)).max() < 1e-9
+    assert 1 <= len(res.steps) < 30
+    assert res.steps[-1] <= MleConfig().tol
+    assert all(s > MleConfig().tol for s in res.steps[:-1])
+
+
+def test_steps_record_the_largest_move_of_each_pass(noiseless_study, noiseless_drf):
+    t, air = noiseless_study
+    res = mle_decompose(t, air, noiseless_drf, MleConfig(n_iter=3, tol=0.0))
+    moves = [np.abs(hand_refinement(t, air, noiseless_drf, i + 1)
+                    - hand_refinement(t, air, noiseless_drf, i)).max() for i in range(3)]
+    assert res.steps == moves
+
+
+def test_early_stop_keeps_the_divergent_row_rescue(noiseless_drf):
+    t = np.zeros((3, 8))
+    air = np.full(3, 1.0e4)
+    res = mle_decompose(t, air, noiseless_drf, MleConfig(n_iter=30))
+    every = mle_decompose(t, air, noiseless_drf, MleConfig(n_iter=30, tol=0.0))
+    assert len(res.steps) == 30  # rows running off the domain keep moving
+    assert np.array_equal(res.flagged_rows, every.flagged_rows)
+    assert res.flagged_rows.size == 3
+    assert np.array_equal(res.p, every.p)
+
+
+def test_mle_config_rejects_negative_tol():
+    with pytest.raises(ToolkitError, match="tol"):
+        MleConfig(tol=-1.0)
+
+
+def test_run_mace_reports_its_mle_start(default_spectrum, basis_materials, noiseless_drf):
+    p_true = np.tile([[10.0, 1.0]], (4, 1))
+    t = noiseless_rows(default_spectrum, basis_materials, p_true)
+    cfg = MaceConfig(prior=custom_prior(lambda p, s: p), n_iter=2, init=MleConfig(n_iter=15))
+    res = run_mace(t, np.full(4, 1.0e4), noiseless_drf, cfg)
+    assert 1 <= len(res.mle_init.steps) < 15
+    explicit = MaceConfig(prior=cfg.prior, n_iter=2, init=p_true.copy())
+    assert run_mace(t, np.full(4, 1.0e4), noiseless_drf, explicit).mle_init is None
+
+
 # --- consensus equilibrium on simulated rows ---
 
 def test_run_mace_identity_prior_stays_near_mle(default_spectrum, basis_materials,
