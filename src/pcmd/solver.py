@@ -21,6 +21,7 @@ from .errors import NumericError, ToolkitError
 from .priors import apply_prior, clip_prior
 
 _DIVERGED_SPAN_FACTOR = 1.0  # rows beyond domain inflated by one full span are suspect
+_STOP_CM = 1.0e-10  # largest row step (cm) after which MLE refinement stops
 
 
 @dataclass(frozen=True)
@@ -32,13 +33,10 @@ class MleConfig:
     sigma: float = 1.0e3
     n_sub: int = 1
     epsilon: float = 1.0e-3
-    tol: float = 1.0e-10  # stop once no row moves by more than this (cm) in a pass
 
     def __post_init__(self):
         if self.n_iter < 1:
             raise ToolkitError("mle config: need at least one refinement iteration")
-        if not self.tol >= 0.0:
-            raise ToolkitError("mle config: tol must be nonnegative")
         if any(g < 1 for g in self.grid_points):
             raise ToolkitError("mle config: grid needs at least one point per material")
 
@@ -146,7 +144,7 @@ def mle_decompose(t_sino: np.ndarray, air_totals: np.ndarray, drf,
     Grid search over the calibration domain seeds up to `cfg.n_iter`
     partial-update refinements with both the tether and the linearization at
     the current iterate.  Refinement stops after the first pass in which no
-    row moves by more than `cfg.tol`; `steps` records each pass's largest
+    row moves by more than `_STOP_CM`; `steps` records each pass's largest
     move.  Rows that leave twice the calibration domain (or go non-finite)
     are re-run through the equilibrium solver with a clip prior.
     """
@@ -163,7 +161,7 @@ def mle_decompose(t_sino: np.ndarray, air_totals: np.ndarray, drf,
         steps.append(float(np.max(np.abs(new - p), initial=0.0)))
         p = new
         # a pass is a fixed map of p: once it leaves p unchanged, later passes would too
-        if steps[-1] <= cfg.tol:
+        if steps[-1] <= _STOP_CM:
             break
     flagged = _diverged_rows(p, drf.domain)
     if flagged.size:

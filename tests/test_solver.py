@@ -4,6 +4,7 @@ import pytest
 from helpers import grid_polish_minimizer, prox_objective
 from pcmd.errors import NumericError, ToolkitError
 from pcmd.priors import custom_prior, gaussian_prior
+from pcmd import solver
 from pcmd.simulate import expected_counts
 from pcmd.solver import (MaceConfig, MleConfig, equilibrium_residual, mann_iterate,
                          mle_decompose, run_mace)
@@ -210,44 +211,44 @@ def noiseless_study(default_spectrum, basis_materials):
     return noiseless_rows(default_spectrum, basis_materials, p_true), np.full(40, 3.0e5)
 
 
-def test_zero_tol_matches_every_pass_bit_for_bit(noiseless_study, noiseless_drf):
+def test_zero_stop_matches_every_pass_bit_for_bit(noiseless_study, noiseless_drf,
+                                                 monkeypatch):
+    monkeypatch.setattr(solver, "_STOP_CM", 0.0)
     t, air = noiseless_study
-    res = mle_decompose(t, air, noiseless_drf, MleConfig(n_iter=30, tol=0.0))
+    res = mle_decompose(t, air, noiseless_drf, MleConfig(n_iter=30))
     assert np.array_equal(res.p, hand_refinement(t, air, noiseless_drf, 30))
     assert res.flagged_rows.size == 0
 
 
-def test_default_tol_stops_early_within_tolerance(noiseless_study, noiseless_drf):
+def test_default_stop_ends_early_within_tolerance(noiseless_study, noiseless_drf):
     t, air = noiseless_study
     res = mle_decompose(t, air, noiseless_drf, MleConfig(n_iter=30))
     assert np.abs(res.p - hand_refinement(t, air, noiseless_drf, 30)).max() < 1e-9
     assert 1 <= len(res.steps) < 30
-    assert res.steps[-1] <= MleConfig().tol
-    assert all(s > MleConfig().tol for s in res.steps[:-1])
+    assert res.steps[-1] <= solver._STOP_CM
+    assert all(s > solver._STOP_CM for s in res.steps[:-1])
 
 
-def test_steps_record_the_largest_move_of_each_pass(noiseless_study, noiseless_drf):
+def test_steps_record_the_largest_move_of_each_pass(noiseless_study, noiseless_drf,
+                                                    monkeypatch):
+    monkeypatch.setattr(solver, "_STOP_CM", 0.0)
     t, air = noiseless_study
-    res = mle_decompose(t, air, noiseless_drf, MleConfig(n_iter=3, tol=0.0))
+    res = mle_decompose(t, air, noiseless_drf, MleConfig(n_iter=3))
     moves = [np.abs(hand_refinement(t, air, noiseless_drf, i + 1)
                     - hand_refinement(t, air, noiseless_drf, i)).max() for i in range(3)]
     assert res.steps == moves
 
 
-def test_early_stop_keeps_the_divergent_row_rescue(noiseless_drf):
+def test_early_stop_keeps_the_divergent_row_rescue(noiseless_drf, monkeypatch):
     t = np.zeros((3, 8))
     air = np.full(3, 1.0e4)
     res = mle_decompose(t, air, noiseless_drf, MleConfig(n_iter=30))
-    every = mle_decompose(t, air, noiseless_drf, MleConfig(n_iter=30, tol=0.0))
+    monkeypatch.setattr(solver, "_STOP_CM", 0.0)
+    every = mle_decompose(t, air, noiseless_drf, MleConfig(n_iter=30))
     assert len(res.steps) == 30  # rows running off the domain keep moving
     assert np.array_equal(res.flagged_rows, every.flagged_rows)
     assert res.flagged_rows.size == 3
     assert np.array_equal(res.p, every.p)
-
-
-def test_mle_config_rejects_negative_tol():
-    with pytest.raises(ToolkitError, match="tol"):
-        MleConfig(tol=-1.0)
 
 
 def test_run_mace_reports_its_mle_start(default_spectrum, basis_materials, noiseless_drf):
