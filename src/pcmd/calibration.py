@@ -92,6 +92,9 @@ class DrfPolynomial:
     `theta` has shape (n_channels, K, n_coef) with n_coef = (order+1)^L;
     coefficient j multiplies prod_l (p_l / basis_scale_l) ** powers[j, l].
     A single-channel model (n_channels = 1) applies to every sinogram row.
+    When every channel's coefficients are exactly equal (a parallel-beam
+    fit), evaluation uses the one shared set; `n_channels` and `theta` keep
+    the stored per-channel form.
     """
 
     theta: np.ndarray = field(repr=False)
@@ -117,6 +120,8 @@ class DrfPolynomial:
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "basis_scale", scale)
         object.__setattr__(self, "_powers", _monomial_powers(self.order, self.n_materials))
+        # channels whose coefficients are all equal evaluate as one shared set
+        object.__setattr__(self, "_coef", theta if np.any(theta != theta[0]) else theta[:1])
         if self.bin_edges is not None:
             object.__setattr__(self, "bin_edges", np.asarray(self.bin_edges, dtype=float))
 
@@ -128,86 +133,82 @@ class DrfPolynomial:
     def n_bins(self) -> int:
         return self.theta.shape[1]
 
-    def _basis(self, p: np.ndarray) -> np.ndarray:
-        """Monomial values, shape p.shape[:-1] + (n_coef,)."""
-        s = p / self.basis_scale
-        pw = self._powers  # (n_coef, L)
-        out = np.ones(p.shape[:-1] + (pw.shape[0],))
-        for l in range(self.n_materials):
-            out *= s[..., l, None] ** pw[:, l]
+    def _tables(self, p: np.ndarray, grad: bool) -> np.ndarray:
+        """Basis and, with `grad`, its p-derivatives at points p (..., L, N): (..., n_coef, R, N).
+
+        Row 0 is the basis, row 1 + m its derivative in p_m (R = 1 + L with
+        `grad`): tensor products over materials of the power tables
+        s_l^0..s_l^P (s = p / basis_scale), with the derivative table
+        e * s_m^(e-1) / basis_scale_m as factor m of row 1 + m.
+        """
+        s = p / self.basis_scale[:, None]
+        e = np.arange(self.order + 1)[:, None]
+        factors = (s[..., None, :] ** e)[..., None, :]            # (..., L, P+1, R, N)
+        if grad:
+            factors = np.repeat(factors, 1 + self.n_materials, axis=-2)
+            for m in range(self.n_materials):
+                table = factors[..., m, :, 1 + m, :]               # factor m of row 1 + m
+                table[..., 1:, :] = table[..., :-1, :] * e[1:] / self.basis_scale[m]
+                table[..., 0, :] = 0.0
+        out = factors[..., 0, :, :, :]
+        for l in range(1, self.n_materials):
+            out = out[..., :, None, :, :] * factors[..., l, None, :, :, :]
+            out = out.reshape(out.shape[:-4] + (-1,) + out.shape[-2:])
         return out
 
-    def _basis_grad(self, p: np.ndarray) -> np.ndarray:
-        """d(basis)/dp, shape p.shape[:-1] + (n_coef, L)."""
-        s = p / self.basis_scale
-        pw = self._powers
-        out = np.ones(p.shape[:-1] + pw.shape)
-        for l in range(self.n_materials):
-            col = s[..., l, None]
-            for m in range(self.n_materials):
-                e = pw[:, l] - (1 if m == l else 0)
-                term = np.where(e < 0, 0.0, col ** np.maximum(e, 0))
-                if m == l:
-                    term = term * pw[:, l] / self.basis_scale[l]
-                out[..., m] *= term
-        return out
+    def _apply(self, p: np.ndarray, coef: np.ndarray, grad: bool) -> np.ndarray:
+        """Point groups p (C or 1, L, N) under coefficient sets (C, K, n_coef): (C, K, R, N)."""
+        tab = self._tables(p, grad)                               # (C, n_coef, R, N)
+        c, n, r, pts = tab.shape
+        return np.matmul(coef, tab.reshape(c, n, r * pts)).reshape(-1, self.n_bins, r, pts)
+
+    def _at_points(self, p, channel, grad: bool) -> np.ndarray:
+        """Response at points (..., L) for `channel`, or every set if None: (C, ..., K, R)."""
+        p = np.asarray(p, dtype=float)
+        coef = self._coef if channel is None or len(self._coef) == 1 else self._coef[[channel]]
+        pts = np.ascontiguousarray(p.reshape(-1, self.n_materials).T)
+        out = self._apply(pts[None], coef, grad)                  # (C, K, R, N)
+        return np.moveaxis(out, -1, 1).reshape(out.shape[:1] + p.shape[:-1] + out.shape[1:3])
 
     def eval(self, p, channel: int = 0) -> np.ndarray:
         """phi(p) for one detector channel; p is (..., L), result (..., K)."""
-        p = np.asarray(p, dtype=float)
-        return self._basis(p) @ self.theta[channel].T
+        return self._at_points(p, channel, False)[0, ..., 0]
 
     def grad(self, p, channel: int = 0) -> np.ndarray:
         """Exact Jacobian d phi / dp, shape (..., K, L)."""
-        p = np.asarray(p, dtype=float)
-        bg = self._basis_grad(p)  # (..., n_coef, L)
-        return np.einsum("kc,...cl->...kl", self.theta[channel], bg)
+        return self._at_points(p, channel, True)[0, ..., 1:]
 
-    def _channel_theta(self, n_rows: int, channels) -> np.ndarray:
-        if self.n_channels == 1:
-            return None
-        if channels is None:
-            if n_rows % self.n_channels:
-                raise ToolkitError("drf: sinogram rows not divisible by channel count")
-            return None
-        return np.asarray(channels, dtype=int)
+    def eval_channels(self, p) -> np.ndarray:
+        """phi at points (G, L) per distinct coefficient set: (C, G, K), C = 1 if shared."""
+        return self._at_points(p, None, False)[..., 0]
 
-    def eval_sino(self, p: np.ndarray, channels=None) -> np.ndarray:
-        """phi for a stack of projection rows (M, L) -> (M, K).
+    def eval_jac(self, p: np.ndarray, channels=None):
+        """phi (M, K) and its Jacobian d phi / dp (M, K, L) for a stack of rows (M, L).
 
-        Without explicit `channels` the rows are assumed row-major
-        (view, channel) over all detector channels.
+        Rows are row-major (view, channel) over all detector channels unless
+        explicit `channels` give each row its own.  Both results are views
+        with rows along the fastest axis, so per-row arithmetic on them runs
+        over long contiguous vectors.
         """
         p = np.asarray(p, dtype=float)
-        basis = self._basis(p)  # (M, n_coef)
-        ch = self._channel_theta(p.shape[0], channels)
-        if self.n_channels == 1:
-            return basis @ self.theta[0].T
-        if ch is not None:
-            return np.einsum("mc,mkc->mk", basis, self.theta[ch])
-        c = self.n_channels
-        v = p.shape[0] // c
-        b = basis.reshape(v, c, -1).transpose(1, 0, 2)          # (C, V, n_coef)
-        out = np.matmul(b, self.theta.transpose(0, 2, 1))       # (C, V, K)
-        return out.transpose(1, 0, 2).reshape(p.shape[0], -1)
+        coef = self._coef
+        if channels is not None and coef.shape[0] > 1:
+            groups, coef = p[..., None], coef[np.asarray(channels, dtype=int)]  # (M, L, 1)
+        else:
+            if channels is None and p.shape[0] % self.n_channels:
+                raise ToolkitError("drf: sinogram rows not divisible by channel count")
+            groups = p.reshape(-1, coef.shape[0], p.shape[1]).transpose(1, 2, 0)  # (C, L, V)
+        out = self._apply(np.ascontiguousarray(groups), coef, True)    # (C, K, R, V)
+        out = np.ascontiguousarray(out.transpose(1, 2, 3, 0)).reshape(out.shape[1:3] + (-1,))
+        return out[:, 0].T, out[:, 1:].transpose(2, 0, 1)
+
+    def eval_sino(self, p: np.ndarray, channels=None) -> np.ndarray:
+        """phi for a stack of projection rows (M, L) -> (M, K), rows as in `eval_jac`."""
+        return self.eval_jac(p, channels)[0]
 
     def grad_sino(self, p: np.ndarray, channels=None) -> np.ndarray:
         """Jacobians for a stack of rows (M, L) -> (M, K, L)."""
-        p = np.asarray(p, dtype=float)
-        bg = self._basis_grad(p)  # (M, n_coef, L)
-        ch = self._channel_theta(p.shape[0], channels)
-        if self.n_channels == 1:
-            return np.einsum("kc,mcl->mkl", self.theta[0], bg)
-        if ch is not None:
-            return np.einsum("mkc,mcl->mkl", self.theta[ch], bg)
-        c = self.n_channels
-        v = p.shape[0] // c
-        out = np.empty((v, c, self.n_bins, self.n_materials))
-        bgr = bg.reshape(v, c, bg.shape[1], bg.shape[2])
-        for l in range(self.n_materials):
-            g = bgr[..., l].transpose(1, 0, 2)                   # (C, V, n_coef)
-            out[..., l] = np.matmul(g, self.theta.transpose(0, 2, 1)).transpose(1, 0, 2)
-        return out.reshape(p.shape[0], self.n_bins, self.n_materials)
+        return self.eval_jac(p, channels)[1]
 
 
 def measure_drf(mean_counts: np.ndarray, air_total: float) -> np.ndarray:
@@ -230,8 +231,7 @@ def measure_drf(mean_counts: np.ndarray, air_total: float) -> np.ndarray:
 
 
 def fit_drf(points: np.ndarray, phi_hat: np.ndarray, order: int = 4,
-            domain: CalibrationDomain = DEFAULT_DOMAIN, bin_edges=None,
-            basis: str = "scaled") -> DrfPolynomial:
+            domain: CalibrationDomain = DEFAULT_DOMAIN, bin_edges=None) -> DrfPolynomial:
     """Least-squares polynomial fit of measured DRF samples.
 
     `points` is (S, L) with matching `phi_hat` (S, K) for a single channel,
@@ -248,18 +248,13 @@ def fit_drf(points: np.ndarray, phi_hat: np.ndarray, order: int = 4,
         raise NumericError(
             f"fit_drf: {n_pts} sample points cannot determine {n_coef} coefficients"
         )
-    if basis == "scaled":
-        scale = np.where(domain.upper > 0, domain.upper, 1.0)
-    elif basis == "raw":
-        scale = np.ones(n_mat)
-    else:
-        raise ToolkitError(f"fit_drf: unknown basis {basis!r}")
+    scale = np.where(domain.upper > 0, domain.upper, 1.0)
     probe = DrfPolynomial(theta=np.zeros((1, 1, n_coef)), order=order, n_materials=n_mat,
                           domain=domain, basis_scale=scale)
     theta = np.empty((n_chan, phi_hat.shape[2], n_coef))
     worst = 0.0
     for c in range(n_chan):
-        design = probe._basis(points[c])
+        design = probe._tables(points[c].T, False)[:, 0].T
         coef, _, rank, _ = np.linalg.lstsq(design, phi_hat[c], rcond=None)
         if rank < n_coef:
             raise NumericError(

@@ -58,9 +58,9 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = validate_seed(args.seed, "--seed")
         if args.command == "simulate":
-            pipeline.cmd_simulate(cfg, args.out, args.seed)
+            pipeline.cmd_simulate(cfg, args.out)
         elif args.command == "calibrate":
-            pipeline.cmd_calibrate(cfg, args.out, args.seed)
+            pipeline.cmd_calibrate(cfg, args.out)
         elif args.command == "decompose":
             pipeline.cmd_decompose(cfg, args.method, args.out)
         elif args.command == "reconstruct":
@@ -70,7 +70,7 @@ def main(argv=None) -> int:
             methods = [args.method] if args.method else None
             pipeline.cmd_evaluate(cfg, args.out, methods)
         else:
-            pipeline.cmd_pipeline(cfg, args.out, args.seed, force=args.force)
+            pipeline.cmd_pipeline(cfg, args.out, force=args.force)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -197,9 +197,8 @@ class PipelineConfig:
                                       "calibration.air_counts_total", minimum=1e-9)
         self.cal_noise = _boolean(_get(cal, "noise", "calibration", default=True),
                                   "calibration.noise")
-        self.cal_seed = validate_seed(_get(cal, "seed", "calibration",
-                                           default=(self.seed + 1) % (SEED_MAX + 1)),
-                                      "calibration.seed")
+        self._cal_seed = (validate_seed(cal["seed"], "calibration.seed")
+                          if "seed" in cal else None)
 
         ml = _get(raw, "mle", "config", default={})
         gp = _get(ml, "grid_points", "mle", default=[41, 41])
@@ -299,6 +298,11 @@ class PipelineConfig:
                 f"{path}.kind: expected gaussian | decorrelated-gaussian | clip | compose, got {kind!r}")
 
     # --- builders ---
+
+    @property
+    def cal_seed(self) -> int:
+        """`calibration.seed`, else (seed + 1) mod 2^64, read at use so --seed reaches it."""
+        return (self.seed + 1) % (SEED_MAX + 1) if self._cal_seed is None else self._cal_seed
 
     def materials(self):
         return [load_material(n) for n in self.material_names]

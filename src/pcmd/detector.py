@@ -144,8 +144,7 @@ def detector_agent_apply(p: np.ndarray, t_sino: np.ndarray, air_totals: np.ndarr
     inv_a2 = 1.0 / (params.sigma**2 * air)  # 1/alpha^2, alpha = sigma*sqrt(air)
     eye = np.eye(p.shape[1])
     for _ in range(params.n_sub):
-        phi = drf.eval_sino(pp, channels=channels)       # (M, K)
-        a = drf.grad_sino(pp, channels=channels)         # (M, K, L)
+        phi, a = drf.eval_jac(pp, channels=channels)     # (M, K), (M, K, L)
         b = -_exp_neg(phi) + t_sino
         c = _curvature(phi, params.epsilon)
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):

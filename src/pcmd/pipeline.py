@@ -98,10 +98,9 @@ def _paths(cfg: PipelineConfig, out_override=None):
     return out
 
 
-def cmd_simulate(cfg: PipelineConfig, out_dir=None, seed=None) -> list:
+def cmd_simulate(cfg: PipelineConfig, out_dir=None) -> list:
     """Simulate the scan; writes transmission, air totals, and true pathlengths."""
     out = _paths(cfg, out_dir)
-    seed = cfg.seed if seed is None else seed
     stage = Stage("simulate", cfg, out,
                   ["geometry", "spectrum", "materials", "phantom", "dose"])
     geometry = cfg.geometry()
@@ -110,7 +109,7 @@ def cmd_simulate(cfg: PipelineConfig, out_dir=None, seed=None) -> list:
     phantom = cfg.phantom()
     dose = cfg.dose_scale(spectrum)
     counts, trans = scan_phantom(phantom, geometry, spectrum, materials, dose,
-                                 noise=cfg.noise, seed=seed)
+                                 noise=cfg.noise, seed=cfg.seed)
     pts, dirs = geometry.all_rays()
     p_true = phantom.pathlengths(pts, dirs)
 
@@ -131,14 +130,14 @@ def cmd_simulate(cfg: PipelineConfig, out_dir=None, seed=None) -> list:
     return written
 
 
-def cmd_calibrate(cfg: PipelineConfig, out_dir=None, seed=None) -> list:
+def cmd_calibrate(cfg: PipelineConfig, out_dir=None) -> list:
     """Run the slab protocol and fit the detector response; prints fit residual."""
     out = _paths(cfg, out_dir)
-    seed = cfg.cal_seed if seed is None else seed
     stage = Stage("calibrate", cfg, out, ["geometry", "spectrum", "materials", "calibration"])
     drf = calibrate_drf(cfg.spectrum(), cfg.materials(), cfg.calibration_design(),
                         cfg.geometry(), order=cfg.cal_order, domain=cfg.calibration_domain(),
-                        air_counts_total=cfg.cal_air_counts, noise=cfg.cal_noise, seed=seed)
+                        air_counts_total=cfg.cal_air_counts, noise=cfg.cal_noise,
+                        seed=cfg.cal_seed)
     path = os.path.join(out, "calibration.pcmdcal")
     save_calibration(path, drf)
     print(f"calibrate: max fit residual {drf.fit_residual:.3e} over "
@@ -267,7 +266,7 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir=None, methods=None) -> list:
     return [path]
 
 
-def cmd_pipeline(cfg: PipelineConfig, out_dir=None, seed=None, force: bool = False) -> list:
+def cmd_pipeline(cfg: PipelineConfig, out_dir=None, force: bool = False) -> list:
     """Run every stage in order, skipping stages whose manifests are current."""
     out = _paths(cfg, out_dir)
     written = []
@@ -279,7 +278,7 @@ def cmd_pipeline(cfg: PipelineConfig, out_dir=None, seed=None, force: bool = Fal
             return
         written.extend(fn())
 
-    run("simulate", lambda: cmd_simulate(cfg, out, seed),
+    run("simulate", lambda: cmd_simulate(cfg, out),
         ["geometry", "spectrum", "materials", "phantom", "dose"])
     run("calibrate", lambda: cmd_calibrate(cfg, out),
         ["geometry", "spectrum", "materials", "calibration"])

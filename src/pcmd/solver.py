@@ -22,6 +22,7 @@ from .priors import apply_prior, clip_prior
 
 _DIVERGED_SPAN_FACTOR = 1.0  # rows beyond domain inflated by one full span are suspect
 _STOP_CM = 1.0e-10  # largest row step (cm) after which MLE refinement stops
+_GRID_BLOCK = 1 << 19  # loss entries (rows x grid points) per grid-search product
 
 
 @dataclass(frozen=True)
@@ -103,30 +104,29 @@ def mann_iterate(p_init: np.ndarray, f_agent, h_agent, rho: float, n_iter: int):
 
 
 def _grid_search(t_sino: np.ndarray, drf, grid_points) -> np.ndarray:
-    """Exhaustive minimization of sum_k exp(-phi_k) + phi_k * t_k per row."""
+    """Exhaustive minimization of sum_k exp(-phi_k) + phi_k * t_k per row.
+
+    Rows are scored per coefficient set, one matrix product per block of at
+    most `_GRID_BLOCK` losses, so memory does not grow with the sinogram.
+    """
     axes = [np.linspace(lo, up, n) for lo, up, n in
             zip(drf.domain.lower, drf.domain.upper, grid_points)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)        # (G, L)
-    m_rows = t_sino.shape[0]
-    if drf.n_channels == 1:
-        phi = drf.eval(pts, channel=0)                        # (G, K)
-        att = _exp_neg(phi).sum(axis=1)                       # (G,)
-        loss = att[None, :] + t_sino @ phi.T                  # (M, G)
-        best = np.argmin(loss, axis=1)
-        return pts[best]
-    n_chan = drf.n_channels
-    if m_rows % n_chan:
+    phi = drf.eval_channels(pts)                              # (C, G, K)
+    att = _exp_neg(phi).sum(axis=2)                           # (C, G)
+    n_chan = phi.shape[0]
+    if t_sino.shape[0] % n_chan:
         raise ToolkitError("mle: sinogram rows not divisible by channel count")
-    out = np.empty((m_rows, pts.shape[1]))
-    phi_c = np.stack([drf.eval(pts, channel=c) for c in range(n_chan)])  # (C, G, K)
-    att_c = _exp_neg(phi_c).sum(axis=2)                       # (C, G)
-    n_views = m_rows // n_chan
-    t3 = t_sino.reshape(n_views, n_chan, -1)
-    for v in range(n_views):
-        loss = att_c + np.einsum("ck,cgk->cg", t3[v], phi_c)
-        out[v * n_chan:(v + 1) * n_chan] = pts[np.argmin(loss, axis=1)]
-    return out
+    t3 = t_sino.reshape(-1, n_chan, t_sino.shape[1])          # (V, C, K)
+    best = np.empty(t3.shape[:2], dtype=np.intp)
+    block = max(1, _GRID_BLOCK // pts.shape[0])
+    for c in range(n_chan):
+        for v in range(0, t3.shape[0], block):
+            loss = t3[v:v + block, c] @ phi[c].T              # (rows, G)
+            loss += att[c]
+            best[v:v + block, c] = np.argmin(loss, axis=1)
+    return pts[best.ravel()]
 
 
 def _diverged_rows(p: np.ndarray, domain) -> np.ndarray:
@@ -165,7 +165,7 @@ def mle_decompose(t_sino: np.ndarray, air_totals: np.ndarray, drf,
             break
     flagged = _diverged_rows(p, drf.domain)
     if flagged.size:
-        channels = (flagged % drf.n_channels) if drf.n_channels > 1 else np.zeros_like(flagged)
+        channels = flagged % drf.n_channels
         # moderate prox strength here: the refinement sigma is deliberately huge
         # and would let the rescue's detector steps overshoot the clip prior
         sub_mace = MaceConfig(prior=clip_prior(drf.domain), rho=0.8, n_iter=25,

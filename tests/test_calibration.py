@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import exact_phi
-from pcmd.calibration import (CalibrationDesign, CalibrationDomain, DrfPolynomial,
+from pcmd.calibration import (DEFAULT_DOMAIN, CalibrationDesign, CalibrationDomain, DrfPolynomial,
                               calibrate_drf, default_design, fit_drf, load_calibration,
                               measure_drf, save_calibration, slab_scan_protocol)
 from pcmd.errors import NumericError, PhotonStarvationError
@@ -113,6 +113,83 @@ def test_gradient_matches_central_differences(noiseless_drf):
         fd = (noiseless_drf.eval(p + e, 0) - noiseless_drf.eval(p - e, 0)) / (2 * h)
         rel = np.abs(fd - g[:, :, l]) / np.maximum(np.abs(g[:, :, l]), 1e-12)
         assert rel.max() < 1e-6
+
+
+def test_sinogram_jacobian_matches_central_differences(default_spectrum, basis_materials):
+    geo = ScanGeometry(mode="fan", n_views=1, n_channels=5, spacing=4.0, sid=20.0, sdd=40.0)
+    drf = calibrate_drf(default_spectrum, basis_materials,
+                        default_design(points_per_axis=(6, 6)), geo, noise=False)
+    rng = np.random.default_rng(11)
+    p = rng.uniform([0.5, 0.1], [39.5, 4.9], size=(40 * 5, 2))  # rows (view, channel)
+    g = drf.grad_sino(p)
+    h = 1e-5
+    for l in range(2):
+        e = np.zeros(2)
+        e[l] = h
+        fd = (drf.eval_sino(p + e) - drf.eval_sino(p - e)) / (2 * h)
+        rel = np.abs(fd - g[:, :, l]) / np.maximum(np.abs(g[:, :, l]), 1e-12)
+        assert rel.max() < 1e-6
+
+
+def direct_response(theta, scale, order, p):
+    """Per-coefficient monomial sum, its analytic Jacobian, and the sum of |terms|.
+
+    `theta` is one channel's (K, n_coef) with n_coef = (order + 1)^2 and p is
+    (N, 2); coefficient j = a * (order + 1) + b multiplies s0^a s1^b,
+    s = p / scale.
+    """
+    s = p / scale
+    phi = np.zeros((p.shape[0], theta.shape[0]))
+    jac = np.zeros(phi.shape + (2,))
+    size = np.zeros(phi.shape + (3,))
+    for a in range(order + 1):
+        for b in range(order + 1):
+            coef = theta[:, a * (order + 1) + b]
+            mono = s[:, 0] ** a * s[:, 1] ** b
+            d0 = a * s[:, 0] ** max(a - 1, 0) * s[:, 1] ** b / scale[0]
+            d1 = b * s[:, 0] ** a * s[:, 1] ** max(b - 1, 0) / scale[1]
+            for i, term in enumerate((mono, d0, d1)):
+                size[..., i] += np.abs(np.outer(term, coef))
+            phi += np.outer(mono, coef)
+            jac[..., 0] += np.outer(d0, coef)
+            jac[..., 1] += np.outer(d1, coef)
+    return phi, jac, size
+
+
+@pytest.mark.parametrize("case", ["single", "distinct", "shared", "explicit"])
+def test_kernel_matches_direct_monomial_sum(case):
+    rng = np.random.default_rng(12)
+    n_chan = 1 if case == "single" else 3
+    theta = rng.normal(size=(n_chan, 6, 25))
+    if case == "shared":
+        theta[:] = theta[0]
+    scale = np.array([40.0, 5.0])
+    drf = DrfPolynomial(theta=theta, order=4, n_materials=2, domain=DEFAULT_DOMAIN,
+                        basis_scale=scale)
+    assert drf.n_channels == n_chan
+    assert drf._coef.shape[0] == (1 if case in ("single", "shared") else 3)  # shared path
+    # rows inside and outside the 0-40 x 0-5 cm calibration domain
+    p = rng.uniform([-20.0, -3.0], [60.0, 8.0], size=(50 * n_chan, 2))
+    if case == "explicit":
+        channels = rng.integers(0, n_chan, size=p.shape[0])
+        phi, jac = drf.eval_jac(p, channels=channels)
+        assert np.array_equal(drf.eval_sino(p, channels=channels), phi)
+        assert np.array_equal(drf.grad_sino(p, channels=channels), jac)
+    else:
+        channels = np.arange(p.shape[0]) % n_chan   # row-major (view, channel)
+        phi, jac = drf.eval_jac(p)
+        assert np.array_equal(drf.eval_sino(p), phi)
+        assert np.array_equal(drf.grad_sino(p), jac)
+    for c in range(n_chan):
+        rows = channels == c
+        ref_phi, ref_jac, size = direct_response(theta[c], scale, 4, p[rows])
+        assert np.all(np.abs(phi[rows] - ref_phi) <= 1e-12 * size[..., 0])
+        assert np.all(np.abs(jac[rows] - ref_jac) <= 1e-12 * size[..., 1:])
+        ref_phi, ref_jac, size = direct_response(theta[c], scale, 4, p)
+        assert np.all(np.abs(drf.eval(p, channel=c) - ref_phi) <= 1e-12 * size[..., 0])
+        assert np.all(np.abs(drf.grad(p, channel=c) - ref_jac) <= 1e-12 * size[..., 1:])
+        stack = drf.eval(p.reshape(10, -1, 2), channel=c)
+        assert np.all(np.abs(stack.reshape(ref_phi.shape) - ref_phi) <= 1e-12 * size[..., 0])
 
 
 def test_dense_grid_validation_residual(default_spectrum, basis_materials, noiseless_drf):

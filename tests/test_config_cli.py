@@ -269,6 +269,21 @@ def test_seed_override_changes_noisy_outputs(tmp_path):
     assert not np.array_equal(ta, tb)
 
 
+def test_seed_flag_fits_one_calibration_in_calibrate_and_pipeline(tmp_path):
+    cfg = tiny_config(tmp_path / "a")
+    cfg["calibration"]["noise"] = True
+    cfg["mle"]["n_iter"] = 2
+    cfg["mace"]["n_iter"] = 2
+    cfg["mace"]["mle_init_iters"] = 2
+    path = write_config(tmp_path, cfg)
+    assert main(["calibrate", "--config", path, "--seed", "5"]) == 0
+    assert main(["pipeline", "--config", path, "--seed", "5", "--out", str(tmp_path / "b")]) == 0
+    assert main(["calibrate", "--config", path, "--out", str(tmp_path / "c")]) == 0
+    fits = [(tmp_path / d / "calibration.pcmdcal").read_bytes() for d in "abc"]
+    assert fits[0] == fits[1]
+    assert fits[0] != fits[2]   # the override reaches the calibration noise
+
+
 def test_noise_off_runs_are_bitwise_identical(tmp_path):
     cfg = tiny_config(tmp_path / "out", noise=False)
     path = write_config(tmp_path, cfg)

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import grid_polish_minimizer, prox_objective
+from pcmd.calibration import DrfPolynomial
 from pcmd.errors import NumericError, ToolkitError
 from pcmd.priors import custom_prior, gaussian_prior
 from pcmd import solver
@@ -129,6 +132,41 @@ def test_grid_search_recovers_on_grid_points(default_spectrum, basis_materials, 
 
     found = _grid_search(t, noiseless_drf, grid_pts)
     assert np.array_equal(found, p_true)
+
+
+def full_matrix_grid_search(t_sino, drf, grid_points):
+    """Reference: every row's whole loss over the grid in one matrix, then argmin."""
+    axes = [np.linspace(lo, up, n) for lo, up, n in
+            zip(drf.domain.lower, drf.domain.upper, grid_points)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    phi = np.stack([drf.eval(pts, channel=c) for c in range(drf.n_channels)])   # (C, G, K)
+    row_phi = phi[np.arange(t_sino.shape[0]) % drf.n_channels]                 # (M, G, K)
+    loss = np.exp(-row_phi).sum(axis=2) + np.einsum("mgk,mk->mg", row_phi, t_sino)
+    return pts[np.argmin(loss, axis=1)]
+
+
+@pytest.mark.parametrize("n_chan", [1, 4])
+def test_blocked_grid_search_equals_full_matrix_argmin(noiseless_drf, monkeypatch, n_chan):
+    theta = np.stack([noiseless_drf.theta[0] * (1.0 + 0.02 * c) for c in range(n_chan)])
+    drf = DrfPolynomial(theta=theta, order=noiseless_drf.order, n_materials=2,
+                        domain=noiseless_drf.domain, basis_scale=noiseless_drf.basis_scale)
+    rng = np.random.default_rng(21)
+    p_true = rng.uniform([0.0, 0.0], [40.0, 5.0], size=(30 * n_chan, 2))
+    t = np.exp(-drf.eval_sino(p_true)) * rng.uniform(0.9, 1.1, size=(p_true.shape[0], 8))
+    grid = (21, 21)
+    monkeypatch.setattr(solver, "_GRID_BLOCK", 4 * 21 * 21)   # 4 rows per block
+    assert np.array_equal(solver._grid_search(t, drf, grid), full_matrix_grid_search(t, drf, grid))
+
+
+def test_single_channel_grid_search_memory_is_bounded(noiseless_drf):
+    t = np.random.default_rng(22).uniform(0.0, 0.3, size=(20000, noiseless_drf.n_bins))
+    tracemalloc.start()
+    try:
+        solver._grid_search(t, noiseless_drf, (41, 41))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20   # the whole 20,000 x 1,681 loss would be 269 MB
 
 
 def test_mle_recovers_off_grid_truth(default_spectrum, basis_materials, noiseless_drf):
