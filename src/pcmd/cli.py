@@ -49,14 +49,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     _apply_threads(args.threads)
 
-    from .config import PipelineConfig, validate_seed
+    from .config import SEED, PipelineConfig
     from .errors import ConfigError, ToolkitError
     from . import pipeline
 
     try:
         cfg = PipelineConfig.from_file(args.config)
         if args.seed is not None:
-            cfg.seed = validate_seed(args.seed, "--seed")
+            cfg.seed = SEED(args.seed, "--seed")
         if args.command == "simulate":
             pipeline.cmd_simulate(cfg, args.out)
         elif args.command == "calibrate":

@@ -1,13 +1,17 @@
 """Pipeline configuration: one JSON file drives every stage.
 
-The schema is documented in the README.  Validation happens before any
-computation and reports path-qualified messages like
-"phantom.disks[2].radius: must be > 0".  Builder functions turn validated
-sections into toolkit objects.
+The schema is documented in the README and declared once below, in
+`SCHEMA`: each key with its type, bounds and default.  One recursive walk
+checks every object, list, number, boolean and string strictly, rejects
+unknown keys and fills in defaults; a short list of cross-key rules
+follows.  Validation happens before any computation and reports
+path-qualified messages like "phantom.disks[2].radius: must be > 0".
+Builder methods turn the validated values into toolkit objects.
 """
 
 import json
 import math
+import operator
 import os
 
 import numpy as np
@@ -15,7 +19,7 @@ import numpy as np
 from .calibration import CalibrationDesign, CalibrationDomain, default_design
 from .errors import ConfigError
 from .geometry import ImageGrid, ScanGeometry
-from .materials import list_materials, load_material
+from .materials import equivalent_fractions, list_materials, load_material
 from .metrics import RoiCircle, RoiSpec
 from .phantom import Disk, Phantom
 from .priors import (clip_prior, compose_priors, decorrelated_prior, gaussian_prior,
@@ -23,57 +27,251 @@ from .priors import (clip_prior, compose_priors, decorrelated_prior, gaussian_pr
 from .solver import MaceConfig, MleConfig
 from .spectrum import filtered_kramers
 
+REQUIRED = object()  # default of a key that must be given
+SEED_MAX = 2**64 - 1  # seeds key a 64-bit Philox counter
+_BOUNDS = {"ge": (">=", operator.ge), "gt": (">", operator.gt),
+           "le": ("<=", operator.le), "lt": ("<", operator.lt)}
 
-def _get(section: dict, key: str, path: str, default=None, required: bool = False):
-    if key not in section:
-        if required:
-            raise ConfigError(f"{path}.{key}: required key is missing")
-        return default
-    return section[key]
-
-
-def _number(value, path: str, minimum=None, maximum=None, integer: bool = False):
-    ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-    if ok and integer and int(value) != value:
-        ok = False
-    if not ok:
-        raise ConfigError(f"{path}: expected a finite {'integer' if integer else 'number'}, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{path}: must be <= {maximum}, got {value}")
-    return int(value) if integer else float(value)
+# A schema is an object, {key: (schema, default)}, or a leaf: a function
+# (value, path) -> checked value that raises ConfigError naming `path`.
 
 
-def _boolean(value, path: str) -> bool:
+def _check(schema, value, path: str):
+    """`value` checked against `schema`, with defaults filled in.  An object
+    rejects unknown keys; a missing key takes its default (checked like a given
+    value), stays None when the default is None, or is an error when REQUIRED."""
+    if not isinstance(schema, dict):
+        return schema(value, path)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path or 'config root'}: expected an object, got {value!r}")
+    join = (lambda key: f"{path}.{key}") if path else (lambda key: key)
+    for key in value:
+        if key not in schema:
+            raise ConfigError(f"{join(key)}: unknown key")
+    out = {}
+    for key, (field, default) in schema.items():
+        if key in value:
+            out[key] = _check(field, value[key], join(key))
+        elif default is REQUIRED:
+            raise ConfigError(f"{join(key)}: required key is missing")
+        else:
+            out[key] = None if default is None else _check(field, default, join(key))
+    return out
+
+
+def number(integer: bool = False, **bounds):
+    """A finite JSON number within `bounds` (ge / gt / le / lt); `integer`
+    admits whole numbers only and yields an int, else a float."""
+    def check(value, path):
+        try:
+            ok = (not isinstance(value, bool) and math.isfinite(value)
+                  and (not integer or float(value).is_integer()))
+        except (TypeError, OverflowError):  # not a number, or an int beyond float range
+            ok = False
+        if not ok:
+            raise ConfigError(f"{path}: expected a finite {'integer' if integer else 'number'}, "
+                              f"got {value!r}")
+        value = int(value) if integer else float(value)
+        for name, bound in bounds.items():
+            symbol, holds = _BOUNDS[name]
+            if not holds(value, bound):
+                raise ConfigError(f"{path}: must be {symbol} {bound}, got {value}")
+        return value
+    return check
+
+
+def boolean(value, path):
     if not isinstance(value, bool):
         raise ConfigError(f"{path}: expected true or false, got {value!r}")
     return value
 
 
-SEED_MAX = 2**64 - 1  # seeds key a 64-bit Philox counter
+def string(options=None):
+    """A non-empty string; with `options` (a list, or a function giving one), one of those."""
+    def check(value, path):
+        if not isinstance(value, str) or not value:
+            raise ConfigError(f"{path}: expected a non-empty string, got {value!r}")
+        allowed = options() if callable(options) else options
+        if allowed is not None and value not in allowed:
+            raise ConfigError(f"{path}: expected one of {' | '.join(allowed)}, got {value!r}")
+        return value
+    return check
 
 
-def validate_seed(value, path: str) -> int:
-    """An integer seed in [0, 2**64 - 1], or a ConfigError naming `path`."""
-    return _number(value, path, minimum=0, maximum=SEED_MAX, integer=True)
+def list_of(item, min_len: int = 0, length: int = None):
+    def check(value, path):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        if len(value) < min_len or length not in (None, len(value)):
+            want = f"at least {min_len}" if length is None else length
+            raise ConfigError(f"{path}: expected a list of {want} entries, got {value!r}")
+        return [_check(item, x, f"{path}[{i}]") for i, x in enumerate(value)]
+    return check
 
 
-def _point(value, path: str):
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{path}: expected [x, y]")
-    return (_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
+NUMBER = number()
+POSITIVE = number(gt=0)
+COUNT = number(integer=True, ge=1)
+POINT = list_of(NUMBER, length=2)
+SEED = number(integer=True, ge=0, le=SEED_MAX)
+KEV = number(integer=True, ge=20, le=150)  # whole keV inside the attenuation tables
+STD_PAIR = list_of(POSITIVE, length=2)
+AIR_COUNTS = number(gt=0, le=1e18)  # numpy's Poisson sampler refuses rates near 2^63
+
+
+def _std(value, path):
+    """A Gaussian prior's std for one material: isotropic, or [along-views, along-channels]."""
+    return (STD_PAIR if isinstance(value, list) else POSITIVE)(value, path)
+
+
+def _prior(value, path):
+    """A prior: an object whose `kind` picks its keys; compose recurses into its parts."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected an object, got {value!r}")
+    kind = value.get("kind")
+    if not isinstance(kind, str) or kind not in PRIORS:
+        raise ConfigError(f"{path}.kind: expected one of {' | '.join(PRIORS)}, got {kind!r}")
+    rest = {key: x for key, x in value.items() if key != "kind"}
+    return {"kind": kind, **_check(PRIORS[kind], rest, path)}
+
+
+PRIORS = {
+    "gaussian": {"std": (list_of(_std), REQUIRED)},
+    "decorrelated-gaussian": {"std": (list_of(_std), REQUIRED), "rotation_deg": (NUMBER, 45.0)},
+    "clip": {},
+    "compose": {"parts": (list_of(_prior, min_len=1), REQUIRED)},
+}
+COMPOSITIONS = ("fractions", "water_density", "water_density_excess")
+
+SCHEMA = {
+    "output_dir": (string(), "out"),
+    "seed": (SEED, 0),
+    "noise": (boolean, True),
+    "materials": (list_of(string(list_materials), min_len=2), ["polyethylene", "pvc"]),
+    "geometry": ({
+        "mode": (string(("parallel", "fan")), "parallel"),
+        "n_views": (COUNT, 360),
+        "n_channels": (COUNT, 256),
+        "spacing_cm": (POSITIVE, 0.1),
+        "sid_cm": (POSITIVE, None),  # fan only
+        "sdd_cm": (POSITIVE, None),
+    }, {}),
+    "grid": ({"n_x": (COUNT, 256), "n_y": (COUNT, 256), "pixel_cm": (POSITIVE, 0.1)}, {}),
+    "spectrum": ({
+        "kvp": (KEV, 120),
+        "e_min": (KEV, 40),
+        "n_bins": (number(integer=True, ge=2), 8),
+        "filtration_cm_al": (number(ge=0, le=10), 0.3),  # more would underflow the fluence
+        "k_lines": (boolean, True),
+    }, {}),
+    "dose": ({"air_counts_total": (AIR_COUNTS, 2.0e4)}, {}),
+    "phantom": ({"disks": (list_of({
+        "center": (POINT, REQUIRED),
+        "radius": (POSITIVE, REQUIRED),
+        "fractions": (list_of(NUMBER), None),
+        "water_density": (NUMBER, None),
+        "water_density_excess": (NUMBER, None),
+    }), [])}, {}),
+    "calibration": ({
+        "order": (number(integer=True, ge=0), 4),
+        "points_per_axis": (list_of(COUNT), [9, 9]),
+        "domain": (list_of(POINT), [[0.0, 40.0], [0.0, 5.0]]),
+        "repeats": (COUNT, 100),
+        "air_counts_total": (AIR_COUNTS, 1.0e6),
+        "noise": (boolean, True),
+        "seed": (SEED, None),  # default: (seed + 1) mod 2^64
+    }, {}),
+    "mle": ({"grid_points": (list_of(COUNT), [41, 41]), "n_iter": (COUNT, 100),
+             "sigma": (POSITIVE, 1.0e3)}, {}),
+    "mace": ({
+        "rho": (number(gt=0, lt=1), 0.8),
+        "n_iter": (COUNT, 20),
+        "sigma": (POSITIVE, 1.0),
+        "n_sub": (COUNT, 1),
+        "mle_init_iters": (COUNT, 15),
+    }, {}),
+    "prior": (_prior, {"kind": "gaussian", "std": [3.0, 3.0]}),
+    "recon": ({
+        "mono_kev": (number(ge=20, le=150), 70.0),
+        "hann": (boolean, False),
+        "window_center": (NUMBER, 1000.0),
+        "window_width": (POSITIVE, 20.0),
+    }, {}),
+    "rois": (list_of({"label": (string(), REQUIRED), "center": (POINT, REQUIRED),
+                      "radius": (POSITIVE, REQUIRED)}), []),
+    "cnr": ({"target": (string(), REQUIRED), "background": (string(), REQUIRED)}, None),
+}
+
+
+def _check_rules(v):
+    """Rules that tie keys together; the schema walk has checked each key alone."""
+    geo, spec, cal = v["geometry"], v["spectrum"], v["calibration"]
+    if geo["mode"] == "fan":
+        for key in ("sid_cm", "sdd_cm"):
+            if geo[key] is None:
+                raise ConfigError(f"geometry.{key}: required key is missing for fan geometry")
+        if not geo["sdd_cm"] > geo["sid_cm"]:
+            raise ConfigError("geometry.sdd_cm: must be greater than geometry.sid_cm")
+    if spec["e_min"] >= spec["kvp"]:
+        raise ConfigError("spectrum.e_min: must be below spectrum.kvp")
+    if spec["n_bins"] > spec["kvp"] - spec["e_min"]:
+        raise ConfigError("spectrum.n_bins: must be <= spectrum.kvp - spectrum.e_min "
+                          f"(bins at least 1 keV wide), got {spec['n_bins']}")
+
+    n = len(v["materials"])
+    per_material = {"calibration.points_per_axis": cal["points_per_axis"],
+                    "calibration.domain": cal["domain"],
+                    "mle.grid_points": v["mle"]["grid_points"]}
+    for i, disk in enumerate(v["phantom"]["disks"]):
+        if sum(disk[k] is not None for k in COMPOSITIONS) != 1:
+            raise ConfigError(f"phantom.disks[{i}]: give exactly one of {' | '.join(COMPOSITIONS)}")
+        if disk["fractions"] is not None:
+            per_material[f"phantom.disks[{i}].fractions"] = disk["fractions"]
+    priors = [("prior", v["prior"])]
+    for path, prior in priors:  # a composition's parts join the walk
+        if prior["kind"] == "compose":
+            priors += [(f"{path}.parts[{j}]", part) for j, part in enumerate(prior["parts"])]
+        if prior["kind"] == "decorrelated-gaussian" and n != 2:
+            raise ConfigError(f"{path}.kind: decorrelated-gaussian rotates exactly two materials")
+        if "std" in prior:
+            per_material[f"{path}.std"] = prior["std"]
+    for path, entries in per_material.items():
+        if len(entries) != n:
+            raise ConfigError(f"{path}: expected {n} entries, one per material")
+    for j, (lo, up) in enumerate(cal["domain"]):
+        if lo > up:
+            raise ConfigError(f"calibration.domain[{j}]: lower bound exceeds upper bound")
+
+    labels = [r["label"] for r in v["rois"]]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ConfigError(f"rois[{i}].label: duplicate label {label!r}")
+    if v["cnr"] is not None:
+        for which in ("target", "background"):
+            if v["cnr"][which] not in labels:
+                raise ConfigError(f"cnr.{which}: roi label {v['cnr'][which]!r} "
+                                  "is not defined under rois")
 
 
 class PipelineConfig:
-    """Validated pipeline configuration with builders for toolkit objects."""
+    """Validated pipeline configuration with builders for toolkit objects.
+
+    `raw` is the parsed JSON, untouched (stage manifests hash it); `values`
+    is the validated copy with every default filled in.
+    """
 
     def __init__(self, raw: dict, base_dir: str = "."):
-        if not isinstance(raw, dict):
-            raise ConfigError("config root: expected a JSON object")
         self.raw = raw
         self.base_dir = base_dir
-        self._validate()
+        self.values = v = _check(SCHEMA, raw, "")
+        _check_rules(v)
+        self.seed = v["seed"]
+        self.noise = v["noise"]
+        self.output_dir = v["output_dir"]
+        self.material_names = v["materials"]
+        self.geo_n_views = v["geometry"]["n_views"]
+        self.geo_n_channels = v["geometry"]["n_channels"]
+        self.cnr_pair = None if v["cnr"] is None else (v["cnr"]["target"], v["cnr"]["background"])
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
@@ -86,288 +284,80 @@ class PipelineConfig:
             raise ConfigError(f"{path}: invalid JSON ({err})") from None
         return cls(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
-    # --- validation ---
-
-    def _validate(self):
-        raw = self.raw
-        self.seed = validate_seed(_get(raw, "seed", "config", default=0), "seed")
-        self.noise = _boolean(_get(raw, "noise", "config", default=True), "noise")
-        out = _get(raw, "output_dir", "config", default="out")
-        if not isinstance(out, str) or not out:
-            raise ConfigError("output_dir: expected a non-empty string")
-        self.output_dir = out
-
-        names = _get(raw, "materials", "config", default=["polyethylene", "pvc"])
-        if not isinstance(names, list) or len(names) < 2:
-            raise ConfigError("materials: expected a list of at least two material names")
-        known = set(list_materials())
-        for i, n in enumerate(names):
-            if n not in known:
-                raise ConfigError(
-                    f"materials[{i}]: unknown material {n!r}; available: {', '.join(sorted(known))}")
-        self.material_names = names
-
-        g = _get(raw, "geometry", "config", default={})
-        self.geo_mode = _get(g, "mode", "geometry", default="parallel")
-        if self.geo_mode not in ("parallel", "fan"):
-            raise ConfigError(f"geometry.mode: expected 'parallel' or 'fan', got {self.geo_mode!r}")
-        self.geo_n_views = _number(_get(g, "n_views", "geometry", default=360), "geometry.n_views",
-                                   minimum=1, integer=True)
-        self.geo_n_channels = _number(_get(g, "n_channels", "geometry", default=256),
-                                      "geometry.n_channels", minimum=1, integer=True)
-        self.geo_spacing = _number(_get(g, "spacing_cm", "geometry", default=0.1),
-                                   "geometry.spacing_cm", minimum=1e-12)
-        self.geo_sid = g.get("sid_cm")
-        self.geo_sdd = g.get("sdd_cm")
-        if self.geo_mode == "fan":
-            self.geo_sid = _number(_get(g, "sid_cm", "geometry", required=True), "geometry.sid_cm",
-                                   minimum=1e-9)
-            self.geo_sdd = _number(_get(g, "sdd_cm", "geometry", required=True), "geometry.sdd_cm",
-                                   minimum=1e-9)
-
-        gr = _get(raw, "grid", "config", default={})
-        self.grid_nx = _number(_get(gr, "n_x", "grid", default=256), "grid.n_x", minimum=1, integer=True)
-        self.grid_ny = _number(_get(gr, "n_y", "grid", default=256), "grid.n_y", minimum=1, integer=True)
-        self.grid_pixel = _number(_get(gr, "pixel_cm", "grid", default=0.1), "grid.pixel_cm",
-                                  minimum=1e-12)
-
-        sp = _get(raw, "spectrum", "config", default={})
-        self.spec_kvp = _number(_get(sp, "kvp", "spectrum", default=120.0), "spectrum.kvp", minimum=1.0)
-        self.spec_emin = _number(_get(sp, "e_min", "spectrum", default=40.0), "spectrum.e_min",
-                                 minimum=20.0)
-        if self.spec_emin >= self.spec_kvp:
-            raise ConfigError("spectrum.e_min: must be below spectrum.kvp")
-        self.spec_nbins = _number(_get(sp, "n_bins", "spectrum", default=8), "spectrum.n_bins",
-                                  minimum=2, integer=True)
-        self.spec_filtration = _number(_get(sp, "filtration_cm_al", "spectrum", default=0.3),
-                                       "spectrum.filtration_cm_al", minimum=0.0)
-        self.spec_klines = _boolean(_get(sp, "k_lines", "spectrum", default=True),
-                                    "spectrum.k_lines")
-
-        d = _get(raw, "dose", "config", default={})
-        self.air_counts_total = _number(_get(d, "air_counts_total", "dose", default=2.0e4),
-                                        "dose.air_counts_total", minimum=1e-9)
-
-        ph = _get(raw, "phantom", "config", default={"disks": []})
-        disks = _get(ph, "disks", "phantom", default=[])
-        if not isinstance(disks, list):
-            raise ConfigError("phantom.disks: expected a list")
-        self.disk_specs = []
-        for i, dk in enumerate(disks):
-            path = f"phantom.disks[{i}]"
-            if not isinstance(dk, dict):
-                raise ConfigError(f"{path}: expected an object")
-            center = _point(_get(dk, "center", path, required=True), f"{path}.center")
-            radius = _number(_get(dk, "radius", path, required=True), f"{path}.radius", minimum=1e-12)
-            kinds = [k for k in ("fractions", "water_density", "water_density_excess") if k in dk]
-            if len(kinds) != 1:
-                raise ConfigError(
-                    f"{path}: give exactly one of fractions | water_density | water_density_excess")
-            kind = kinds[0]
-            if kind == "fractions":
-                fr = dk["fractions"]
-                if not isinstance(fr, list) or len(fr) != len(names):
-                    raise ConfigError(f"{path}.fractions: expected {len(names)} numbers")
-                val = [_number(x, f"{path}.fractions[{j}]") for j, x in enumerate(fr)]
-            else:
-                val = _number(dk[kind], f"{path}.{kind}")
-            self.disk_specs.append((center, radius, kind, val))
-
-        cal = _get(raw, "calibration", "config", default={})
-        self.cal_order = _number(_get(cal, "order", "calibration", default=4), "calibration.order",
-                                 minimum=0, integer=True)
-        ppa = _get(cal, "points_per_axis", "calibration", default=[9, 9])
-        if not isinstance(ppa, list) or len(ppa) != len(names):
-            raise ConfigError(f"calibration.points_per_axis: expected {len(names)} counts")
-        self.cal_points = [
-            _number(x, f"calibration.points_per_axis[{j}]", minimum=1, integer=True)
-            for j, x in enumerate(ppa)]
-        dom = _get(cal, "domain", "calibration", default=[[0.0, 40.0], [0.0, 5.0]])
-        if not isinstance(dom, list) or len(dom) != len(names):
-            raise ConfigError(f"calibration.domain: expected {len(names)} [lower, upper] pairs")
-        self.cal_domain = [(_number(b[0], f"calibration.domain[{j}][0]"),
-                            _number(b[1], f"calibration.domain[{j}][1]"))
-                           for j, b in enumerate(dom)]
-        for j, (lo, up) in enumerate(self.cal_domain):
-            if lo > up:
-                raise ConfigError(f"calibration.domain[{j}]: lower bound exceeds upper bound")
-        self.cal_repeats = _number(_get(cal, "repeats", "calibration", default=100),
-                                   "calibration.repeats", minimum=1, integer=True)
-        self.cal_air_counts = _number(_get(cal, "air_counts_total", "calibration", default=1.0e6),
-                                      "calibration.air_counts_total", minimum=1e-9)
-        self.cal_noise = _boolean(_get(cal, "noise", "calibration", default=True),
-                                  "calibration.noise")
-        self._cal_seed = (validate_seed(cal["seed"], "calibration.seed")
-                          if "seed" in cal else None)
-
-        ml = _get(raw, "mle", "config", default={})
-        gp = _get(ml, "grid_points", "mle", default=[41, 41])
-        if not isinstance(gp, list) or len(gp) != len(names):
-            raise ConfigError(f"mle.grid_points: expected {len(names)} counts")
-        self.mle_grid = tuple(_number(x, f"mle.grid_points[{j}]", minimum=1, integer=True)
-                              for j, x in enumerate(gp))
-        self.mle_iters = _number(_get(ml, "n_iter", "mle", default=100), "mle.n_iter",
-                                 minimum=1, integer=True)
-        self.mle_sigma = _number(_get(ml, "sigma", "mle", default=1.0e3), "mle.sigma", minimum=1e-12)
-
-        mc = _get(raw, "mace", "config", default={})
-        self.mace_rho = _number(_get(mc, "rho", "mace", default=0.8), "mace.rho")
-        if not 0.0 < self.mace_rho < 1.0:
-            raise ConfigError("mace.rho: must lie strictly inside (0, 1)")
-        self.mace_iters = _number(_get(mc, "n_iter", "mace", default=20), "mace.n_iter",
-                                  minimum=1, integer=True)
-        self.mace_sigma = _number(_get(mc, "sigma", "mace", default=1.0), "mace.sigma", minimum=1e-12)
-        self.mace_nsub = _number(_get(mc, "n_sub", "mace", default=1), "mace.n_sub",
-                                 minimum=1, integer=True)
-        self.mace_init_iters = _number(_get(mc, "mle_init_iters", "mace", default=15),
-                                       "mace.mle_init_iters", minimum=1, integer=True)
-
-        self.prior_spec_raw = _get(raw, "prior", "config", default={"kind": "gaussian",
-                                                                    "std": [3.0, 3.0]})
-        self._check_prior(self.prior_spec_raw, "prior")
-
-        rc = _get(raw, "recon", "config", default={})
-        self.mono_kev = _number(_get(rc, "mono_kev", "recon", default=70.0), "recon.mono_kev",
-                                minimum=20.0, maximum=150.0)
-        self.recon_hann = _boolean(_get(rc, "hann", "recon", default=False), "recon.hann")
-        self.window_center = _number(_get(rc, "window_center", "recon", default=1000.0),
-                                     "recon.window_center")
-        self.window_width = _number(_get(rc, "window_width", "recon", default=20.0),
-                                    "recon.window_width", minimum=1e-12)
-
-        rois = _get(raw, "rois", "config", default=[])
-        if not isinstance(rois, list):
-            raise ConfigError("rois: expected a list")
-        self.roi_specs = []
-        labels = set()
-        for i, r in enumerate(rois):
-            path = f"rois[{i}]"
-            label = _get(r, "label", path, required=True)
-            if label in labels:
-                raise ConfigError(f"{path}.label: duplicate label {label!r}")
-            labels.add(label)
-            self.roi_specs.append(RoiCircle(
-                label=label,
-                center=_point(_get(r, "center", path, required=True), f"{path}.center"),
-                radius=_number(_get(r, "radius", path, required=True), f"{path}.radius",
-                               minimum=1e-12)))
-        cn = _get(raw, "cnr", "config", default=None)
-        self.cnr_pair = None
-        if cn is not None:
-            tgt = _get(cn, "target", "cnr", required=True)
-            bgd = _get(cn, "background", "cnr", required=True)
-            for which, lab in (("target", tgt), ("background", bgd)):
-                if lab not in labels:
-                    raise ConfigError(f"cnr.{which}: roi label {lab!r} is not defined under rois")
-            self.cnr_pair = (tgt, bgd)
-
-    def _check_prior(self, spec, path):
-        if not isinstance(spec, dict):
-            raise ConfigError(f"{path}: expected an object")
-        kind = _get(spec, "kind", path, required=True)
-        if kind == "gaussian":
-            std = _get(spec, "std", path, required=True)
-            if not isinstance(std, list) or len(std) != len(self.material_names):
-                raise ConfigError(f"{path}.std: expected {len(self.material_names)} entries")
-            for j, s in enumerate(std):
-                if isinstance(s, list):
-                    if len(s) != 2:
-                        raise ConfigError(f"{path}.std[{j}]: expected a number or [views, channels]")
-                    for a, x in enumerate(s):
-                        _number(x, f"{path}.std[{j}][{a}]", minimum=1e-12)
-                else:
-                    _number(s, f"{path}.std[{j}]", minimum=1e-12)
-        elif kind == "decorrelated-gaussian":
-            std = _get(spec, "std", path, required=True)
-            if not isinstance(std, list) or len(std) != len(self.material_names):
-                raise ConfigError(f"{path}.std: expected {len(self.material_names)} entries")
-            for j, s in enumerate(std):
-                _number(s, f"{path}.std[{j}]", minimum=1e-12)
-            if "rotation_deg" in spec:
-                _number(spec["rotation_deg"], f"{path}.rotation_deg")
-        elif kind == "clip":
-            pass
-        elif kind == "compose":
-            parts = _get(spec, "parts", path, required=True)
-            if not isinstance(parts, list) or not parts:
-                raise ConfigError(f"{path}.parts: expected a non-empty list")
-            for j, part in enumerate(parts):
-                self._check_prior(part, f"{path}.parts[{j}]")
-        else:
-            raise ConfigError(
-                f"{path}.kind: expected gaussian | decorrelated-gaussian | clip | compose, got {kind!r}")
-
     # --- builders ---
 
     @property
     def cal_seed(self) -> int:
         """`calibration.seed`, else (seed + 1) mod 2^64, read at use so --seed reaches it."""
-        return (self.seed + 1) % (SEED_MAX + 1) if self._cal_seed is None else self._cal_seed
+        seed = self.values["calibration"]["seed"]
+        return (self.seed + 1) % (SEED_MAX + 1) if seed is None else seed
 
     def materials(self):
         return [load_material(n) for n in self.material_names]
 
     def geometry(self) -> ScanGeometry:
-        return ScanGeometry(mode=self.geo_mode, n_views=self.geo_n_views,
-                            n_channels=self.geo_n_channels, spacing=self.geo_spacing,
-                            sid=self.geo_sid, sdd=self.geo_sdd)
+        g = self.values["geometry"]
+        return ScanGeometry(mode=g["mode"], n_views=g["n_views"], n_channels=g["n_channels"],
+                            spacing=g["spacing_cm"], sid=g["sid_cm"], sdd=g["sdd_cm"])
 
     def grid(self) -> ImageGrid:
-        return ImageGrid(n_x=self.grid_nx, n_y=self.grid_ny, pixel_size=self.grid_pixel)
+        g = self.values["grid"]
+        return ImageGrid(n_x=g["n_x"], n_y=g["n_y"], pixel_size=g["pixel_cm"])
 
     def spectrum(self):
-        return filtered_kramers(kvp=self.spec_kvp, e_min=self.spec_emin, n_bins=self.spec_nbins,
-                                filtration_cm_al=self.spec_filtration, k_lines=self.spec_klines)
+        return filtered_kramers(**self.values["spectrum"])
 
     def dose_scale(self, spectrum=None) -> float:
         spectrum = spectrum or self.spectrum()
-        return self.air_counts_total / spectrum.total_fluence
+        return self.values["dose"]["air_counts_total"] / spectrum.total_fluence
 
     def phantom(self) -> Phantom:
-        from .materials import equivalent_fractions
         basis = self.materials()
         water_frac = equivalent_fractions(load_material("water"), basis)
         disks = []
-        for center, radius, kind, val in self.disk_specs:
-            if kind == "fractions":
-                frac = np.asarray(val, dtype=float)
-            elif kind == "water_density":
-                frac = val * water_frac
-            else:
-                frac = val * water_frac  # water_density_excess stacks on a background disk
-            disks.append(Disk(center=center, radius=radius, fractions=frac))
+        for d in self.values["phantom"]["disks"]:
+            if d["fractions"] is not None:
+                frac = np.asarray(d["fractions"], dtype=float)
+            else:  # water_density, or water_density_excess stacked on a background disk
+                water = d["water_density"]
+                frac = (d["water_density_excess"] if water is None else water) * water_frac
+            disks.append(Disk(center=d["center"], radius=d["radius"], fractions=frac))
         return Phantom(disks=tuple(disks), n_materials=len(basis))
 
     def calibration_domain(self) -> CalibrationDomain:
-        lo = np.array([b[0] for b in self.cal_domain])
-        up = np.array([b[1] for b in self.cal_domain])
-        return CalibrationDomain(lower=lo, upper=up)
+        lower, upper = np.array(self.values["calibration"]["domain"], dtype=float).T
+        return CalibrationDomain(lower=lower, upper=upper)
 
     def calibration_design(self) -> CalibrationDesign:
-        return default_design(self.calibration_domain(), points_per_axis=self.cal_points,
-                              repeats=self.cal_repeats)
+        cal = self.values["calibration"]
+        return default_design(self.calibration_domain(), points_per_axis=cal["points_per_axis"],
+                              repeats=cal["repeats"])
 
     def prior(self, spec=None, domain=None):
-        spec = spec if spec is not None else self.prior_spec_raw
+        """Prior agent for a validated `prior` section (default: this config's)."""
+        spec = spec if spec is not None else self.values["prior"]
         kind = spec["kind"]
-        if kind == "gaussian":
-            return gaussian_prior([tuple(s) if isinstance(s, list) else s for s in spec["std"]])
-        if kind == "decorrelated-gaussian":
-            rot = rotation_matrix(math.radians(spec.get("rotation_deg", 45.0)))
-            return decorrelated_prior(spec["std"], rotation=rot)
         if kind == "clip":
             return clip_prior(domain if domain is not None else self.calibration_domain())
-        return compose_priors([self.prior(p, domain) for p in spec["parts"]])
+        if kind == "compose":
+            return compose_priors([self.prior(p, domain) for p in spec["parts"]])
+        std = [tuple(s) if isinstance(s, list) else s for s in spec["std"]]
+        if kind == "gaussian":
+            return gaussian_prior(std)
+        return decorrelated_prior(std, rotation=rotation_matrix(math.radians(spec["rotation_deg"])))
 
     def mle_config(self, n_iter=None) -> MleConfig:
-        return MleConfig(grid_points=self.mle_grid,
-                         n_iter=n_iter if n_iter is not None else self.mle_iters,
-                         sigma=self.mle_sigma)
+        m = self.values["mle"]
+        return MleConfig(grid_points=tuple(m["grid_points"]),
+                         n_iter=n_iter if n_iter is not None else m["n_iter"], sigma=m["sigma"])
 
     def mace_config(self, domain=None) -> MaceConfig:
-        return MaceConfig(prior=self.prior(domain=domain), rho=self.mace_rho,
-                          n_iter=self.mace_iters, sigma=self.mace_sigma, n_sub=self.mace_nsub,
-                          init=self.mle_config(n_iter=self.mace_init_iters))
+        m = self.values["mace"]
+        return MaceConfig(prior=self.prior(domain=domain), rho=m["rho"], n_iter=m["n_iter"],
+                          sigma=m["sigma"], n_sub=m["n_sub"],
+                          init=self.mle_config(n_iter=m["mle_init_iters"]))
 
     def rois(self) -> RoiSpec:
-        return RoiSpec(circles=tuple(self.roi_specs))
+        return RoiSpec(circles=tuple(RoiCircle(label=r["label"], center=tuple(r["center"]),
+                                               radius=r["radius"])
+                                     for r in self.values["rois"]))

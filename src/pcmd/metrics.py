@@ -65,7 +65,3 @@ def cnr(image: np.ndarray, grid, target: RoiCircle, background: RoiCircle) -> fl
         raise ToolkitError("cnr: background std is zero (degenerate noiseless ROI)")
     return abs(float(tvals.mean()) - float(bvals.mean())) / bstd
 
-
-def stats_csv_rows(label_stats: dict, image_name: str):
-    """Rows (image, label, mean, std) for CSV emission."""
-    return [(image_name, label, mean, std) for label, (mean, std) in label_stats.items()]

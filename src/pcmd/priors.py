@@ -19,7 +19,6 @@ GAUSSIAN = "gaussian"
 DECORRELATED = "decorrelated-gaussian"
 CLIP = "clip"
 COMPOSE = "compose"
-CUSTOM = "custom"
 
 
 def rotation_matrix(angle_rad: float) -> np.ndarray:
@@ -44,10 +43,9 @@ class PriorSpec:
     rotation: np.ndarray = field(repr=False, default=None)
     bounds: tuple = None
     parts: tuple = None
-    fn: object = None
 
     def __post_init__(self):
-        if self.kind not in (GAUSSIAN, DECORRELATED, CLIP, COMPOSE, CUSTOM):
+        if self.kind not in (GAUSSIAN, DECORRELATED, CLIP, COMPOSE):
             raise ToolkitError(f"prior: unknown kind {self.kind!r}")
         if self.kind in (GAUSSIAN, DECORRELATED):
             if not self.std:
@@ -69,8 +67,6 @@ class PriorSpec:
                 raise ToolkitError("prior: clip lower bound exceeds upper bound")
         if self.kind == COMPOSE and not self.parts:
             raise ToolkitError("prior: composition must not be empty")
-        if self.kind == CUSTOM and not callable(self.fn):
-            raise ToolkitError("prior: custom agent must be callable")
 
 
 def gaussian_prior(std) -> PriorSpec:
@@ -92,10 +88,6 @@ def clip_prior(domain) -> PriorSpec:
 
 def compose_priors(parts) -> PriorSpec:
     return PriorSpec(kind=COMPOSE, parts=tuple(parts))
-
-
-def custom_prior(fn) -> PriorSpec:
-    return PriorSpec(kind=CUSTOM, fn=fn)
 
 
 def gaussian_kernel(std: float) -> np.ndarray:
@@ -147,8 +139,6 @@ def apply_prior(spec, p: np.ndarray, sino_shape) -> np.ndarray:
         for part in spec.parts:
             out = apply_prior(part, out, sino_shape)
         return out
-    if spec.kind == CUSTOM:
-        return spec.fn(p, sino_shape)
     cube = p.reshape(v, c, -1)
     if spec.kind == GAUSSIAN:
         if len(spec.std) != cube.shape[2]:

@@ -1,13 +1,22 @@
+import copy
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcmd.arrayio import read_array
 from pcmd.cli import main
 from pcmd.config import PipelineConfig
 from pcmd.errors import ConfigError
+from pcmd.priors import apply_prior, gaussian_prior, rotation_matrix
+
+SHIPPED = os.path.join(os.path.dirname(__file__), "..", "configs", "low_contrast.json")
+with open(SHIPPED) as _fh:
+    SHIPPED_RAW = json.load(_fh)
 
 
 def tiny_config(out_dir, noise=True, air=5.0e4):
@@ -129,6 +138,168 @@ def test_seed_range_ends_are_accepted(tmp_path):
     assert PipelineConfig(cfg).cal_seed == 0  # the derived calibration seed wraps
     cfg["calibration"]["seed"] = 0
     assert PipelineConfig(cfg).cal_seed == 0
+
+
+def shipped_config(out_dir):
+    cfg = copy.deepcopy(SHIPPED_RAW)
+    cfg["output_dir"] = str(out_dir)
+    return cfg
+
+
+def _dotted(keys):
+    """("rois", 0, "label") -> "rois[0].label", the form config errors use."""
+    out = ""
+    for key in keys:
+        out += f"[{key}]" if isinstance(key, int) else (f".{key}" if out else key)
+    return out
+
+
+def parent_of(cfg, keys):
+    """The object or list holding the entry at a key path such as ("rois", 0, "label")."""
+    for key in keys[:-1]:
+        cfg = cfg[key]
+    return cfg
+
+
+HOSTILE_SECTIONS = [
+    (("calibration",), 5, "calibration"),
+    (("mle",), 5, "mle"),
+    (("rois",), [5], "rois[0]"),
+    (("rois",), ["a"], "rois[0]"),
+    (("cnr",), 3, "cnr"),
+    (("geometry",), [], "geometry"),
+    (("spectrum",), None, "spectrum"),
+    (("calibration",), {"domain": [5, 5]}, "calibration.domain[0]"),
+    (("rois", 0, "label"), ["a"], "rois[0].label"),
+    (("materials",), [["a"], "pvc"], "materials[0]"),
+    (("cnr", "target"), ["x"], "cnr.target"),
+    (("calibration",), [], "calibration"),
+    (("mace",), [], "mace"),
+    (("geometry", "n_vews"), 90, "geometry.n_vews"),
+]
+
+
+@pytest.mark.parametrize("keys, value, path", HOSTILE_SECTIONS,
+                         ids=[f"{_dotted(k)}={json.dumps(v)}" for k, v, _ in HOSTILE_SECTIONS])
+def test_hostile_sections_exit_2_naming_the_key(tmp_path, capsys, keys, value, path):
+    cfg = shipped_config(tmp_path / "out")
+    parent_of(cfg, keys)[keys[-1]] = value
+    assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}:")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, values, path", [
+    ("geometry", {"mode": "fan", "sid_cm": 100.0, "sdd_cm": 50.0}, "geometry.sdd_cm"),
+    ("geometry", {"mode": "fan", "sid_cm": 50.0, "sdd_cm": 50.0}, "geometry.sdd_cm"),
+    ("geometry", {"mode": "fan", "sdd_cm": 50.0}, "geometry.sid_cm"),
+    ("spectrum", {"kvp": 200}, "spectrum.kvp"),
+    ("spectrum", {"e_min": 40.5}, "spectrum.e_min"),
+    ("spectrum", {"kvp": 44, "n_bins": 8}, "spectrum.n_bins"),
+    ("spectrum", {"filtration_cm_al": 1000.0}, "spectrum.filtration_cm_al"),
+    ("dose", {"air_counts_total": 1e25}, "dose.air_counts_total"),
+])
+def test_configs_a_builder_would_refuse_exit_2(tmp_path, capsys, section, values, path):
+    cfg = tiny_config(tmp_path / "out")
+    cfg[section].update(values)
+    assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_bounds_that_build_are_accepted(tmp_path):
+    cfg = tiny_config(tmp_path / "out")
+    cfg["geometry"].update(mode="fan", sid_cm=50.0, sdd_cm=100.0)
+    cfg["spectrum"].update(kvp=150, e_min=20, n_bins=130, filtration_cm_al=10.0)
+    built = PipelineConfig(cfg)
+    assert built.geometry().sdd == 100.0
+    assert built.spectrum().n_bins == 130
+
+
+def test_decorrelated_prior_accepts_std_pairs():
+    cfg = tiny_config("out")
+    cfg["prior"] = {"kind": "decorrelated-gaussian", "std": [[1.0, 2.0], 1.5],
+                    "rotation_deg": 30.0}
+    prior = PipelineConfig(cfg).prior()
+    assert prior.std == ((1.0, 2.0), 1.5)
+    shape = (12, 10)
+    p = np.random.default_rng(3).normal(size=(120, 2))
+    rot = rotation_matrix(math.radians(30.0))
+    expected = apply_prior(gaussian_prior([(1.0, 2.0), 1.5]), p @ rot.T, shape) @ rot
+    assert np.allclose(apply_prior(prior, p, shape), expected, rtol=0, atol=1e-12)
+
+
+# --- property: one hostile edit of the shipped config at a time ---
+
+def _key_paths(value, keys=()):
+    """Key path of every object member and list entry below `value`."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield keys + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _key_paths(child, keys + (key,))
+
+
+KEY_PATHS = list(_key_paths(SHIPPED_RAW))
+# Wrong types (whole sections swapped for lists, objects or scalars too),
+# numbers out of range, and non-finite numbers.  Numbers stay within about 1e4
+# in magnitude: sizes have no upper bound, and a huge n_views cannot be allocated.
+WRONG_TYPES = st.sampled_from([None, True, False, "x", "", [], [1.0], ["a"], {}, {"zz": 1}])
+NUMBERS = st.one_of(st.sampled_from([0, -1, 0.5, 1.5, 151, 1e4, -1e-300]),
+                    st.integers(-200, 200), st.floats(-1e4, 1e4))
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _hostile(original):
+    """Values to put in place of `original`; near it too, where it is a number."""
+    values = [WRONG_TYPES, NUMBERS, NON_FINITE]
+    if isinstance(original, (int, float)) and not isinstance(original, bool):
+        values.append(st.integers(-100, 100).map(lambda d: original + d))
+        values.append(st.sampled_from([-1, 0.5, 2, 100]).map(lambda f: original * f))
+    return st.one_of(values)
+
+
+def _names(message, path):
+    """Whether an error names `path`: its key path is `path`, an ancestor (a
+    rule on the enclosing object) or a descendant; or, for a rule tying two
+    keys together, its text names `path` or a section holding it."""
+    head, _, body = message.partition(": ")
+
+    def within(inner, outer):
+        return inner == outer or inner.startswith((outer + ".", outer + "["))
+
+    holders = [path[:i] for i, ch in enumerate(path + ".") if ch in ".["]
+    return within(head, path) or within(path, head) or any(h in body for h in holders)
+
+
+@pytest.mark.parametrize("keys", KEY_PATHS, ids=_dotted)
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(data=st.data())
+def test_one_hostile_edit_is_rejected_by_path_or_builds(keys, data):
+    raw = copy.deepcopy(SHIPPED_RAW)
+    parent = parent_of(raw, keys)
+    how = "value"  # a list entry has no key to delete and no sibling keys
+    if isinstance(parent, dict):
+        how = data.draw(st.sampled_from(["value", "missing", "unknown sibling"]))
+    if how == "missing":
+        del parent[keys[-1]]
+    elif how == "unknown sibling":
+        parent["zz_unknown"] = 1
+        keys = keys[:-1] + ("zz_unknown",)
+    else:
+        parent[keys[-1]] = value = data.draw(_hostile(parent[keys[-1]]))
+    path = _dotted(keys)
+    try:
+        cfg = PipelineConfig(raw)
+    except ConfigError as err:
+        assert _names(str(err), path), str(err)
+        return
+    # an unknown key and a non-finite number are never valid
+    assert how != "unknown sibling"
+    assert how == "missing" or not (isinstance(value, float) and not math.isfinite(value))
+    spectrum = cfg.spectrum()
+    cfg.geometry(), cfg.grid(), cfg.dose_scale(spectrum), cfg.phantom()
+    cfg.calibration_design(), cfg.mle_config(), cfg.mace_config(), cfg.rois()
 
 
 def test_bad_json_reports_file(tmp_path):

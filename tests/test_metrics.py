@@ -3,7 +3,7 @@ import pytest
 
 from pcmd.errors import ToolkitError
 from pcmd.geometry import ImageGrid
-from pcmd.metrics import RoiCircle, RoiSpec, cnr, roi_stats, stats_csv_rows
+from pcmd.metrics import RoiCircle, RoiSpec, cnr, roi_stats
 
 GRID = ImageGrid(n_x=64, n_y=64, pixel_size=0.25)
 
@@ -95,13 +95,3 @@ def test_roi_validation():
     with pytest.raises(ToolkitError, match="not defined"):
         spec.get("b")
 
-
-def test_csv_row_format_matches_reference_pattern():
-    # reference reporting pattern: per-circle mean/std pairs for two methods
-    # (values here are fixture text only, not a numeric reproduction)
-    reference = {"mle": (964.0, 175.0), "mace": (962.0, 13.0)}
-    rows = []
-    for method, (mean, std) in reference.items():
-        rows.extend(stats_csv_rows({"water_center": (mean, std)}, f"mono70_{method}"))
-    assert rows == [("mono70_mle", "water_center", 964.0, 175.0),
-                    ("mono70_mace", "water_center", 962.0, 13.0)]

@@ -6,7 +6,7 @@ import pytest
 from helpers import grid_polish_minimizer, prox_objective
 from pcmd.calibration import DrfPolynomial
 from pcmd.errors import NumericError, ToolkitError
-from pcmd.priors import custom_prior, gaussian_prior
+from pcmd.priors import gaussian_prior
 from pcmd import solver
 from pcmd.simulate import expected_counts
 from pcmd.solver import (MaceConfig, MleConfig, equilibrium_residual, mann_iterate,
@@ -292,7 +292,7 @@ def test_early_stop_keeps_the_divergent_row_rescue(noiseless_drf, monkeypatch):
 def test_run_mace_reports_its_mle_start(default_spectrum, basis_materials, noiseless_drf):
     p_true = np.tile([[10.0, 1.0]], (4, 1))
     t = noiseless_rows(default_spectrum, basis_materials, p_true)
-    cfg = MaceConfig(prior=custom_prior(lambda p, s: p), n_iter=2, init=MleConfig(n_iter=15))
+    cfg = MaceConfig(prior=lambda p, s: p, n_iter=2, init=MleConfig(n_iter=15))
     res = run_mace(t, np.full(4, 1.0e4), noiseless_drf, cfg)
     assert 1 <= len(res.mle_init.steps) < 15
     explicit = MaceConfig(prior=cfg.prior, n_iter=2, init=p_true.copy())
@@ -308,7 +308,7 @@ def test_run_mace_identity_prior_stays_near_mle(default_spectrum, basis_material
     p_true = rng.uniform([2, 0.2], [20, 1.5], size=(m, 2))
     t = noiseless_rows(default_spectrum, basis_materials, p_true)
     air = np.full(m, 3.0e5)
-    cfg = MaceConfig(prior=custom_prior(lambda p, s: p), rho=0.8, n_iter=40, sigma=10.0,
+    cfg = MaceConfig(prior=lambda p, s: p, rho=0.8, n_iter=40, sigma=10.0,
                      init=MleConfig(n_iter=15))
     res = run_mace(t, air, noiseless_drf, cfg)
     assert np.abs(res.p - p_true).max() < 1e-4
@@ -321,13 +321,13 @@ def test_run_mace_explicit_init_and_shape_checks(default_spectrum, basis_materia
     p_true = np.tile([[10.0, 1.0]], (m, 1))
     t = noiseless_rows(default_spectrum, basis_materials, p_true)
     air = np.full(m, 1.0e4)
-    cfg = MaceConfig(prior=custom_prior(lambda p, s: p), rho=0.8, n_iter=2,
+    cfg = MaceConfig(prior=lambda p, s: p, rho=0.8, n_iter=2,
                      init=p_true.copy())
     res = run_mace(t, air, noiseless_drf, cfg, sino_shape=(2, 3))
     assert res.p.shape == (m, 2)
     with pytest.raises(ToolkitError, match="sino_shape"):
         run_mace(t, air, noiseless_drf, cfg, sino_shape=(4, 3))
-    bad = MaceConfig(prior=custom_prior(lambda p, s: p), init=np.zeros((m + 1, 2)))
+    bad = MaceConfig(prior=lambda p, s: p, init=np.zeros((m + 1, 2)))
     with pytest.raises(ToolkitError, match="init"):
         run_mace(t, air, noiseless_drf, bad)
 
