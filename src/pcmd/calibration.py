@@ -285,7 +285,8 @@ def slab_scan_protocol(spectrum, materials, design: CalibrationDesign, geometry,
     sees an effective pathlength p_s / cos(gamma).  Each design point is
     scanned `repeats_per_point` times and averaged; the average of R
     independent Poisson(lam) draws is sampled as Poisson(R * lam) / R, which
-    has the identical distribution.
+    has the identical distribution.  Each channel draws from its own
+    calibration stream.
     """
     dose = air_counts_total / spectrum.total_fluence
     gamma = geometry.fan_angles()
@@ -296,7 +297,8 @@ def slab_scan_protocol(spectrum, materials, design: CalibrationDesign, geometry,
     lam = lam.reshape(n_chan, design.n_points, -1)
     if noise:
         rep = design.repeats_per_point
-        total = sample_poisson((rep * lam).reshape(n_chan * design.n_points, -1), seed)
+        total = sample_poisson((rep * lam).reshape(n_chan * design.n_points, -1), seed,
+                               "calibration", rows_per_stream=design.n_points)
         mean = total.reshape(lam.shape).astype(float) / rep
     else:
         mean = lam

@@ -28,7 +28,8 @@ from .solver import MaceConfig, MleConfig
 from .spectrum import filtered_kramers
 
 REQUIRED = object()  # default of a key that must be given
-SEED_MAX = 2**64 - 1  # seeds key a 64-bit Philox counter
+SEED_MAX = 2**64 - 1  # simulate hashes (seed, purpose, stream index) into each Philox key
+SIZE_MAX = 2**16  # views, channels, pixels or points along one axis: far above any shipped value
 _BOUNDS = {"ge": (">=", operator.ge), "gt": (">", operator.gt),
            "le": ("<=", operator.le), "lt": ("<", operator.lt)}
 
@@ -112,6 +113,7 @@ def list_of(item, min_len: int = 0, length: int = None):
 NUMBER = number()
 POSITIVE = number(gt=0)
 COUNT = number(integer=True, ge=1)
+SIZE = number(integer=True, ge=1, le=SIZE_MAX)
 POINT = list_of(NUMBER, length=2)
 SEED = number(integer=True, ge=0, le=SEED_MAX)
 KEV = number(integer=True, ge=20, le=150)  # whole keV inside the attenuation tables
@@ -150,13 +152,13 @@ SCHEMA = {
     "materials": (list_of(string(list_materials), min_len=2), ["polyethylene", "pvc"]),
     "geometry": ({
         "mode": (string(("parallel", "fan")), "parallel"),
-        "n_views": (COUNT, 360),
-        "n_channels": (COUNT, 256),
+        "n_views": (SIZE, 360),
+        "n_channels": (SIZE, 256),
         "spacing_cm": (POSITIVE, 0.1),
         "sid_cm": (POSITIVE, None),  # fan only
         "sdd_cm": (POSITIVE, None),
     }, {}),
-    "grid": ({"n_x": (COUNT, 256), "n_y": (COUNT, 256), "pixel_cm": (POSITIVE, 0.1)}, {}),
+    "grid": ({"n_x": (SIZE, 256), "n_y": (SIZE, 256), "pixel_cm": (POSITIVE, 0.1)}, {}),
     "spectrum": ({
         "kvp": (KEV, 120),
         "e_min": (KEV, 40),
@@ -174,14 +176,14 @@ SCHEMA = {
     }), [])}, {}),
     "calibration": ({
         "order": (number(integer=True, ge=0), 4),
-        "points_per_axis": (list_of(COUNT), [9, 9]),
+        "points_per_axis": (list_of(SIZE), [9, 9]),
         "domain": (list_of(POINT), [[0.0, 40.0], [0.0, 5.0]]),
         "repeats": (COUNT, 100),
         "air_counts_total": (AIR_COUNTS, 1.0e6),
         "noise": (boolean, True),
         "seed": (SEED, None),  # default: (seed + 1) mod 2^64
     }, {}),
-    "mle": ({"grid_points": (list_of(COUNT), [41, 41]), "n_iter": (COUNT, 100),
+    "mle": ({"grid_points": (list_of(SIZE), [41, 41]), "n_iter": (COUNT, 100),
              "sigma": (POSITIVE, 1.0e3)}, {}),
     "mace": ({
         "rho": (number(gt=0, lt=1), 0.8),
@@ -239,8 +241,9 @@ def _check_rules(v):
         if len(entries) != n:
             raise ConfigError(f"{path}: expected {n} entries, one per material")
     for j, (lo, up) in enumerate(cal["domain"]):
-        if lo > up:
-            raise ConfigError(f"calibration.domain[{j}]: lower bound exceeds upper bound")
+        if lo > up or (lo == up and cal["order"] > 0):  # a polynomial needs a spread to fit
+            raise ConfigError(f"calibration.domain[{j}]: lower bound must be below upper bound, "
+                              f"got [{lo}, {up}]")
 
     labels = [r["label"] for r in v["rois"]]
     for i, label in enumerate(labels):

@@ -165,10 +165,8 @@ def cmd_simulate(cfg: PipelineConfig, out_dir=None) -> list:
     materials = cfg.materials()
     phantom = cfg.phantom()
     dose = cfg.dose_scale(spectrum)
-    counts, trans = scan_phantom(phantom, geometry, spectrum, materials, dose,
-                                 noise=cfg.noise, seed=cfg.seed)
-    pts, dirs = geometry.all_rays()
-    p_true = phantom.pathlengths(pts, dirs)
+    counts, trans, p_true = scan_phantom(phantom, geometry, spectrum, materials, dose,
+                                         noise=cfg.noise, seed=cfg.seed)
 
     v, c = geometry.n_views, geometry.n_channels
     arrays = [(trans.t.reshape(v, c, -1), ["view", "channel", "bin"]),

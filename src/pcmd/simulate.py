@@ -2,9 +2,11 @@
 
 Expected bin counts follow Beer-Lambert attenuation of the tabulated
 spectrum through analytic disk phantoms; measured counts are independent
-Poisson draws.  Sampling uses counter-based per-projection seeding
-(seed XOR row index) so results are reproducible under any parallel
-scheduling of the projection loop.
+Poisson draws.  Each view of a scan (and each channel of the slab
+calibration) draws from its own counter-based Philox stream keyed on
+(seed, purpose, stream index), so results are reproducible under any
+scheduling of the views, different seeds give independent noise, and scan
+and calibration streams never coincide.
 """
 
 from dataclasses import dataclass, field
@@ -87,12 +89,29 @@ def air_counts(spectrum, dose_scale: float = 1.0) -> float:
     return dose_scale * spectrum.total_fluence
 
 
-def sample_poisson(lam: np.ndarray, seed: int) -> np.ndarray:
-    """Poisson counts with per-row counter-based seeding.
+PURPOSE = {"scan": 0, "calibration": 1}  # first word of every stream's spawn key
 
-    Rows of `lam` correspond to projections; row m is drawn from a Philox
-    stream keyed by seed XOR m, so the same (lam, seed) always yields the
-    same array regardless of how rows are scheduled.
+
+# The annotation is a string so that importing this module does not load
+# numpy.random: only the stages that sample need it.
+def stream(seed: int, purpose: str, index: int) -> "np.random.Generator":
+    """The Philox generator for stream `index` of `purpose` under `seed`.
+
+    The key is hashed from (seed, PURPOSE[purpose], index) by a SeedSequence,
+    so distinct triples give distinct, independent streams (no OS entropy).
+    """
+    key = np.random.SeedSequence(seed, spawn_key=(PURPOSE[purpose], index))
+    return np.random.Generator(np.random.Philox(key))
+
+
+def sample_poisson(lam: np.ndarray, seed: int, purpose: str = "scan",
+                   rows_per_stream: int = 1) -> np.ndarray:
+    """Poisson counts, one counter-based stream per block of rows.
+
+    Rows of `lam` are (M, K) rates; rows [s*B, (s+1)*B) with B =
+    `rows_per_stream` are drawn in one call from `stream(seed, purpose, s)`.
+    The same (lam, seed, purpose, B) always yields the same array, however
+    the blocks are scheduled, and a block's draws depend on its rates only.
     """
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0) or not np.all(np.isfinite(lam)):
@@ -100,25 +119,27 @@ def sample_poisson(lam: np.ndarray, seed: int) -> np.ndarray:
     squeeze = lam.ndim == 1
     lam2 = np.atleast_2d(lam)
     out = np.empty(lam2.shape, dtype=np.int64)
-    for m in range(lam2.shape[0]):
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed) ^ np.uint64(m)))
-        out[m] = rng.poisson(lam2[m])
+    for s, lo in enumerate(range(0, lam2.shape[0], rows_per_stream)):
+        block = slice(lo, lo + rows_per_stream)
+        out[block] = stream(seed, purpose, s).poisson(lam2[block])
     return out[0] if squeeze else out
 
 
 def scan_phantom(phantom, geometry, spectrum, materials, dose_scale: float,
                  noise: bool = True, seed: int = 0):
-    """Simulate a full scan: (CountSinogram, TransmissionSinogram).
+    """Simulate a full scan: (CountSinogram, TransmissionSinogram, pathlengths).
 
-    Pathlengths through the phantom are exact analytic chord lengths; the
-    per-projection air total is the zero-pathlength expectation.  With
-    `noise` off the counts equal their expectations.
+    Pathlengths through the phantom are exact analytic chord lengths, (M, L);
+    the per-projection air total is the zero-pathlength expectation.  Each
+    view draws its noise from its own stream.  With `noise` off the counts
+    equal their expectations.
     """
     pts, dirs = geometry.all_rays()
     p = phantom.pathlengths(pts, dirs)
     lam = expected_counts(spectrum, materials, p, dose_scale)
-    counts = sample_poisson(lam, seed).astype(float) if noise else lam
+    counts = (sample_poisson(lam, seed, "scan", rows_per_stream=geometry.n_channels)
+              .astype(float) if noise else lam)
     air = np.full(geometry.n_rays, air_counts(spectrum, dose_scale))
     count_sino = CountSinogram(counts=counts, air_total=air)
     trans = TransmissionSinogram(t=counts / air[:, None])
-    return count_sino, trans
+    return count_sino, trans, p

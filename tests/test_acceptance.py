@@ -48,8 +48,8 @@ def cnr_experiment(desk):
     materials, spectrum, geometry, grid, drf = desk
     phantom = low_contrast_phantom()
     t0 = time.perf_counter()
-    counts, trans = scan_phantom(phantom, geometry, spectrum, materials,
-                                 AIR_COUNTS / spectrum.total_fluence, noise=True, seed=SEED)
+    counts, trans, _ = scan_phantom(phantom, geometry, spectrum, materials,
+                                    AIR_COUNTS / spectrum.total_fluence, noise=True, seed=SEED)
     air = counts.air_total
     mle = mle_decompose(trans.t, air, drf, MleConfig(n_iter=100))
     mace = run_mace(trans.t, air, drf,
@@ -95,8 +95,8 @@ def test_criterion_3_mle_consistency(desk):
     materials, spectrum, geometry, grid, drf = desk
     phantom = low_contrast_phantom()
     t0 = time.perf_counter()
-    counts, trans = scan_phantom(phantom, geometry, spectrum, materials,
-                                 AIR_COUNTS / spectrum.total_fluence, noise=False)
+    counts, trans, _ = scan_phantom(phantom, geometry, spectrum, materials,
+                                    AIR_COUNTS / spectrum.total_fluence, noise=False)
     pts, dirs = geometry.all_rays()
     p_true = phantom.pathlengths(pts, dirs)
     res = mle_decompose(trans.t, counts.air_total, drf, MleConfig(n_iter=100))
@@ -228,8 +228,8 @@ def test_criterion_8_fbp_fidelity():
 def test_criterion_9_throughput_note(desk):
     materials, spectrum, geometry, _, drf = desk
     phantom = low_contrast_phantom()
-    counts, trans = scan_phantom(phantom, geometry, spectrum, materials,
-                                 AIR_COUNTS / spectrum.total_fluence, noise=True, seed=1)
+    counts, trans, _ = scan_phantom(phantom, geometry, spectrum, materials,
+                                    AIR_COUNTS / spectrum.total_fluence, noise=True, seed=1)
     pts, dirs = geometry.all_rays()
     p = phantom.pathlengths(pts, dirs)
     params = ProxParams(sigma=1.0e3, n_sub=1)

@@ -251,7 +251,11 @@ def test_noisy_slab_protocol_within_three_sigma(default_spectrum, basis_material
     phi_hat = measure_drf(noisy.mean_counts, noisy.air_total)
     # delta method: var(-log(mean)) ~ 1 / (total counts over repeats)
     sigma = 1.0 / np.sqrt(design.repeats_per_point * noiseless.mean_counts)
-    assert np.all(np.abs(phi_hat - phi_ref) <= 3.0 * sigma)
+    z = ((phi_hat - phi_ref) / sigma).ravel()
+    n = z.size  # 81 points x 8 bins; all n within 3 sigma holds only 0.9973^n ~ 17% of the time
+    assert abs(np.mean(z ** 2) - 1.0) <= 4.0 * np.sqrt(2.0 / n)  # variance
+    assert abs(z.mean()) <= 4.0 / np.sqrt(n)                      # bias
+    assert np.abs(z).max() <= 4.5  # Bonferroni: about 0.4% family-wise error over n cells
 
 
 def test_parallel_channels_share_coefficients(default_spectrum, basis_materials):

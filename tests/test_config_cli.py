@@ -198,6 +198,11 @@ def test_hostile_sections_exit_2_naming_the_key(tmp_path, capsys, keys, value, p
     ("spectrum", {"kvp": 44, "n_bins": 8}, "spectrum.n_bins"),
     ("spectrum", {"filtration_cm_al": 1000.0}, "spectrum.filtration_cm_al"),
     ("dose", {"air_counts_total": 1e25}, "dose.air_counts_total"),
+    ("geometry", {"n_views": 2**64}, "geometry.n_views"),
+    ("geometry", {"n_channels": 2**17}, "geometry.n_channels"),
+    ("grid", {"n_y": 2**40}, "grid.n_y"),
+    ("calibration", {"points_per_axis": [9, 2**64]}, "calibration.points_per_axis[1]"),
+    ("mle", {"grid_points": [2**20, 41]}, "mle.grid_points[0]"),
 ])
 def test_configs_a_builder_would_refuse_exit_2(tmp_path, capsys, section, values, path):
     cfg = tiny_config(tmp_path / "out")
@@ -207,12 +212,21 @@ def test_configs_a_builder_would_refuse_exit_2(tmp_path, capsys, section, values
     assert not (tmp_path / "out").exists()
 
 
+def test_zero_width_calibration_axis_exits_2_before_the_fit(tmp_path, capsys):
+    cfg = tiny_config(tmp_path / "out")
+    cfg["calibration"]["domain"] = [[0.0, 40.0], [5.0, 5.0]]
+    assert main(["calibrate", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: calibration.domain[1]:")
+    cfg["calibration"]["order"] = 0  # a constant response needs no spread
+    assert PipelineConfig(cfg).calibration_domain().span[1] == 0.0
+
+
 def test_bounds_that_build_are_accepted(tmp_path):
     cfg = tiny_config(tmp_path / "out")
-    cfg["geometry"].update(mode="fan", sid_cm=50.0, sdd_cm=100.0)
+    cfg["geometry"].update(mode="fan", sid_cm=50.0, sdd_cm=100.0, n_views=2**16)
     cfg["spectrum"].update(kvp=150, e_min=20, n_bins=130, filtration_cm_al=10.0)
     built = PipelineConfig(cfg)
-    assert built.geometry().sdd == 100.0
+    assert (built.geometry().sdd, built.geometry().n_views) == (100.0, 2**16)
     assert built.spectrum().n_bins == 130
 
 
@@ -243,7 +257,8 @@ def _key_paths(value, keys=()):
 KEY_PATHS = list(_key_paths(SHIPPED_RAW))
 # Wrong types (whole sections swapped for lists, objects or scalars too),
 # numbers out of range, and non-finite numbers.  Numbers stay within about 1e4
-# in magnitude: sizes have no upper bound, and a huge n_views cannot be allocated.
+# in magnitude: sizes are bounded only far above any shipped value, and a config
+# near the bound would take long to build.
 WRONG_TYPES = st.sampled_from([None, True, False, "x", "", [], [1.0], ["a"], {}, {"zz": 1}])
 NUMBERS = st.one_of(st.sampled_from([0, -1, 0.5, 1.5, 151, 1e4, -1e-300]),
                     st.integers(-200, 200), st.floats(-1e4, 1e4))

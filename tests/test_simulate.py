@@ -5,7 +5,7 @@ from scipy import stats
 from pcmd.errors import ToolkitError
 from pcmd.materials import load_material
 from pcmd.phantom import Phantom, water_equivalent_disk
-from pcmd.simulate import expected_counts, sample_poisson, scan_phantom
+from pcmd.simulate import PURPOSE, expected_counts, sample_poisson, scan_phantom, stream
 from pcmd.spectrum import SourceSpectrum
 
 
@@ -77,6 +77,36 @@ def test_poisson_seed_determinism():
     assert not np.array_equal(a, c)
 
 
+def test_neighbouring_seeds_do_not_share_rows():
+    # keyed on seed XOR row, seed 0 row 1 and seed 1 row 0 were one stream
+    lam = np.full((2, 64), 50.0)
+    assert not np.array_equal(sample_poisson(lam, 0)[1], sample_poisson(lam, 1)[0])
+
+
+def test_streams_are_pairwise_distinct_across_seeds_indices_and_purposes():
+    heads = {(seed, purpose, index): tuple(stream(seed, purpose, index).bit_generator.random_raw(4))
+             for seed in range(16) for purpose in PURPOSE for index in range(64)}
+    assert len(set(heads.values())) == len(heads) == 16 * 2 * 64
+
+
+def test_rows_per_stream_draws_each_block_from_its_own_stream():
+    lam = np.random.default_rng(4).uniform(0.0, 200.0, size=(6, 3, 8))  # views x channels x bins
+    draws = sample_poisson(lam.reshape(18, 8), 9, "calibration", rows_per_stream=3)
+    for v in range(6):
+        assert np.array_equal(draws[3 * v:3 * v + 3], stream(9, "calibration", v).poisson(lam[v]))
+    assert not np.array_equal(draws, sample_poisson(lam.reshape(18, 8), 9, rows_per_stream=3))
+
+
+def test_changing_one_views_rates_leaves_other_views_unchanged():
+    lam = np.random.default_rng(2).uniform(1.0, 500.0, size=(10 * 4, 8))  # 10 views x 4 channels
+    edited = lam.copy()
+    edited[:4] *= 3.7  # view 0 draws a different number of variates from its stream
+    a = sample_poisson(lam, 21, rows_per_stream=4)
+    b = sample_poisson(edited, 21, rows_per_stream=4)
+    assert not np.array_equal(a[:4], b[:4])
+    assert np.array_equal(a[4:], b[4:])
+
+
 def test_poisson_negative_rate_raises():
     with pytest.raises(ToolkitError, match="nonnegative"):
         sample_poisson(np.array([-1.0]), seed=0)
@@ -116,18 +146,19 @@ def test_poisson_chi_square_goodness_of_fit(lam):
 def test_empty_phantom_noiseless_rows_sum_to_one(default_spectrum, basis_materials,
                                                  small_geometry):
     ph = Phantom(disks=(), n_materials=2)
-    counts, trans = scan_phantom(ph, small_geometry, default_spectrum, basis_materials,
-                                 dose_scale=5.0, noise=False)
+    counts, trans, _ = scan_phantom(ph, small_geometry, default_spectrum, basis_materials,
+                                    dose_scale=5.0, noise=False)
     assert np.abs(trans.t.sum(axis=1) - 1.0).max() < 1e-12
     assert np.allclose(trans.t, default_spectrum.bin_fractions()[None, :], atol=1e-12)
 
 
 def test_noise_off_counts_equal_expectation(default_spectrum, basis_materials, small_geometry):
     ph = Phantom(disks=(water_equivalent_disk((0, 0), 5.0, 1.0),), n_materials=2)
-    counts, _ = scan_phantom(ph, small_geometry, default_spectrum, basis_materials,
-                             dose_scale=7.0, noise=False)
+    counts, _, p = scan_phantom(ph, small_geometry, default_spectrum, basis_materials,
+                                dose_scale=7.0, noise=False)
     pts, dirs = small_geometry.all_rays()
-    lam = expected_counts(default_spectrum, basis_materials, ph.pathlengths(pts, dirs), 7.0)
+    assert np.array_equal(p, ph.pathlengths(pts, dirs))
+    lam = expected_counts(default_spectrum, basis_materials, p, 7.0)
     assert np.array_equal(counts.counts, lam)
 
 
