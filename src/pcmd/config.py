@@ -22,8 +22,7 @@ from .geometry import ImageGrid, ScanGeometry
 from .materials import equivalent_fractions, list_materials, load_material
 from .metrics import RoiCircle, RoiSpec
 from .phantom import Disk, Phantom
-from .priors import (clip_prior, compose_priors, decorrelated_prior, gaussian_prior,
-                     rotation_matrix)
+from .priors import GaussianPrior, clip_prior, compose_priors, rotation_matrix
 from .solver import MaceConfig, MleConfig
 from .spectrum import filtered_kramers
 
@@ -118,7 +117,8 @@ POINT = list_of(NUMBER, length=2)
 SEED = number(integer=True, ge=0, le=SEED_MAX)
 KEV = number(integer=True, ge=20, le=150)  # whole keV inside the attenuation tables
 STD_PAIR = list_of(POSITIVE, length=2)
-AIR_COUNTS = number(gt=0, le=1e18)  # numpy's Poisson sampler refuses rates near 2^63
+POISSON_RATE_MAX = 1e18  # numpy's Poisson sampler refuses rates near 2^63
+AIR_COUNTS = number(gt=0, le=POISSON_RATE_MAX)
 
 
 def _std(value, path):
@@ -240,6 +240,11 @@ def _check_rules(v):
     for path, entries in per_material.items():
         if len(entries) != n:
             raise ConfigError(f"{path}: expected {n} entries, one per material")
+    if cal["noise"] and cal["repeats"] * cal["air_counts_total"] > POISSON_RATE_MAX:
+        # the slab protocol samples the sum of all repeats as one Poisson draw
+        raise ConfigError(f"calibration.repeats: times calibration.air_counts_total must be at "
+                          f"most {POISSON_RATE_MAX:g} with calibration noise on, got "
+                          f"{cal['repeats']} x {cal['air_counts_total']:g}")
     for j, (lo, up) in enumerate(cal["domain"]):
         if lo > up or (lo == up and cal["order"] > 0):  # a polynomial needs a spread to fit
             raise ConfigError(f"calibration.domain[{j}]: lower bound must be below upper bound, "
@@ -346,8 +351,8 @@ class PipelineConfig:
             return compose_priors([self.prior(p, domain) for p in spec["parts"]])
         std = [tuple(s) if isinstance(s, list) else s for s in spec["std"]]
         if kind == "gaussian":
-            return gaussian_prior(std)
-        return decorrelated_prior(std, rotation=rotation_matrix(math.radians(spec["rotation_deg"])))
+            return GaussianPrior(std)
+        return GaussianPrior(std, rotation_matrix(math.radians(spec["rotation_deg"])))
 
     def mle_config(self, n_iter=None) -> MleConfig:
         m = self.values["mle"]

@@ -71,12 +71,15 @@ class SurrogateQuadratic:
         return self.b + self.c * (np.asarray(z, dtype=float) - self.z_ref)
 
 
-def _curvature(z_ref: np.ndarray, epsilon: float) -> np.ndarray:
-    # 2*(exp(-z_min) - exp(-z_ref)*(1 + z_ref - z_min)) / (z_ref - z_min)^2
-    # with z_min = z_ref - epsilon; factoring out exp(-z_ref) and using expm1
-    # avoids the catastrophic cancellation of the literal form.
-    factor = 2.0 * (np.expm1(epsilon) - epsilon) / epsilon**2
-    return _exp_neg(z_ref) * factor
+def _surrogate_terms(z_ref: np.ndarray, t: np.ndarray, epsilon: float):
+    """Gradient b and curvature c of the surrogate of exp(-z) + t*z at z_ref.
+
+    c = 2*(exp(-z_min) - exp(-z_ref)*(1 + z_ref - z_min)) / (z_ref - z_min)^2
+    with z_min = z_ref - epsilon; factoring out exp(-z_ref) and using expm1
+    avoids the catastrophic cancellation of the literal form.
+    """
+    e = _exp_neg(z_ref)
+    return t - e, e * (2.0 * (np.expm1(epsilon) - epsilon) / epsilon**2)
 
 
 def surrogate_at(z_ref: np.ndarray, t: np.ndarray, epsilon: float = 1.0e-3) -> SurrogateQuadratic:
@@ -89,13 +92,8 @@ def surrogate_at(z_ref: np.ndarray, t: np.ndarray, epsilon: float = 1.0e-3) -> S
     if not epsilon > 0:
         raise ToolkitError("surrogate: epsilon must be positive")
     z_ref = np.asarray(z_ref, dtype=float)
-    t = np.asarray(t, dtype=float)
-    return SurrogateQuadratic(
-        b=-_exp_neg(z_ref) + t,
-        c=_curvature(z_ref, epsilon),
-        z_ref=z_ref,
-        z_min=z_ref - epsilon,
-    )
+    b, c = _surrogate_terms(z_ref, np.asarray(t, dtype=float), epsilon)
+    return SurrogateQuadratic(b=b, c=c, z_ref=z_ref, z_min=z_ref - epsilon)
 
 
 def detector_loss(p: np.ndarray, t: np.ndarray, air_total: float, drf,
@@ -145,8 +143,7 @@ def detector_agent_apply(p: np.ndarray, t_sino: np.ndarray, air_totals: np.ndarr
     eye = np.eye(p.shape[1])
     for _ in range(params.n_sub):
         phi, a = drf.eval_jac(pp, channels=channels)     # (M, K), (M, K, L)
-        b = -_exp_neg(phi) + t_sino
-        c = _curvature(phi, params.epsilon)
+        b, c = _surrogate_terms(phi, t_sino, params.epsilon)
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             h = np.einsum("mki,mk,mkj->mij", a, c, a) + inv_a2[:, None, None] * eye
             a_pp = np.einsum("mkl,ml->mk", a, pp)

@@ -39,7 +39,8 @@ class StageSpec(NamedTuple):
 # Every stage, in pipeline order.  The `run` lambdas look the commands up when
 # called, so a command wrapped after import (the benchmark's traced runs) is the
 # one `pipeline` calls.  The MLE reads only `mle` and `calibration`, but its
-# entry still lists `mace` and `prior`, so a prior edit reruns it (see ROADMAP O3).
+# entry still lists `mace` and `prior`, so a prior edit reruns it; narrowing it
+# (ROADMAP O1) moves the skip and pass counts the benchmark's tests pin.
 _DECOMPOSE_INPUTS = ("transmission.pcmd", "air_totals.pcmd", "calibration.pcmdcal")
 STAGES = {
     "simulate": StageSpec(

@@ -11,7 +11,6 @@ returning the final detector-agent output p'.  Each F application is the
 partial-update proximal map warm-started at the previous F output.
 """
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +31,6 @@ class MleConfig:
     grid_points: tuple = (41, 41)
     n_iter: int = 100  # cap on refinement passes
     sigma: float = 1.0e3
-    n_sub: int = 1
-    epsilon: float = 1.0e-3
 
     def __post_init__(self):
         if self.n_iter < 1:
@@ -51,7 +48,6 @@ class MaceConfig:
     n_iter: int = 20
     sigma: float = 1.0
     n_sub: int = 1
-    epsilon: float = 1.0e-3
     init: object = None  # MleConfig, explicit (M, L) sinogram, or None for default MLE
 
     def __post_init__(self):
@@ -67,7 +63,6 @@ class SolveResult:
     residuals: list = field(default_factory=list)
     consensus: np.ndarray = None
     flagged_rows: np.ndarray = None
-    seconds: float = 0.0
     steps: list = field(default_factory=list)  # MLE: largest row step (cm) per refinement pass
     mle_init: "SolveResult" = None  # MACE: the MLE result it started from, if it ran one
 
@@ -150,10 +145,9 @@ def mle_decompose(t_sino: np.ndarray, air_totals: np.ndarray, drf,
     """
     t_sino = np.atleast_2d(np.asarray(t_sino, dtype=float))
     air = np.broadcast_to(np.asarray(air_totals, dtype=float), (t_sino.shape[0],))
-    t0 = time.perf_counter()
     p0 = _grid_search(t_sino, drf, cfg.grid_points)
     p = p0.copy()
-    params = ProxParams(sigma=cfg.sigma, n_sub=cfg.n_sub, epsilon=cfg.epsilon)
+    params = ProxParams(sigma=cfg.sigma)
     steps = []
     for _ in range(cfg.n_iter):
         new = detector_agent_apply(p, t_sino, air, drf, params, p_prime=p,
@@ -168,17 +162,16 @@ def mle_decompose(t_sino: np.ndarray, air_totals: np.ndarray, drf,
         channels = flagged % drf.n_channels
         # moderate prox strength here: the refinement sigma is deliberately huge
         # and would let the rescue's detector steps overshoot the clip prior
-        sub_mace = MaceConfig(prior=clip_prior(drf.domain), rho=0.8, n_iter=25,
-                              sigma=1.0, n_sub=1, epsilon=cfg.epsilon)
+        sub_mace = MaceConfig(prior=clip_prior(drf.domain), rho=0.8, n_iter=25, sigma=1.0)
         redo = _run_mace_rows(t_sino[flagged], air[flagged], drf, sub_mace,
                               p_init=p0[flagged], sino_shape=(flagged.size, 1),
                               channels=channels)
         p[flagged] = redo.p
-    return SolveResult(p=p, flagged_rows=flagged, seconds=time.perf_counter() - t0, steps=steps)
+    return SolveResult(p=p, flagged_rows=flagged, steps=steps)
 
 
 def _run_mace_rows(t_sino, air, drf, cfg: MaceConfig, p_init, sino_shape, channels=None):
-    params = ProxParams(sigma=cfg.sigma, n_sub=cfg.n_sub, epsilon=cfg.epsilon)
+    params = ProxParams(sigma=cfg.sigma, n_sub=cfg.n_sub)
     state = {"p_prime": np.array(p_init, dtype=float, copy=True)}
 
     def f_agent(q):
@@ -208,7 +201,6 @@ def run_mace(t_sino: np.ndarray, air_totals: np.ndarray, drf, cfg: MaceConfig,
         sino_shape = (1, t_sino.shape[0])
     if sino_shape[0] * sino_shape[1] != t_sino.shape[0]:
         raise ToolkitError("mace: sino_shape does not match row count")
-    t0 = time.perf_counter()
     init = cfg.init
     mle = None
     if init is None:
@@ -222,5 +214,4 @@ def run_mace(t_sino: np.ndarray, air_totals: np.ndarray, drf, cfg: MaceConfig,
             raise ToolkitError("mace: init sinogram shape mismatch")
     result = _run_mace_rows(t_sino, air, drf, cfg, p_init, sino_shape)
     result.mle_init = mle
-    result.seconds = time.perf_counter() - t0
     return result

@@ -176,6 +176,7 @@ HOSTILE_SECTIONS = [
     (("calibration",), [], "calibration"),
     (("mace",), [], "mace"),
     (("geometry", "n_vews"), 90, "geometry.n_vews"),
+    (("prior", "kind"), "median", "prior.kind"),
 ]
 
 
@@ -203,6 +204,8 @@ def test_hostile_sections_exit_2_naming_the_key(tmp_path, capsys, keys, value, p
     ("grid", {"n_y": 2**40}, "grid.n_y"),
     ("calibration", {"points_per_axis": [9, 2**64]}, "calibration.points_per_axis[1]"),
     ("mle", {"grid_points": [2**20, 41]}, "mle.grid_points[0]"),
+    ("calibration", {"noise": True, "repeats": 10**9, "air_counts_total": 1e18},
+     "calibration.repeats"),
 ])
 def test_configs_a_builder_would_refuse_exit_2(tmp_path, capsys, section, values, path):
     cfg = tiny_config(tmp_path / "out")
@@ -225,9 +228,11 @@ def test_bounds_that_build_are_accepted(tmp_path):
     cfg = tiny_config(tmp_path / "out")
     cfg["geometry"].update(mode="fan", sid_cm=50.0, sdd_cm=100.0, n_views=2**16)
     cfg["spectrum"].update(kvp=150, e_min=20, n_bins=130, filtration_cm_al=10.0)
+    cfg["calibration"].update(repeats=10**9, air_counts_total=1e18)  # noiseless: nothing sampled
     built = PipelineConfig(cfg)
     assert (built.geometry().sdd, built.geometry().n_views) == (100.0, 2**16)
     assert built.spectrum().n_bins == 130
+    assert built.calibration_design().repeats_per_point == 10**9
 
 
 def test_decorrelated_prior_accepts_std_pairs():

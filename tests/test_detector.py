@@ -264,3 +264,10 @@ def test_exp_clamp_counts_events():
     before = detector.CLAMP_EVENTS["count"]
     detector._exp_neg(np.array([1000.0, -1000.0, 0.0]))
     assert detector.CLAMP_EVENTS["count"] == before + 2
+    # one sub-update counts each clamped entry of phi once
+    drf, p = affine_drf(), np.array([[0.0, 70.0]])
+    clamped = np.count_nonzero(np.abs(drf.eval_jac(p)[0]) > detector.Z_CLAMP)
+    assert clamped == 1
+    before = detector.CLAMP_EVENTS["count"]
+    detector_agent_apply(p, np.full((1, 3), 0.5), np.ones(1), drf, ProxParams(n_sub=1))
+    assert detector.CLAMP_EVENTS["count"] == before + clamped
