@@ -222,6 +222,8 @@ def rebin_fan_to_parallel(sino: np.ndarray, geometry: ScanGeometry):
     if geometry.mode != FAN:
         raise ToolkitError("rebin_fan_to_parallel expects fan geometry")
     v, c = geometry.n_views, geometry.n_channels
+    if v < 2 or c < 2:
+        raise ToolkitError("rebin_fan_to_parallel needs at least 2 views and 2 channels")
     sino = np.asarray(sino, dtype=float).reshape(v, c, -1)
     gamma = geometry.fan_angles()
     span = geometry.sid * math.sin(gamma[-1])

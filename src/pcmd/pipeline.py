@@ -15,12 +15,14 @@ import os
 import time
 from typing import NamedTuple
 
+import numpy as np
+
 from .arrayio import read_array, write_array, write_png_preview
 from .calibration import calibrate_drf, load_calibration, save_calibration
 from .config import PipelineConfig
-from .errors import ConfigError
+from .errors import ConfigError, ToolkitError
 from .metrics import cnr, roi_stats
-from .recon import reconstruct_materials, synthesize_mono
+from .recon import MaterialImage, reconstruct_materials, synthesize_mono
 from .simulate import scan_phantom
 from .solver import mle_decompose, run_mace
 
@@ -255,15 +257,21 @@ def cmd_reconstruct(cfg: PipelineConfig, out_dir=None, methods=None) -> list:
     geometry = cfg.geometry()
     grid = cfg.grid()
     materials = cfg.materials()
+    sinos = [read_array(path)[0] for path in stage.inputs]
+    shape = (geometry.n_views, geometry.n_channels, len(materials))
+    for path, p in zip(stage.inputs, sinos):
+        if p.shape != shape:
+            raise ToolkitError(f"reconstruct: {path} is {p.shape}, expected {shape}")
+    # every material of every method in one FBP call, then one image per method
+    columns = np.concatenate([p.reshape(geometry.n_rays, -1) for p in sinos], axis=1)
+    image = reconstruct_materials(columns, geometry, grid, hann=recon["hann"])
     written = []
-    for method, p_path in zip(methods, stage.inputs):
-        p, _ = read_array(p_path)
-        v, c, l = p.shape
-        image = reconstruct_materials(p.reshape(v * c, l), geometry, grid, hann=recon["hann"])
+    for method, values in zip(methods, np.split(image.values, len(methods), axis=2)):
         *images, mono_path, png_path = stage.outputs(method)
         for j, path in enumerate(images):
-            write_array(path, image.values[:, :, j], ["x", "y"])
-        mono = synthesize_mono(image, materials, recon["mono_kev"], hounsfield=True)
+            write_array(path, values[:, :, j], ["x", "y"])
+        mono = synthesize_mono(MaterialImage(values, grid), materials, recon["mono_kev"],
+                               hounsfield=True)
         write_array(mono_path, mono.values, ["x", "y"])
         write_png_preview(png_path, mono.values, recon["window_center"], recon["window_width"])
         written += [*images, mono_path, png_path]

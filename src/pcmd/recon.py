@@ -57,47 +57,85 @@ def _ramp_response(n_pad: int, spacing: float, hann: bool) -> np.ndarray:
 
 def fbp_reconstruct(sino: np.ndarray, geometry, grid: ImageGrid,
                     hann: bool = False) -> np.ndarray:
-    """Reconstruct one sinogram channel: (M,) rays -> (n_x, n_y) image.
+    """Reconstruct sinogram columns: (M,) -> (n_x, n_y), or (M, n) -> (n_x, n_y, n).
 
-    Projections are ramp-filtered in the frequency domain (zero-padded to the
-    next power of two >= 2x channels) and accumulated by linearly-interpolated
-    backprojection in a fixed view order, so outputs are bit-stable.
+    All columns are ramp-filtered in one FFT (zero-padded to the next power of
+    two >= 2x channels); fan data are first rebinned to parallel geometry, one
+    column at a time.  Channel offsets are uniform, so each view computes every
+    pixel's channel index and linear weight once, from the separable offset
+    x cos(theta) + y sin(theta), and gathers each column with them; pixels
+    outside the first and last channel get an exact zero, as with
+    `np.interp(left=0, right=0)`.  Views are accumulated in a fixed order, so
+    outputs are bit-stable, and column m of an (M, n) call is bit-identical to
+    a call on that column alone.
     """
     sino = np.asarray(sino, dtype=float)
+    if sino.ndim not in (1, 2) or sino.shape[0] != geometry.n_rays:
+        raise ToolkitError(f"fbp: expected {geometry.n_rays} rays, as (M,) or (M, n), "
+                           f"got {sino.shape}")
+    cols = sino.reshape(geometry.n_rays, -1).T
     if geometry.mode == FAN:
-        geometry, sino = rebin_fan_to_parallel(sino, geometry)
+        rebinned = [rebin_fan_to_parallel(col, geometry) for col in cols]
+        geometry = rebinned[0][0]
+        cols = np.stack([col for _, col in rebinned])
     if geometry.mode != PARALLEL:
         raise ToolkitError("fbp: unsupported geometry mode")
-    v, c = geometry.n_views, geometry.n_channels
-    if sino.shape != (v * c,):
-        raise ToolkitError(f"fbp: expected {v * c} rays, got {sino.shape}")
+    v, c, n = geometry.n_views, geometry.n_channels, len(cols)
     span = np.ptp(geometry.angles)
     if span < np.pi - np.pi / v - 1e-9:
         raise ToolkitError("fbp: insufficient angular coverage (need half a rotation)")
-    proj = sino.reshape(v, c)
+    proj = cols.reshape(n, v, c)
     n_pad = 1 << int(np.ceil(np.log2(max(2 * c, 4))))
     resp = _ramp_response(n_pad, geometry.spacing, hann)
-    filt = np.real(np.fft.ifft(np.fft.fft(proj, n=n_pad, axis=1) * resp[None, :], axis=1))
-    filt = filt[:, :c] * geometry.spacing
+    # index c holds zeros for pixels off the detector; the zero slope at c - 1
+    # keeps a pixel on the last channel at that channel's value.  The ramp is
+    # even in frequency, so the real FFT needs only its first half.
+    value = np.zeros((n, v, c + 1))
+    value[:, :, :c] = np.fft.irfft(np.fft.rfft(proj, n=n_pad, axis=2) * resp[:n_pad // 2 + 1],
+                                   n=n_pad, axis=2)[:, :, :c]
+    value *= geometry.spacing
+    slope = np.zeros_like(value)
+    slope[:, :, :c - 1] = np.diff(value[:, :, :c], axis=2)
 
+    img = _backproject(value, slope, geometry, grid)
+    img *= np.pi / v
+    return img[0] if sino.ndim == 1 else np.moveaxis(img, 0, -1)
+
+
+def _backproject(value, slope, geometry, grid: ImageGrid) -> np.ndarray:
+    """Sum over views of each column's linear interpolation: (n, n_x, n_y).
+
+    `value` and `slope` are (n, views, channels + 1) tables.  The per-view
+    buffers are freed on return, before the caller scales the image.
+    """
+    n, c = value.shape[0], geometry.n_channels
     xs, ys = grid.pixel_centers()
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    s_ch = geometry.channel_offsets()
-    img = np.zeros((grid.n_x, grid.n_y))
-    for j in range(v):
-        theta = geometry.angles[j]
-        s_pix = gx * np.cos(theta) + gy * np.sin(theta)
-        img += np.interp(s_pix.ravel(), s_ch, filt[j], left=0.0, right=0.0).reshape(img.shape)
-    return img * (np.pi / v)
+    lo, hi = geometry.channel_offsets()[[0, -1]]
+    img = np.zeros((n, grid.n_x * grid.n_y))
+    s_pix = np.empty((grid.n_x, grid.n_y))
+    weight, gathered, weighted = (np.empty(s_pix.size) for _ in range(3))
+    index = np.empty(s_pix.size, dtype=np.intp)
+    for j, theta in enumerate(geometry.angles):
+        np.add.outer(xs * np.cos(theta), ys * np.sin(theta), out=s_pix)
+        s = s_pix.ravel()
+        np.subtract(s, lo, out=weight)
+        weight /= geometry.spacing
+        index[:] = weight  # truncation is floor on the detector, where weight >= 0
+        np.copyto(index, c, where=(s < lo) | (s > hi))
+        weight -= index
+        for i in range(n):  # indices are in range, so mode="clip" only skips the check
+            value[i, j].take(index, out=gathered, mode="clip")
+            slope[i, j].take(index, out=weighted, mode="clip")
+            weighted *= weight
+            gathered += weighted
+            img[i] += gathered
+    return img.reshape(n, grid.n_x, grid.n_y)
 
 
 def reconstruct_materials(p_sino: np.ndarray, geometry, grid: ImageGrid,
                           hann: bool = False) -> MaterialImage:
-    """FBP each material channel of a pathlength sinogram (M, L)."""
-    p_sino = np.asarray(p_sino, dtype=float)
-    chans = [fbp_reconstruct(p_sino[:, l], geometry, grid, hann=hann)
-             for l in range(p_sino.shape[1])]
-    return MaterialImage(values=np.stack(chans, axis=2), grid=grid)
+    """FBP every material column of a pathlength sinogram (M, L) in one call."""
+    return MaterialImage(values=fbp_reconstruct(p_sino, geometry, grid, hann=hann), grid=grid)
 
 
 def synthesize_mono(image: MaterialImage, materials, energy_kev: float,

@@ -39,3 +39,34 @@ def grid_polish_minimizer(objective, domain, grid_n=161):
                             options=dict(xatol=1e-11, fatol=1e-18,
                                          maxiter=6000, maxfev=12000))
     return res.x
+
+
+def reference_fbp(sino, geometry, grid, hann=False):
+    """Per-column FBP oracle: one `np.interp` per view over the channel offsets.
+
+    `sino` is (M,) or (M, n); each column is rebinned (fan), filtered and
+    backprojected on its own, with pixel offsets from the full meshgrid.
+    """
+    from pcmd.geometry import FAN, rebin_fan_to_parallel
+    from pcmd.recon import _ramp_response
+
+    sino = np.asarray(sino, dtype=float)
+    if sino.ndim == 2:
+        return np.stack([reference_fbp(col, geometry, grid, hann) for col in sino.T], axis=2)
+    if geometry.mode == FAN:
+        geometry, sino = rebin_fan_to_parallel(sino, geometry)
+    v, c = geometry.n_views, geometry.n_channels
+    proj = sino.reshape(v, c)
+    n_pad = 1 << int(np.ceil(np.log2(max(2 * c, 4))))
+    resp = _ramp_response(n_pad, geometry.spacing, hann)
+    filt = np.real(np.fft.ifft(np.fft.fft(proj, n=n_pad, axis=1) * resp[None, :], axis=1))
+    filt = filt[:, :c] * geometry.spacing
+    xs, ys = grid.pixel_centers()
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    s_ch = geometry.channel_offsets()
+    img = np.zeros((grid.n_x, grid.n_y))
+    for j in range(v):
+        theta = geometry.angles[j]
+        s_pix = gx * np.cos(theta) + gy * np.sin(theta)
+        img += np.interp(s_pix.ravel(), s_ch, filt[j], left=0.0, right=0.0).reshape(img.shape)
+    return img * (np.pi / v)

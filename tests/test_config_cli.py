@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcmd.arrayio import read_array
+from pcmd.arrayio import read_array, write_array
 from pcmd.cli import main
 from pcmd.config import PipelineConfig
 from pcmd.errors import ConfigError
@@ -206,6 +206,10 @@ def test_hostile_sections_exit_2_naming_the_key(tmp_path, capsys, keys, value, p
     ("mle", {"grid_points": [2**20, 41]}, "mle.grid_points[0]"),
     ("calibration", {"noise": True, "repeats": 10**9, "air_counts_total": 1e18},
      "calibration.repeats"),
+    ("geometry", {"mode": "fan", "sid_cm": 50.0, "sdd_cm": 100.0, "n_channels": 1},
+     "geometry.n_channels"),
+    ("geometry", {"mode": "fan", "sid_cm": 50.0, "sdd_cm": 100.0, "n_views": 1},
+     "geometry.n_views"),
 ])
 def test_configs_a_builder_would_refuse_exit_2(tmp_path, capsys, section, values, path):
     cfg = tiny_config(tmp_path / "out")
@@ -437,6 +441,29 @@ def test_pipeline_resumes_from_manifests(pipeline_dir, capsys):
     printed = capsys.readouterr().out
     assert printed.count("up to date, skipping") == 6
     assert (out / "stats.csv").read_bytes() == before
+
+
+def test_reconstructing_one_method_writes_the_images_of_a_two_method_run(pipeline_dir, tmp_path):
+    out, config_path = pipeline_dir
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    for name in ("pathlengths_mle.pcmd", "pathlengths_mace.pcmd"):
+        (alone / name).write_bytes((out / name).read_bytes())
+    assert main(["reconstruct", "--config", config_path, "--out", str(alone),
+                 "--method", "mle"]) == 0
+    names = ["image_mle_polyethylene.pcmd", "image_mle_pvc.pcmd", "mono70_mle.pcmd",
+             "mono70_mle.png"]
+    for name in names:
+        assert (alone / name).read_bytes() == (out / name).read_bytes(), name
+    assert not (alone / "mono70_mace.pcmd").exists()
+
+
+def test_reconstruct_rejects_a_sinogram_of_another_geometry(pipeline_dir, tmp_path, capsys):
+    out, config_path = pipeline_dir
+    p, labels = read_array(out / "pathlengths_mle.pcmd")
+    write_array(tmp_path / "pathlengths_mle.pcmd", p[:-1], labels)
+    assert main(["reconstruct", "--config", config_path, "--out", str(tmp_path)]) == 3
+    assert "is (44, 48, 2), expected (45, 48, 2)" in capsys.readouterr().err
 
 
 def test_same_seed_reproduces_noisy_outputs(tmp_path):

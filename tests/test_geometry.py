@@ -157,3 +157,11 @@ def test_geometry_validation():
         ScanGeometry(mode="fan", n_views=4, n_channels=4, spacing=0.1, sid=50.0, sdd=40.0)
     with pytest.raises(ToolkitError, match="spacing"):
         ScanGeometry(mode="parallel", n_views=4, n_channels=4, spacing=0.0)
+
+
+@pytest.mark.parametrize("views, channels", [(1, 8), (8, 1)])
+def test_fan_rebinning_needs_two_views_and_two_channels(views, channels):
+    fan = ScanGeometry(mode="fan", n_views=views, n_channels=channels, spacing=0.5,
+                       sid=20.0, sdd=40.0)
+    with pytest.raises(ToolkitError, match="at least 2 views and 2 channels"):
+        rebin_fan_to_parallel(np.zeros(fan.n_rays), fan)

@@ -8,6 +8,8 @@ from pcmd.phantom import Disk, Phantom
 from pcmd.recon import (MaterialImage, basis_change, fbp_reconstruct, reconstruct_materials,
                         synthesize_mono)
 
+from helpers import reference_fbp
+
 
 @pytest.fixture(scope="module")
 def desk_geometry():
@@ -85,6 +87,72 @@ def test_project_then_fbp_round_trip_on_smooth_phantom(desk_geometry, desk_grid)
     back = fbp_reconstruct(sino, desk_geometry, desk_grid)
     rel = np.linalg.norm(back - smooth) / np.linalg.norm(smooth)
     assert rel <= 0.05
+
+
+def _random_columns(geometry, n, seed=0):
+    return np.random.default_rng(seed).normal(size=(geometry.n_rays, n))
+
+
+_UNEVEN = np.sort(np.random.default_rng(7).uniform(0.0, np.pi, 37))
+ORACLE_CASES = {
+    "parallel-1ch": (ScanGeometry(mode="parallel", n_views=31, n_channels=1, spacing=0.3),
+                     ImageGrid(n_x=9, n_y=9, pixel_size=0.3)),
+    "parallel-2ch": (ScanGeometry(mode="parallel", n_views=24, n_channels=2, spacing=0.5),
+                     ImageGrid(n_x=12, n_y=12, pixel_size=0.2)),
+    "parallel-7ch-offcentre": (ScanGeometry(mode="parallel", n_views=40, n_channels=7, spacing=0.3),
+                               ImageGrid(n_x=20, n_y=13, pixel_size=0.3, origin=(0.4, -0.7))),
+    "parallel-64ch-uneven-angles": (
+        ScanGeometry(mode="parallel", n_views=37, n_channels=64, spacing=0.25, angles=_UNEVEN),
+        ImageGrid(n_x=40, n_y=40, pixel_size=0.35)),
+    "fan-2ch": (ScanGeometry(mode="fan", n_views=48, n_channels=2, spacing=1.0, sid=20.0,
+                             sdd=40.0),
+                ImageGrid(n_x=10, n_y=10, pixel_size=0.2)),
+    "fan-7ch-offcentre": (ScanGeometry(mode="fan", n_views=60, n_channels=7, spacing=0.8,
+                                       sid=20.0, sdd=40.0),
+                          ImageGrid(n_x=14, n_y=9, pixel_size=0.3, origin=(-0.5, 0.3))),
+    "fan-64ch": (ScanGeometry(mode="fan", n_views=90, n_channels=64, spacing=0.5, sid=30.0,
+                              sdd=60.0),
+                 ImageGrid(n_x=48, n_y=48, pixel_size=0.3)),
+}
+
+
+@pytest.mark.parametrize("hann", [False, True], ids=["ramp", "hann"])
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_batched_fbp_matches_per_view_interp_oracle(case, hann):
+    geometry, grid = ORACLE_CASES[case]
+    sino = _random_columns(geometry, 3)
+    got = fbp_reconstruct(sino, geometry, grid, hann=hann)
+    want = reference_fbp(sino, geometry, grid, hann=hann)
+    assert got.shape == want.shape == (grid.n_x, grid.n_y, 3)
+    assert np.abs(want).max() > 0  # the single-channel grid puts pixels on the channel
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.array_equal(got == 0, want == 0)  # off the detector is an exact zero
+
+
+@pytest.mark.parametrize("case", ["parallel-7ch-offcentre", "parallel-64ch-uneven-angles",
+                                  "fan-64ch"])
+def test_each_column_of_a_batch_equals_its_single_column_call(case):
+    geometry, grid = ORACLE_CASES[case]
+    sino = _random_columns(geometry, 4, seed=1)
+    batch = fbp_reconstruct(sino, geometry, grid)
+    for m in range(sino.shape[1]):
+        single = fbp_reconstruct(sino[:, m], geometry, grid)
+        assert single.shape == (grid.n_x, grid.n_y)
+        assert np.array_equal(batch[:, :, m], single)
+
+
+@pytest.mark.parametrize("shape", [(40 * 7, 2, 2), (40 * 7 - 1,), (40 * 7 + 7, 3)])
+def test_fbp_rejects_inputs_that_are_not_ray_columns(shape):
+    geometry, grid = ORACLE_CASES["parallel-7ch-offcentre"]
+    with pytest.raises(ToolkitError, match="fbp: expected 280 rays"):
+        fbp_reconstruct(np.zeros(shape), geometry, grid)
+
+
+def test_reconstruct_materials_is_one_batched_fbp(desk_grid):
+    geometry, _ = ORACLE_CASES["fan-64ch"]
+    sino = _random_columns(geometry, 2, seed=2)
+    img = reconstruct_materials(sino, geometry, desk_grid)
+    assert np.array_equal(img.values, fbp_reconstruct(sino, geometry, desk_grid))
 
 
 def test_mono_zero_image_is_air(basis_materials, desk_grid):
