@@ -58,14 +58,17 @@ def array_from_bytes(buf: bytes):
     if dtype != DTYPE_F64LE:
         raise ArrayFormatError(f"unsupported element type tag {dtype}")
     off = 10
-    sizes = struct.unpack(f"<{ndim}Q", buf[off:off + 8 * ndim])
-    off += 8 * ndim
-    labels = []
-    for _ in range(ndim):
-        (n,) = struct.unpack("<H", buf[off:off + 2])
-        off += 2
-        labels.append(buf[off:off + n].decode("utf-8"))
-        off += n
+    try:  # the CRC can hold over a header whose fields run past its end or are not UTF-8
+        sizes = struct.unpack(f"<{ndim}Q", buf[off:off + 8 * ndim])
+        off += 8 * ndim
+        labels = []
+        for _ in range(ndim):
+            (n,) = struct.unpack("<H", buf[off:off + 2])
+            off += 2
+            labels.append(buf[off:off + n].decode("utf-8"))
+            off += n
+    except (struct.error, UnicodeDecodeError) as err:
+        raise ArrayFormatError(f"malformed header ({err})") from None
     count = int(np.prod(sizes)) if ndim else 1
     expect = off + 8 * count + 4
     if len(buf) != expect:

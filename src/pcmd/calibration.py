@@ -117,6 +117,8 @@ class DrfPolynomial:
         scale = np.asarray(self.basis_scale, dtype=float)
         if scale.shape != (self.n_materials,) or np.any(scale <= 0):
             raise ToolkitError("drf: basis scale must be positive per material")
+        if self.domain.n_materials != self.n_materials:
+            raise ToolkitError("drf: domain must bound every material")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "basis_scale", scale)
         object.__setattr__(self, "_powers", _monomial_powers(self.order, self.n_materials))
@@ -343,20 +345,35 @@ def save_calibration(path, drf: DrfPolynomial):
 
 
 def load_calibration(path) -> DrfPolynomial:
+    """Read a calibration container; a corrupt or inconsistent one raises
+    ToolkitError naming the file."""
     with open(path, "rb") as fh:
         buf = fh.read()
     cut = buf.find(_HEADER_SENTINEL)
     if cut < 0:
         raise ToolkitError(f"{path}: not a calibration container")
-    meta = json.loads(buf[:cut].decode("utf-8"))
-    if meta.get("format") != "PCMD-CAL" or meta.get("version") != 1:
-        raise ToolkitError(f"{path}: unsupported calibration format/version")
-    theta, _ = array_from_bytes(buf[cut + len(_HEADER_SENTINEL):])
-    domain = CalibrationDomain(lower=np.asarray(meta["domain"]["lower"]),
-                               upper=np.asarray(meta["domain"]["upper"]))
-    edges = meta.get("bin_edges")
-    resid = meta.get("fit_residual")
-    return DrfPolynomial(theta=theta, order=meta["order"], n_materials=meta["n_materials"],
-                         domain=domain, basis_scale=np.asarray(meta["basis"]["scale"]),
-                         bin_edges=None if edges is None else np.asarray(edges),
-                         fit_residual=float("nan") if resid is None else float(resid))
+    try:
+        meta = json.loads(buf[:cut].decode("utf-8"))
+        if not isinstance(meta, dict) or meta.get("format") != "PCMD-CAL" or meta.get("version") != 1:
+            raise ToolkitError("unsupported calibration format/version")
+        theta, _ = array_from_bytes(buf[cut + len(_HEADER_SENTINEL):])
+        order, n_mat, scale = meta["order"], meta["n_materials"], meta["basis"]["scale"]
+        # bounded by the file's own sizes before the power below is formed
+        if (type(order) is not int or type(n_mat) is not int or not 0 <= order < theta.shape[-1]
+                or not 1 <= n_mat == len(scale)):
+            raise ToolkitError(f"order {order!r} and n_materials {n_mat!r} do not fit the "
+                               f"coefficients {theta.shape} and basis scale")
+        header = (meta["n_channels"], meta["n_bins"], (order + 1) ** n_mat)
+        if theta.shape != header:
+            raise ToolkitError(f"coefficients are {theta.shape}, the header says {header}")
+        domain = CalibrationDomain(lower=np.asarray(meta["domain"]["lower"]),
+                                   upper=np.asarray(meta["domain"]["upper"]))
+        edges, resid = meta.get("bin_edges"), meta.get("fit_residual")
+        return DrfPolynomial(theta=theta, order=order, n_materials=n_mat, domain=domain,
+                             basis_scale=np.asarray(scale),
+                             bin_edges=None if edges is None else np.asarray(edges),
+                             fit_residual=float("nan") if resid is None else float(resid))
+    except ToolkitError as err:
+        raise ToolkitError(f"{path}: {err}") from None
+    except (ValueError, LookupError, TypeError) as err:  # bad UTF-8 or JSON, missing or mistyped keys
+        raise ToolkitError(f"{path}: bad calibration header ({type(err).__name__}: {err})") from None

@@ -214,10 +214,13 @@ def _check_rules(v):
                 raise ConfigError(f"geometry.{key}: required key is missing for fan geometry")
         if not geo["sdd_cm"] > geo["sid_cm"]:
             raise ConfigError("geometry.sdd_cm: must be greater than geometry.sid_cm")
-        for key in ("n_views", "n_channels"):  # rebinning interpolates between neighbours
-            if geo[key] < 2:
-                raise ConfigError(f"geometry.{key}: must be at least 2 for fan geometry, "
-                                  f"got {geo[key]}")
+        if geo["n_channels"] < 2:  # rebinning interpolates between neighbours
+            raise ConfigError(f"geometry.n_channels: must be at least 2 for fan geometry, "
+                              f"got {geo['n_channels']}")
+    views = 4 if geo["mode"] == "fan" else 2  # FBP needs 2 parallel views; rebinning halves a fan
+    if geo["n_views"] < views:
+        raise ConfigError(f"geometry.n_views: must be at least {views} for {geo['mode']} geometry, "
+                          f"got {geo['n_views']}")
     if spec["e_min"] >= spec["kvp"]:
         raise ConfigError("spectrum.e_min: must be below spectrum.kvp")
     if spec["n_bins"] > spec["kvp"] - spec["e_min"]:

@@ -1,12 +1,12 @@
 """Pipeline stages behind the command-line interface.
 
 `STAGES` declares every stage once: the config sections its manifest
-hashes, the files it reads and writes, and the command that runs it.  Each
-`cmd_*` and `pipeline` read it.  Stages share an output directory and
-record content-addressed manifests (SHA-256 of inputs and outputs plus a
-hash of the config sections they consume), so `pipeline`, a loop over
-`STAGES`, can resume: a stage is skipped when its manifest still matches.
-Arrays travel in the portable container format; run logs are JSON-lines.
+hashes, the files it reads and writes, and the command that runs it.  A
+`Stage` owns one run: its output directory, the methods whose inputs exist,
+and every array file, labelled on write and checked on read against `AXES`.
+Each `cmd_*` holds only its computation.  Manifests record SHA-256 of inputs
+and outputs plus a hash of the config sections a stage consumes, so
+`pipeline`, a loop over `STAGES`, skips a stage whose manifest still matches.
 """
 
 import hashlib
@@ -23,7 +23,7 @@ from .config import PipelineConfig
 from .errors import ConfigError, ToolkitError
 from .metrics import cnr, roi_stats
 from .recon import MaterialImage, reconstruct_materials, synthesize_mono
-from .simulate import scan_phantom
+from .simulate import CountSinogram, TransmissionSinogram, scan_phantom
 from .solver import mle_decompose, run_mace
 
 METHODS = ("mle", "mace")
@@ -36,6 +36,7 @@ class StageSpec(NamedTuple):
     inputs: tuple    # file-name templates, expanded by `_files`
     outputs: tuple
     run: object      # (cfg, out_dir) -> written paths
+    none_found: str = ""  # the error when no method has its {m} inputs
 
 
 # Every stage, in pipeline order.  The `run` lambdas look the commands up when
@@ -63,10 +64,24 @@ STAGES = {
     "reconstruct": StageSpec(
         ("geometry", "grid", "recon", "materials"), ("pathlengths_{m}.pcmd",),
         ("image_{m}_{mat}.pcmd", "mono{kev:g}_{m}.pcmd", "mono{kev:g}_{m}.png"),
-        lambda cfg, out: cmd_reconstruct(cfg, out)),
+        lambda cfg, out: cmd_reconstruct(cfg, out),
+        "no decomposed sinograms found (run decompose first)"),
     "evaluate": StageSpec(
         ("rois", "cnr", "recon"), ("mono{kev:g}_{m}.pcmd",), ("stats.csv",),
-        lambda cfg, out: cmd_evaluate(cfg, out)),
+        lambda cfg, out: cmd_evaluate(cfg, out),
+        "no reconstructed images found (run reconstruct first)"),
+}
+
+# The axes of every array a stage writes, by file-name prefix, and the rule its
+# values keep (a constructor raising ToolkitError): air totals as a bin-less count sinogram.
+AXES = {
+    "transmission": (("view", "channel", "bin"),
+                     lambda t: TransmissionSinogram(t.reshape(-1, t.shape[-1]))),
+    "air_totals": (("view", "channel"),
+                   lambda air: CountSinogram(np.empty((air.size, 0)), air.ravel())),
+    "pathlengths": (("view", "channel", "material"), None),
+    "image": (("x", "y"), None),
+    "mono": (("x", "y"), None),
 }
 
 
@@ -79,9 +94,7 @@ def _sha256(path) -> str:
 
 
 def _config_hash(cfg: PipelineConfig, sections) -> str:
-    payload = {s: cfg.raw.get(s) for s in sections}
-    payload["seed"] = cfg.seed
-    payload["noise"] = cfg.noise
+    payload = {**{s: cfg.raw.get(s) for s in sections}, "seed": cfg.seed, "noise": cfg.noise}
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -90,25 +103,30 @@ def _files(templates, cfg: PipelineConfig, out: str, methods=()) -> list:
     """Paths in `out` named by `templates`: one per method where a template has
     {m}, one per material where it has {mat}; {kev} is the mono energy."""
     kev = cfg.values["recon"]["mono_kev"]
-    paths = []
-    for t in templates:
-        ms = methods if "{m}" in t else [None]
-        mats = cfg.material_names if "{mat}" in t else [None]
-        paths += [os.path.join(out, t.format(m=m, mat=mat, kev=kev)) for m in ms for mat in mats]
-    return paths
+    return [os.path.join(out, t.format(m=m, mat=mat, kev=kev)) for t in templates
+            for m in (methods if "{m}" in t else [None])
+            for mat in (cfg.material_names if "{mat}" in t else [None])]
 
 
 class Stage:
-    """Manifest bookkeeping and file names for one stage of `STAGES`."""
+    """One run of a stage of `STAGES`: its directory (`out_dir`, else the config's,
+    relative to the config file), the `methods` (default: all) whose input files
+    exist, its array files and its manifest."""
 
-    def __init__(self, name: str, cfg: PipelineConfig, out_dir: str, methods=METHODS):
-        self.name = name
-        self.cfg = cfg
-        self.spec = STAGES[name]
-        self.out_dir = out_dir
-        self.manifest_path = os.path.join(out_dir, f"manifest_{name}.json")
+    def __init__(self, name: str, cfg: PipelineConfig, out_dir=None, methods=None):
+        out = out_dir or cfg.output_dir
+        self.out_dir = out if os.path.isabs(out) else os.path.join(cfg.base_dir, out)
+        os.makedirs(self.out_dir, exist_ok=True)
+        self.name, self.cfg, self.spec = name, cfg, STAGES[name]
+        self.methods = [m for m in (methods or METHODS) if all(
+            os.path.exists(p) for p in _files(self.spec.inputs, cfg, self.out_dir, [m]))]
+        self.inputs = _files(self.spec.inputs, cfg, self.out_dir, self.methods)
+        self.manifest_path = os.path.join(self.out_dir, f"manifest_{name}.json")
         self.config_hash = _config_hash(cfg, self.spec.sections)
-        self.inputs = _files(self.spec.inputs, cfg, out_dir, methods)
+        v = cfg.values
+        self.sizes = {"view": v["geometry"]["n_views"], "channel": v["geometry"]["n_channels"],
+                      "bin": v["spectrum"]["n_bins"], "material": len(cfg.material_names),
+                      "x": v["grid"]["n_x"], "y": v["grid"]["n_y"]}
         self.t0 = time.perf_counter()
 
     def outputs(self, method=None) -> list:
@@ -116,24 +134,54 @@ class Stage:
         return _files(self.spec.outputs, self.cfg, self.out_dir, [method])
 
     def require_inputs(self):
+        """Exit 2 unless every input file exists and some method has its inputs."""
         for path in self.inputs:
             if not os.path.exists(path):
                 raise ConfigError(f"{self.name}: missing input file {path} (run the upstream stage)")
+        if not self.methods:
+            raise ConfigError(f"{self.name}: {self.spec.none_found}")
+
+    def _axes(self, path):
+        """A stage file's axes from `AXES`, their sizes in this config, and its rule."""
+        name = os.path.basename(path)
+        axes, rule = next(entry for prefix, entry in AXES.items() if name.startswith(prefix))
+        return axes, tuple(self.sizes[a] for a in axes), rule
+
+    def write(self, path, arr: np.ndarray):
+        """Write `arr` to `path` in the shape and with the axis labels of `AXES`."""
+        axes, shape, _ = self._axes(path)
+        write_array(path, np.reshape(arr, shape), axes)
+
+    def read(self, path) -> np.ndarray:
+        """The array in `path`, with the labels and shape of `AXES`, every value
+        finite and within its rule; else a ToolkitError (exit 3) naming the file."""
+        axes, shape, rule = self._axes(path)
+        try:
+            arr, labels = read_array(path)
+            if tuple(labels) != axes:
+                raise ToolkitError(f"has axes {labels}, expected {list(axes)}")
+            if arr.shape != shape:
+                raise ToolkitError(f"is {arr.shape}, expected {shape}")
+            if not np.isfinite(arr).all():
+                raise ToolkitError("holds a non-finite value")
+            if rule is not None:
+                rule(arr)
+        except ToolkitError as err:
+            raise ToolkitError(f"{self.name}: {path}: {err}") from None
+        return arr
 
     def up_to_date(self) -> bool:
         try:
             with open(self.manifest_path) as fh:
                 m = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+            files = {**m["inputs"], **m["outputs"]}
+            return m["config_hash"] == self.config_hash and all(
+                os.path.exists(path) and _sha256(path) == digest for path, digest in files.items())
+        except (OSError, ValueError, LookupError, TypeError):  # missing, unreadable or malformed
             return False
-        if m.get("config_hash") != self.config_hash:
-            return False
-        for path, digest in {**m.get("inputs", {}), **m.get("outputs", {})}.items():
-            if not os.path.exists(path) or _sha256(path) != digest:
-                return False
-        return True
 
-    def finish(self, outputs):
+    def finish(self, outputs) -> list:
+        """Write the manifest; returns `outputs`, the written paths."""
         manifest = {
             "stage": self.name,
             "config_hash": self.config_hash,
@@ -143,49 +191,24 @@ class Stage:
         }
         with open(self.manifest_path, "w") as fh:
             json.dump(manifest, fh, indent=1, sort_keys=True)
-
-
-def _paths(cfg: PipelineConfig, out_override=None):
-    out = out_override or cfg.output_dir
-    if not os.path.isabs(out):
-        out = os.path.join(cfg.base_dir, out)
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _available(name: str, cfg: PipelineConfig, out: str, methods) -> list:
-    """The methods (default: all) whose input files for stage `name` exist."""
-    return [m for m in (methods or METHODS)
-            if all(os.path.exists(p) for p in _files(STAGES[name].inputs, cfg, out, [m]))]
+        return outputs
 
 
 def cmd_simulate(cfg: PipelineConfig, out_dir=None) -> list:
     """Simulate the scan; writes transmission, air totals, and true pathlengths."""
-    out = _paths(cfg, out_dir)
-    stage = Stage("simulate", cfg, out)
-    geometry = cfg.geometry()
+    stage = Stage("simulate", cfg, out_dir)
     spectrum = cfg.spectrum()
-    materials = cfg.materials()
-    phantom = cfg.phantom()
-    dose = cfg.dose_scale(spectrum)
-    counts, trans, p_true = scan_phantom(phantom, geometry, spectrum, materials, dose,
-                                         noise=cfg.noise, seed=cfg.seed)
-
-    v, c = geometry.n_views, geometry.n_channels
-    arrays = [(trans.t.reshape(v, c, -1), ["view", "channel", "bin"]),
-              (counts.air_total.reshape(v, c), ["view", "channel"]),
-              (p_true.reshape(v, c, -1), ["view", "channel", "material"])]
+    counts, trans, p_true = scan_phantom(cfg.phantom(), cfg.geometry(), spectrum, cfg.materials(),
+                                         cfg.dose_scale(spectrum), noise=cfg.noise, seed=cfg.seed)
     written = stage.outputs()
-    for path, (arr, labels) in zip(written, arrays):
-        write_array(path, arr, labels)
-    stage.finish(written)
-    return written
+    for path, arr in zip(written, (trans.t, counts.air_total, p_true)):
+        stage.write(path, arr)
+    return stage.finish(written)
 
 
 def cmd_calibrate(cfg: PipelineConfig, out_dir=None) -> list:
     """Run the slab protocol and fit the detector response; prints fit residual."""
-    out = _paths(cfg, out_dir)
-    stage = Stage("calibrate", cfg, out)
+    stage = Stage("calibrate", cfg, out_dir)
     cal = cfg.values["calibration"]
     drf = calibrate_drf(cfg.spectrum(), cfg.materials(), cfg.calibration_design(),
                         cfg.geometry(), order=cal["order"], domain=cfg.calibration_domain(),
@@ -195,103 +218,81 @@ def cmd_calibrate(cfg: PipelineConfig, out_dir=None) -> list:
     save_calibration(written[0], drf)
     print(f"calibrate: max fit residual {drf.fit_residual:.3e} over "
           f"{drf.n_channels} channels x {drf.n_bins} bins")
-    stage.finish(written)
-    return written
+    return stage.finish(written)
 
 
 def cmd_decompose(cfg: PipelineConfig, method: str, out_dir=None) -> list:
     """Decompose the transmission sinogram into material pathlengths."""
     if method not in METHODS:
         raise ConfigError(f"decompose: method must be one of {METHODS}, got {method!r}")
-    out = _paths(cfg, out_dir)
-    stage = Stage(f"decompose_{method}", cfg, out)
+    stage = Stage(f"decompose_{method}", cfg, out_dir)
     stage.require_inputs()
     t_path, air_path, cal_path = stage.inputs
-    t_sino, _ = read_array(t_path)
-    air, _ = read_array(air_path)
-    v, c, k = t_sino.shape
-    t_sino, air = t_sino.reshape(v * c, k), air.reshape(v * c)
+    t_sino, air = stage.read(t_path), stage.read(air_path)  # (view, channel, bin), (view, channel)
     drf = load_calibration(cal_path)
-    if drf.n_bins != k:
-        raise ConfigError(f"decompose: calibration has {drf.n_bins} bins but sinogram has {k}")
-    if drf.n_channels not in (1, c):
-        raise ConfigError(
-            f"decompose: calibration has {drf.n_channels} channels but sinogram has {c}")
+    want = (air.shape[1], t_sino.shape[2], len(cfg.material_names))  # channels, bins, materials
+    if (drf.n_channels, drf.n_bins, drf.n_materials) not in (want, (1, *want[1:])):
+        raise ConfigError(f"decompose: calibration has (channels, bins, materials) "
+                          f"{(drf.n_channels, drf.n_bins, drf.n_materials)}, the config {want}")
+    t_sino, air_rows = t_sino.reshape(air.size, -1), air.ravel()
     t0 = time.perf_counter()
     if method == "mle":
-        result = mle_decompose(t_sino, air, drf, cfg.mle_config())
+        result = mle_decompose(t_sino, air_rows, drf, cfg.mle_config())
         summary = {"iterations": cfg.values["mle"]["n_iter"], "passes": len(result.steps)}
     else:
-        result = run_mace(t_sino, air, drf, cfg.mace_config(domain=drf.domain), sino_shape=(v, c))
+        result = run_mace(t_sino, air_rows, drf, cfg.mace_config(domain=drf.domain),
+                          sino_shape=air.shape)
         summary = {"iterations": cfg.values["mace"]["n_iter"],
                    "mle_init_passes": len(result.mle_init.steps)}
     elapsed = time.perf_counter() - t0
 
     path, log_path = stage.outputs()
-    write_array(path, result.p.reshape(v, c, -1), ["view", "channel", "material"])
+    stage.write(path, result.p)
+    records = [{"pass": i, "max_step_cm": step} for i, step in enumerate(result.steps)]
+    records += [{"iteration": i, "equilibrium_residual": r} for i, r in enumerate(result.residuals)]
+    flagged = 0 if result.flagged_rows is None else int(result.flagged_rows.size)
+    records.append({"method": method, "rows": air.size, **summary, "flagged_rows": flagged,
+                    "elapsed_s": round(elapsed, 3), "seconds_per_row": elapsed / air.size})
     with open(log_path, "w") as fh:
-        for i, step in enumerate(result.steps):
-            fh.write(json.dumps({"pass": i, "max_step_cm": step}) + "\n")
-        for i, r in enumerate(result.residuals):
-            fh.write(json.dumps({"iteration": i, "equilibrium_residual": r}) + "\n")
-        fh.write(json.dumps({
-            "method": method,
-            "rows": v * c,
-            **summary,
-            "flagged_rows": 0 if result.flagged_rows is None else int(result.flagged_rows.size),
-            "elapsed_s": round(elapsed, 3),
-            "seconds_per_row": elapsed / (v * c),
-        }) + "\n")
-    stage.finish([path, log_path])
-    return [path, log_path]
+        fh.writelines(json.dumps(r) + "\n" for r in records)
+    return stage.finish([path, log_path])
 
 
 def cmd_reconstruct(cfg: PipelineConfig, out_dir=None, methods=None) -> list:
     """FBP material images and the virtual mono-energy image, plus PNG previews."""
-    out = _paths(cfg, out_dir)
-    methods = _available("reconstruct", cfg, out, methods)
-    if not methods:
-        raise ConfigError("reconstruct: no decomposed sinograms found (run decompose first)")
-    stage = Stage("reconstruct", cfg, out, methods)
+    stage = Stage("reconstruct", cfg, out_dir, methods)
+    stage.require_inputs()
     recon = cfg.values["recon"]
     geometry = cfg.geometry()
     grid = cfg.grid()
     materials = cfg.materials()
-    sinos = [read_array(path)[0] for path in stage.inputs]
-    shape = (geometry.n_views, geometry.n_channels, len(materials))
-    for path, p in zip(stage.inputs, sinos):
-        if p.shape != shape:
-            raise ToolkitError(f"reconstruct: {path} is {p.shape}, expected {shape}")
     # every material of every method in one FBP call, then one image per method
-    columns = np.concatenate([p.reshape(geometry.n_rays, -1) for p in sinos], axis=1)
+    columns = np.concatenate([stage.read(path).reshape(geometry.n_rays, -1)
+                              for path in stage.inputs], axis=1)
     image = reconstruct_materials(columns, geometry, grid, hann=recon["hann"])
     written = []
-    for method, values in zip(methods, np.split(image.values, len(methods), axis=2)):
+    for method, values in zip(stage.methods, np.split(image.values, len(stage.methods), axis=2)):
         *images, mono_path, png_path = stage.outputs(method)
         for j, path in enumerate(images):
-            write_array(path, values[:, :, j], ["x", "y"])
+            stage.write(path, values[:, :, j])
         mono = synthesize_mono(MaterialImage(values, grid), materials, recon["mono_kev"],
                                hounsfield=True)
-        write_array(mono_path, mono.values, ["x", "y"])
+        stage.write(mono_path, mono.values)
         write_png_preview(png_path, mono.values, recon["window_center"], recon["window_width"])
         written += [*images, mono_path, png_path]
-    stage.finish(written)
-    return written
+    return stage.finish(written)
 
 
 def cmd_evaluate(cfg: PipelineConfig, out_dir=None, methods=None) -> list:
     """ROI statistics (and CNR when configured) for every reconstructed method."""
-    out = _paths(cfg, out_dir)
-    methods = _available("evaluate", cfg, out, methods)
-    if not methods:
-        raise ConfigError("evaluate: no reconstructed images found (run reconstruct first)")
-    stage = Stage("evaluate", cfg, out, methods)
+    stage = Stage("evaluate", cfg, out_dir, methods)
+    stage.require_inputs()
     grid = cfg.grid()
     roi = cfg.rois()
     rows = [("image", "label", "mean", "std")]
     cnr_rows = []
     for path in stage.inputs:
-        img, _ = read_array(path)
+        img = stage.read(path)
         name = os.path.splitext(os.path.basename(path))[0]
         if roi.circles:
             for label, (mean, std) in roi_stats(img, grid, roi).items():
@@ -300,22 +301,19 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir=None, methods=None) -> list:
             tgt, bgd = cfg.cnr_pair
             value = cnr(img, grid, roi.get(tgt), roi.get(bgd))
             cnr_rows.append((name, f"cnr:{tgt}/{bgd}", f"{value:.6g}", ""))
-    rows.extend(cnr_rows)
     written = stage.outputs()
     with open(written[0], "w") as fh:
-        for r in rows:
-            fh.write(",".join(str(x) for x in r) + "\n")
-    stage.finish(written)
-    return written
+        fh.writelines(",".join(r) + "\n" for r in rows + cnr_rows)
+    return stage.finish(written)
 
 
 def cmd_pipeline(cfg: PipelineConfig, out_dir=None, force: bool = False) -> list:
     """Run every stage of `STAGES` in order, skipping those whose manifests are current."""
-    out = _paths(cfg, out_dir)
     written = []
     for name, spec in STAGES.items():
-        if not force and Stage(name, cfg, out).up_to_date():
+        stage = Stage(name, cfg, out_dir)
+        if not force and stage.up_to_date():
             print(f"pipeline: {name} up to date, skipping")
             continue
-        written.extend(spec.run(cfg, out))
+        written.extend(spec.run(cfg, stage.out_dir))
     return written

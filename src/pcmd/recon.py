@@ -81,6 +81,8 @@ def fbp_reconstruct(sino: np.ndarray, geometry, grid: ImageGrid,
     if geometry.mode != PARALLEL:
         raise ToolkitError("fbp: unsupported geometry mode")
     v, c, n = geometry.n_views, geometry.n_channels, len(cols)
+    if v < 2:
+        raise ToolkitError(f"fbp: need at least 2 parallel views, got {v}")
     span = np.ptp(geometry.angles)
     if span < np.pi - np.pi / v - 1e-9:
         raise ToolkitError("fbp: insufficient angular coverage (need half a rotation)")

@@ -93,3 +93,13 @@ def test_png_window_clips(tmp_path):
     rows = zlib.decompress(blob[idat_at:idat_at + length])
     pixels = [rows[i] for i in range(len(rows)) if i % 2 == 1]  # one pixel per row
     assert pixels == [255, 128, 0]  # y axis flipped: top row shows the largest y
+
+
+@pytest.mark.parametrize("header", [
+    b"PCMD" + struct.pack("<HHH", 1, 0, 50),
+    b"PCMD" + struct.pack("<HHHQH", 1, 0, 1, 1, 1) + b"\xff" + struct.pack("<d", 1.0),
+], ids=["sizes past the end", "label not UTF-8"])
+def test_malformed_header_under_a_valid_crc_rejected(header):
+    sealed = header + struct.pack("<I", zlib.crc32(header) & 0xFFFFFFFF)
+    with pytest.raises(ArrayFormatError, match="malformed header"):
+        array_from_bytes(sealed)

@@ -210,6 +210,9 @@ def test_hostile_sections_exit_2_naming_the_key(tmp_path, capsys, keys, value, p
      "geometry.n_channels"),
     ("geometry", {"mode": "fan", "sid_cm": 50.0, "sdd_cm": 100.0, "n_views": 1},
      "geometry.n_views"),
+    ("geometry", {"mode": "fan", "sid_cm": 50.0, "sdd_cm": 100.0, "n_views": 3},
+     "geometry.n_views"),
+    ("geometry", {"n_views": 1}, "geometry.n_views"),
 ])
 def test_configs_a_builder_would_refuse_exit_2(tmp_path, capsys, section, values, path):
     cfg = tiny_config(tmp_path / "out")
@@ -464,6 +467,95 @@ def test_reconstruct_rejects_a_sinogram_of_another_geometry(pipeline_dir, tmp_pa
     write_array(tmp_path / "pathlengths_mle.pcmd", p[:-1], labels)
     assert main(["reconstruct", "--config", config_path, "--out", str(tmp_path)]) == 3
     assert "is (44, 48, 2), expected (45, 48, 2)" in capsys.readouterr().err
+
+
+def _array(name, edit, labelled=True):
+    """Rewrite stage file `name` as `edit` of its array, with its labels cut to
+    the new rank, or with none."""
+    def corrupt(out):
+        arr, labels = read_array(out / name)
+        arr = edit(arr)
+        write_array(out / name, arr, labels[:arr.ndim] if labelled else None)
+    return name, corrupt
+
+
+def _set(arr, value):
+    arr[0, 0] = value
+    return arr
+
+
+def _header(edit):
+    """Rewrite the JSON header of `calibration.pcmdcal` as `edit` of its bytes."""
+    def corrupt(out):
+        buf = (out / "calibration.pcmdcal").read_bytes()
+        cut = buf.find(b"\n\x00")
+        (out / "calibration.pcmdcal").write_bytes(edit(buf[:cut]) + buf[cut:])
+    return "calibration.pcmdcal", corrupt
+
+
+def _meta(key, value):
+    def edit(head):
+        meta = json.loads(head)
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        return json.dumps(meta).encode()
+    return _header(edit)
+
+
+HOSTILE_FILES = {
+    "2-D transmission": ("decompose", "mle", _array("transmission.pcmd", lambda t: t[:, :, 0])),
+    "truncated air totals": ("decompose", "mle", _array("air_totals.pcmd", lambda a: a[:-1])),
+    "transmission of fewer views": ("decompose", "mace",
+                                    _array("transmission.pcmd", lambda t: t[:-5])),
+    **{f"{what} transmission, {m}": ("decompose", m, _array("transmission.pcmd",
+                                                            lambda t, v=v: _set(t, v)))
+       for what, v in [("NaN", np.nan), ("negative", -0.1)] for m in ("mle", "mace")},
+    **{f"{what} air total, {m}": ("decompose", m, _array("air_totals.pcmd",
+                                                         lambda a, v=v: _set(a, v)))
+       for what, v in [("zero", 0.0), ("negative", -5.0e4)] for m in ("mle", "mace")},
+    "wrongly sized mono image": ("evaluate", None, _array("mono70_mle.pcmd", lambda m: m[:, 1:])),
+    "1-D mono image": ("evaluate", None, _array("mono70_mace.pcmd", np.ravel)),
+    "unlabelled transmission": ("decompose", "mle",
+                                _array("transmission.pcmd", lambda t: t, labelled=False)),
+    "unlabelled pathlengths": ("reconstruct", None,
+                               _array("pathlengths_mle.pcmd", lambda p: p, labelled=False)),
+    "calibration header, bad UTF-8": ("decompose", "mle", _header(lambda h: b"\xff" + h)),
+    "calibration header, bad JSON": ("decompose", "mle", _header(lambda h: h[:-1])),
+    "calibration header, not an object": ("decompose", "mle", _header(lambda h: b"[1]")),
+    "calibration header, no domain": ("decompose", "mle", _meta("domain", None)),
+    "calibration header, string order": ("decompose", "mle", _meta("order", "4")),
+    "calibration header, 7 channels": ("decompose", "mle", _meta("n_channels", 7)),
+    "calibration header, 3 bins": ("decompose", "mle", _meta("n_bins", 3)),
+}
+
+
+@pytest.mark.parametrize("command, method, corrupt", HOSTILE_FILES.values(), ids=HOSTILE_FILES)
+def test_hostile_stage_files_exit_3_naming_the_file(pipeline_dir, tmp_path, capsys,
+                                                    command, method, corrupt):
+    out, config_path = pipeline_dir
+    for path in out.iterdir():
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    name, edit = corrupt
+    edit(tmp_path)
+    argv = [command, "--config", config_path, "--out", str(tmp_path)]
+    assert main(argv + (["--method", method] if method else [])) == 3
+    err = capsys.readouterr().err
+    assert str(tmp_path / name) in err and "Traceback" not in err
+
+
+def test_malformed_manifest_is_stale(pipeline_dir, tmp_path, capsys):
+    out, config_path = pipeline_dir
+    for path in out.iterdir():
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    (tmp_path / "manifest_evaluate.json").write_text("[1]")
+    assert main(["pipeline", "--config", config_path, "--out", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.count("up to date, skipping") == 5 and "evaluate up to date" not in captured.out
+    assert "Traceback" not in captured.err
+    assert (tmp_path / "stats.csv").read_bytes() == (out / "stats.csv").read_bytes()
+    assert json.loads((tmp_path / "manifest_evaluate.json").read_text())["stage"] == "evaluate"
 
 
 def test_same_seed_reproduces_noisy_outputs(tmp_path):

@@ -68,6 +68,16 @@ def test_insufficient_angular_coverage_rejected(desk_grid):
         fbp_reconstruct(np.zeros(geo.n_rays), geo, desk_grid)
 
 
+@pytest.mark.parametrize("geo", [
+    ScanGeometry(mode="parallel", n_views=1, n_channels=16, spacing=0.4),
+    ScanGeometry(mode="fan", n_views=2, n_channels=16, spacing=0.4, sid=40.0, sdd=80.0),
+    ScanGeometry(mode="fan", n_views=3, n_channels=16, spacing=0.4, sid=40.0, sdd=80.0),
+], ids=["parallel-1", "fan-2", "fan-3"])
+def test_one_parallel_view_is_rejected(geo, desk_grid):
+    with pytest.raises(ToolkitError, match="at least 2 parallel views, got 1"):
+        fbp_reconstruct(np.zeros(geo.n_rays), geo, desk_grid)
+
+
 def test_fan_beam_reconstruction_via_rebinning(desk_grid):
     fan = ScanGeometry(mode="fan", n_views=720, n_channels=257, spacing=0.17,
                        sid=40.0, sdd=80.0)
