@@ -44,8 +44,13 @@ class CalibrationDomain:
     def span(self) -> np.ndarray:
         return self.upper - self.lower
 
-    def clip(self, p: np.ndarray) -> np.ndarray:
-        return np.clip(p, self.lower, self.upper)
+    def grid(self, points_per_axis) -> np.ndarray:
+        """Regular grid over the domain, bounds included, as points (G, L); the
+        last material varies fastest."""
+        axes = [np.linspace(lo, up, n) for lo, up, n in
+                zip(self.lower, self.upper, points_per_axis)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 DEFAULT_DOMAIN = CalibrationDomain(lower=np.zeros(2), upper=np.array([40.0, 5.0]))
@@ -72,17 +77,8 @@ class CalibrationDesign:
 def default_design(domain: CalibrationDomain = DEFAULT_DOMAIN, points_per_axis=(9, 9),
                    repeats: int = 100) -> CalibrationDesign:
     """Regular grid over the domain, including 0 and the per-material maxima."""
-    axes = [np.linspace(lo, up, n) for lo, up, n in
-            zip(domain.lower, domain.upper, points_per_axis)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    return CalibrationDesign(pathlength_points=pts, repeats_per_point=repeats)
-
-
-def _monomial_powers(order: int, n_materials: int) -> np.ndarray:
-    """Exponent tuples for the tensor-product basis, (n_coef, L)."""
-    grids = np.meshgrid(*[np.arange(order + 1)] * n_materials, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    return CalibrationDesign(pathlength_points=domain.grid(points_per_axis),
+                             repeats_per_point=repeats)
 
 
 @dataclass(frozen=True)
@@ -90,7 +86,8 @@ class DrfPolynomial:
     """Per-channel polynomial detector response phi(p) and its gradient.
 
     `theta` has shape (n_channels, K, n_coef) with n_coef = (order+1)^L;
-    coefficient j multiplies prod_l (p_l / basis_scale_l) ** powers[j, l].
+    coefficient j multiplies prod_l (p_l / basis_scale_l) ** e_l, where
+    (e_0, ..., e_(L-1)) is entry j of `np.ndindex((order+1,) * L)`.
     A single-channel model (n_channels = 1) applies to every sinogram row.
     When every channel's coefficients are exactly equal (a parallel-beam
     fit), evaluation uses the one shared set; `n_channels` and `theta` keep
@@ -121,7 +118,6 @@ class DrfPolynomial:
             raise ToolkitError("drf: domain must bound every material")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "basis_scale", scale)
-        object.__setattr__(self, "_powers", _monomial_powers(self.order, self.n_materials))
         # channels whose coefficients are all equal evaluate as one shared set
         object.__setattr__(self, "_coef", theta if np.any(theta != theta[0]) else theta[:1])
         if self.bin_edges is not None:

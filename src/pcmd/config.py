@@ -291,11 +291,13 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as err:
+        except OSError as err:  # a directory, unreadable, ...
+            raise ConfigError(f"config file {path}: {err.strerror}") from None
+        except ValueError as err:  # not UTF-8, or not JSON
             raise ConfigError(f"{path}: invalid JSON ({err})") from None
         return cls(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 

@@ -3,10 +3,12 @@
 `STAGES` declares every stage once: the config sections its manifest
 hashes, the files it reads and writes, and the command that runs it.  A
 `Stage` owns one run: its output directory, the methods whose inputs exist,
-and every array file, labelled on write and checked on read against `AXES`.
-Each `cmd_*` holds only its computation.  Manifests record SHA-256 of inputs
-and outputs plus a hash of the config sections a stage consumes, so
-`pipeline`, a loop over `STAGES`, skips a stage whose manifest still matches.
+and every array file, labelled on write and checked on read against `AXES`,
+which also fixes the shape each array has in memory.  Each `cmd_*` holds only
+its computation.  Manifests record SHA-256 of inputs and outputs, by file
+name within the stage's directory, plus a hash of the config sections a stage
+consumes, so `pipeline`, a loop over `STAGES`, skips a stage whose manifest
+still matches.
 """
 
 import hashlib
@@ -17,13 +19,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import recon
 from .arrayio import read_array, write_array, write_png_preview
 from .calibration import calibrate_drf, load_calibration, save_calibration
 from .config import PipelineConfig
 from .errors import ConfigError, ToolkitError
 from .metrics import cnr, roi_stats
-from .recon import MaterialImage, reconstruct_materials, synthesize_mono
-from .simulate import CountSinogram, TransmissionSinogram, scan_phantom
+from .recon import synthesize_mono
+from .simulate import scan_phantom
 from .solver import mle_decompose, run_mace
 
 METHODS = ("mle", "mace")
@@ -73,12 +76,10 @@ STAGES = {
 }
 
 # The axes of every array a stage writes, by file-name prefix, and the rule its
-# values keep (a constructor raising ToolkitError): air totals as a bin-less count sinogram.
+# values keep beyond being finite: a ufunc comparing each value with 0, and its wording.
 AXES = {
-    "transmission": (("view", "channel", "bin"),
-                     lambda t: TransmissionSinogram(t.reshape(-1, t.shape[-1]))),
-    "air_totals": (("view", "channel"),
-                   lambda air: CountSinogram(np.empty((air.size, 0)), air.ravel())),
+    "transmission": (("view", "channel", "bin"), (np.greater_equal, "nonnegative")),
+    "air_totals": (("view", "channel"), (np.greater, "positive")),
     "pathlengths": (("view", "channel", "material"), None),
     "image": (("x", "y"), None),
     "mono": (("x", "y"), None),
@@ -116,7 +117,10 @@ class Stage:
     def __init__(self, name: str, cfg: PipelineConfig, out_dir=None, methods=None):
         out = out_dir or cfg.output_dir
         self.out_dir = out if os.path.isabs(out) else os.path.join(cfg.base_dir, out)
-        os.makedirs(self.out_dir, exist_ok=True)
+        try:
+            os.makedirs(self.out_dir, exist_ok=True)
+        except OSError as err:  # a file, or a path through one
+            raise ConfigError(f"output directory {self.out_dir}: {err.strerror}") from None
         self.name, self.cfg, self.spec = name, cfg, STAGES[name]
         self.methods = [m for m in (methods or METHODS) if all(
             os.path.exists(p) for p in _files(self.spec.inputs, cfg, self.out_dir, [m]))]
@@ -164,19 +168,23 @@ class Stage:
                 raise ToolkitError(f"is {arr.shape}, expected {shape}")
             if not np.isfinite(arr).all():
                 raise ToolkitError("holds a non-finite value")
-            if rule is not None:
-                rule(arr)
+            if rule is not None and not rule[0](arr, 0).all():
+                raise ToolkitError(f"values must be {rule[1]}")
         except ToolkitError as err:
             raise ToolkitError(f"{self.name}: {path}: {err}") from None
         return arr
 
     def up_to_date(self) -> bool:
+        """Whether the manifest's config hash and every file it names, by file name
+        in this stage's directory, still match; a path as a key reads as stale."""
         try:
             with open(self.manifest_path) as fh:
                 m = json.load(fh)
             files = {**m["inputs"], **m["outputs"]}
             return m["config_hash"] == self.config_hash and all(
-                os.path.exists(path) and _sha256(path) == digest for path, digest in files.items())
+                os.path.basename(name) == name
+                and _sha256(os.path.join(self.out_dir, name)) == digest
+                for name, digest in files.items())
         except (OSError, ValueError, LookupError, TypeError):  # missing, unreadable or malformed
             return False
 
@@ -185,8 +193,8 @@ class Stage:
         manifest = {
             "stage": self.name,
             "config_hash": self.config_hash,
-            "inputs": {p: _sha256(p) for p in self.inputs},
-            "outputs": {p: _sha256(p) for p in outputs},
+            "inputs": {os.path.basename(p): _sha256(p) for p in self.inputs},
+            "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
             "elapsed_s": round(time.perf_counter() - self.t0, 3),
         }
         with open(self.manifest_path, "w") as fh:
@@ -198,10 +206,10 @@ def cmd_simulate(cfg: PipelineConfig, out_dir=None) -> list:
     """Simulate the scan; writes transmission, air totals, and true pathlengths."""
     stage = Stage("simulate", cfg, out_dir)
     spectrum = cfg.spectrum()
-    counts, trans, p_true = scan_phantom(cfg.phantom(), cfg.geometry(), spectrum, cfg.materials(),
-                                         cfg.dose_scale(spectrum), noise=cfg.noise, seed=cfg.seed)
+    arrays = scan_phantom(cfg.phantom(), cfg.geometry(), spectrum, cfg.materials(),
+                          cfg.dose_scale(spectrum), noise=cfg.noise, seed=cfg.seed)
     written = stage.outputs()
-    for path, arr in zip(written, (trans.t, counts.air_total, p_true)):
+    for path, arr in zip(written, arrays):  # transmission, air totals, true pathlengths
         stage.write(path, arr)
     return stage.finish(written)
 
@@ -234,14 +242,12 @@ def cmd_decompose(cfg: PipelineConfig, method: str, out_dir=None) -> list:
     if (drf.n_channels, drf.n_bins, drf.n_materials) not in (want, (1, *want[1:])):
         raise ConfigError(f"decompose: calibration has (channels, bins, materials) "
                           f"{(drf.n_channels, drf.n_bins, drf.n_materials)}, the config {want}")
-    t_sino, air_rows = t_sino.reshape(air.size, -1), air.ravel()
     t0 = time.perf_counter()
     if method == "mle":
-        result = mle_decompose(t_sino, air_rows, drf, cfg.mle_config())
+        result = mle_decompose(t_sino, air, drf, cfg.mle_config())
         summary = {"iterations": cfg.values["mle"]["n_iter"], "passes": len(result.steps)}
     else:
-        result = run_mace(t_sino, air_rows, drf, cfg.mace_config(domain=drf.domain),
-                          sino_shape=air.shape)
+        result = run_mace(t_sino, air, drf, cfg.mace_config(domain=drf.domain))
         summary = {"iterations": cfg.values["mace"]["n_iter"],
                    "mle_init_passes": len(result.mle_init.steps)}
     elapsed = time.perf_counter() - t0
@@ -262,23 +268,22 @@ def cmd_reconstruct(cfg: PipelineConfig, out_dir=None, methods=None) -> list:
     """FBP material images and the virtual mono-energy image, plus PNG previews."""
     stage = Stage("reconstruct", cfg, out_dir, methods)
     stage.require_inputs()
-    recon = cfg.values["recon"]
+    opts = cfg.values["recon"]
     geometry = cfg.geometry()
-    grid = cfg.grid()
     materials = cfg.materials()
-    # every material of every method in one FBP call, then one image per method
+    # every material of every method in one FBP call, then one image per method;
+    # called through its module, where the benchmark's traced runs wrap it
     columns = np.concatenate([stage.read(path).reshape(geometry.n_rays, -1)
                               for path in stage.inputs], axis=1)
-    image = reconstruct_materials(columns, geometry, grid, hann=recon["hann"])
+    image = recon.fbp_reconstruct(columns, geometry, cfg.grid(), hann=opts["hann"])
     written = []
-    for method, values in zip(stage.methods, np.split(image.values, len(stage.methods), axis=2)):
+    for method, values in zip(stage.methods, np.split(image, len(stage.methods), axis=2)):
         *images, mono_path, png_path = stage.outputs(method)
         for j, path in enumerate(images):
             stage.write(path, values[:, :, j])
-        mono = synthesize_mono(MaterialImage(values, grid), materials, recon["mono_kev"],
-                               hounsfield=True)
-        stage.write(mono_path, mono.values)
-        write_png_preview(png_path, mono.values, recon["window_center"], recon["window_width"])
+        mono = synthesize_mono(values, materials, opts["mono_kev"], hounsfield=True)
+        stage.write(mono_path, mono)
+        write_png_preview(png_path, mono, opts["window_center"], opts["window_width"])
         written += [*images, mono_path, png_path]
     return stage.finish(written)
 

@@ -1,11 +1,12 @@
 """Sinogram-domain prior agents.
 
-A prior agent is any callable (p, sino_shape) -> p mapping a pathlength
-sinogram (M, L), M = n_views * n_channels rows, to a better-behaved one;
-`apply_prior` checks the rows and calls it.  Shipped agents: separable
-Gaussian filtering over the (view, channel) plane per material, optionally
-in a decorrelated (rotated) material space, clipping to the calibration
-domain, and left-to-right compositions.  Learned denoisers enter the same way.
+A prior agent is any callable p -> p mapping a pathlength sinogram, a
+(view, channel, material) array, to a better-behaved one of the same shape;
+`apply_prior` checks that the sinogram is 3-D and calls it.  Shipped agents:
+separable Gaussian filtering over the (view, channel) plane per material,
+optionally in a decorrelated (rotated) material space, clipping to the
+calibration domain, and left-to-right compositions.  Learned denoisers enter
+the same way, on the sinogram as an image with one plane per material.
 """
 
 import math
@@ -50,19 +51,18 @@ class GaussianPrior:
                 raise ToolkitError("prior: rotation must be orthonormal (R^T R = I to 1e-12)")
             object.__setattr__(self, "rotation", r)
 
-    def __call__(self, p: np.ndarray, sino_shape) -> np.ndarray:
-        cube = p.reshape(*sino_shape, -1)
-        if len(self.std) != cube.shape[2]:
+    def __call__(self, p: np.ndarray) -> np.ndarray:
+        if len(self.std) != p.shape[2]:
             raise ToolkitError("prior: need one std entry per material")
         if self.rotation is not None:
-            cube = cube @ self.rotation.T
-        out = np.empty_like(cube)
+            p = p @ self.rotation.T
+        out = np.empty_like(p)
         for l, s in enumerate(self.std):
             sv, sc = _std_pair(s)
-            out[:, :, l] = _filter_axis(_filter_axis(cube[:, :, l], sv, 0), sc, 1)
+            out[:, :, l] = _filter_axis(_filter_axis(p[:, :, l], sv, 0), sc, 1)
         if self.rotation is not None:
             out = out @ self.rotation
-        return out.reshape(p.shape)
+        return out
 
 
 def gaussian_prior(std) -> GaussianPrior:
@@ -78,12 +78,12 @@ def decorrelated_prior(std, rotation=None) -> GaussianPrior:
 
 
 def clip_prior(domain):
-    """Componentwise clamp of every row to the calibration domain."""
+    """Componentwise clamp of every pathlength vector to the calibration domain."""
     lo = np.asarray(domain.lower, dtype=float)
     up = np.asarray(domain.upper, dtype=float)
     if np.any(lo > up):
         raise ToolkitError("prior: clip lower bound exceeds upper bound")
-    return lambda p, sino_shape: np.clip(p, lo, up)
+    return lambda p: np.clip(p, lo, up)
 
 
 def compose_priors(parts):
@@ -92,9 +92,9 @@ def compose_priors(parts):
     if not parts:
         raise ToolkitError("prior: composition must not be empty")
 
-    def composed(p, sino_shape):
+    def composed(p):
         for part in parts:
-            p = apply_prior(part, p, sino_shape)
+            p = apply_prior(part, p)
         return p
     return composed
 
@@ -125,13 +125,9 @@ def _std_pair(s):
     return (float(s), float(s)) if np.isscalar(s) else (float(s[0]), float(s[1]))
 
 
-def apply_prior(prior, p: np.ndarray, sino_shape) -> np.ndarray:
-    """Apply a prior agent to a pathlength sinogram (M, L).
-
-    `sino_shape` is (n_views, n_channels); M must equal their product.
-    """
+def apply_prior(prior, p: np.ndarray) -> np.ndarray:
+    """Apply a prior agent to a (view, channel, material) pathlength sinogram."""
     p = np.asarray(p, dtype=float)
-    v, c = sino_shape
-    if p.shape[0] != v * c:
-        raise ToolkitError(f"prior: {p.shape[0]} rows do not reshape to {v}x{c} sinogram")
-    return prior(p, sino_shape)
+    if p.ndim != 3:
+        raise ToolkitError(f"prior: sinogram must be (view, channel, material), got {p.shape}")
+    return prior(p)

@@ -1,44 +1,17 @@
 """Filtered backprojection and virtual mono-energy synthesis.
 
 2D parallel-beam FBP with a Ram-Lak filter (optional Hann apodization);
-fan-beam data are rebinned to parallel geometry first.  Material images are
-combined pixelwise with tabulated attenuation to form mono-energetic images,
-optionally in the modified Hounsfield convention (air 0, water 1000).
+fan-beam data are rebinned to parallel geometry first.  Material images,
+(n_x, n_y, L) arrays with one plane per material, are combined pixelwise with
+tabulated attenuation to form mono-energetic images, optionally in the
+modified Hounsfield convention (air 0, water 1000).
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ToolkitError
 from .geometry import FAN, PARALLEL, ImageGrid, rebin_fan_to_parallel
 from .materials import load_material
-
-
-@dataclass(frozen=True)
-class MaterialImage:
-    """Fractional-volume image, (n_x, n_y, L); noise may push values negative."""
-
-    values: np.ndarray = field(repr=False)
-    grid: ImageGrid = None
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 3:
-            raise ToolkitError("material image: values must be (n_x, n_y, L)")
-        if not np.all(np.isfinite(v)):
-            raise ToolkitError("material image: values must be finite")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
-class MonoImage:
-    """Virtual mono-energetic image at `energy` keV (1/cm, or HU+1000)."""
-
-    values: np.ndarray = field(repr=False)
-    energy: float = 70.0
-    hounsfield: bool = False
-    grid: ImageGrid = None
 
 
 def _ramp_response(n_pad: int, spacing: float, hann: bool) -> np.ndarray:
@@ -134,34 +107,28 @@ def _backproject(value, slope, geometry, grid: ImageGrid) -> np.ndarray:
     return img.reshape(n, grid.n_x, grid.n_y)
 
 
-def reconstruct_materials(p_sino: np.ndarray, geometry, grid: ImageGrid,
-                          hann: bool = False) -> MaterialImage:
-    """FBP every material column of a pathlength sinogram (M, L) in one call."""
-    return MaterialImage(values=fbp_reconstruct(p_sino, geometry, grid, hann=hann), grid=grid)
-
-
-def synthesize_mono(image: MaterialImage, materials, energy_kev: float,
-                    hounsfield: bool = False) -> MonoImage:
-    """Pixelwise sum of material fractions weighted by attenuation at one energy.
+def synthesize_mono(image: np.ndarray, materials, energy_kev: float,
+                    hounsfield: bool = False) -> np.ndarray:
+    """Pixelwise sum of material fractions weighted by attenuation at one energy:
+    a material image (..., L) gives a mono image (...), in 1/cm.
 
     With `hounsfield`, values are reported as 1000 * mu / mu_water(E), the
     modified scale on which air is 0 and water is 1000.
     """
-    if len(materials) != image.values.shape[2]:
+    if len(materials) != image.shape[-1]:
         raise ToolkitError("synthesize_mono: one material per image channel required")
     mu = np.array([m.mu_at(energy_kev) for m in materials])
-    out = image.values @ mu
+    out = image @ mu
     if hounsfield:
         out = 1000.0 * out / load_material("water").mu_at(energy_kev)
-    return MonoImage(values=out, energy=float(energy_kev), hounsfield=hounsfield,
-                     grid=image.grid)
+    return out
 
 
-def basis_change(image: MaterialImage, matrix: np.ndarray) -> MaterialImage:
-    """Apply an invertible linear map to each pixel's material-fraction vector."""
+def basis_change(image: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Apply an invertible linear map to each pixel's material-fraction vector (..., L)."""
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape[0] != matrix.shape[1] or matrix.shape[0] != image.values.shape[2]:
+    if matrix.shape[0] != matrix.shape[1] or matrix.shape[0] != image.shape[-1]:
         raise ToolkitError("basis_change: matrix must be square, one row per material")
     if abs(np.linalg.det(matrix)) < 1e-300:
         raise ToolkitError("basis_change: matrix is singular")
-    return MaterialImage(values=image.values @ matrix.T, grid=image.grid)
+    return image @ matrix.T

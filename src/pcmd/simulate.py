@@ -9,53 +9,12 @@ scheduling of the views, different seeds give independent noise, and scan
 and calibration streams never coincide.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ToolkitError
 from .materials import mu_matrix
 
 _ROW_CHUNK = 16384  # limits the (rows, n_energies) attenuation temporary
-
-
-@dataclass(frozen=True)
-class CountSinogram:
-    """Expected or sampled photon counts per projection and bin.
-
-    `counts` is (M, K) nonnegative; `air_total` is the per-projection total
-    expected air count (lambda over all bins with no object present).
-    """
-
-    counts: np.ndarray = field(repr=False)
-    air_total: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=float)
-        air = np.asarray(self.air_total, dtype=float)
-        if counts.ndim != 2 or air.shape != (counts.shape[0],):
-            raise ToolkitError("count sinogram: counts must be (M, K) with per-row air totals")
-        if np.any(counts < 0):
-            raise ToolkitError("count sinogram: counts must be nonnegative")
-        if np.any(air <= 0):
-            raise ToolkitError("count sinogram: air totals must be positive")
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "air_total", air)
-
-
-@dataclass(frozen=True)
-class TransmissionSinogram:
-    """Counts normalized by the per-projection air total, (M, K)."""
-
-    t: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        if t.ndim != 2:
-            raise ToolkitError("transmission sinogram: t must be (M, K)")
-        if np.any(t < 0):
-            raise ToolkitError("transmission sinogram: t must be nonnegative")
-        object.__setattr__(self, "t", t)
 
 
 def expected_counts(spectrum, materials, pathlengths: np.ndarray, dose_scale: float = 1.0) -> np.ndarray:
@@ -127,12 +86,13 @@ def sample_poisson(lam: np.ndarray, seed: int, purpose: str = "scan",
 
 def scan_phantom(phantom, geometry, spectrum, materials, dose_scale: float,
                  noise: bool = True, seed: int = 0):
-    """Simulate a full scan: (CountSinogram, TransmissionSinogram, pathlengths).
+    """Simulate a full scan: transmission (M, K), air totals (M,) and pathlengths (M, L).
 
-    Pathlengths through the phantom are exact analytic chord lengths, (M, L);
-    the per-projection air total is the zero-pathlength expectation.  Each
-    view draws its noise from its own stream.  With `noise` off the counts
-    equal their expectations.
+    Rows are projections, view-major.  Transmission is counts over the
+    per-projection air total, the zero-pathlength expectation; pathlengths
+    through the phantom are exact analytic chord lengths.  Each view draws
+    its noise from its own stream.  With `noise` off the counts equal their
+    expectations.
     """
     pts, dirs = geometry.all_rays()
     p = phantom.pathlengths(pts, dirs)
@@ -140,6 +100,4 @@ def scan_phantom(phantom, geometry, spectrum, materials, dose_scale: float,
     counts = (sample_poisson(lam, seed, "scan", rows_per_stream=geometry.n_channels)
               .astype(float) if noise else lam)
     air = np.full(geometry.n_rays, air_counts(spectrum, dose_scale))
-    count_sino = CountSinogram(counts=counts, air_total=air)
-    trans = TransmissionSinogram(t=counts / air[:, None])
-    return count_sino, trans, p
+    return counts / air[:, None], air, p

@@ -8,7 +8,9 @@ a prior agent with the relaxed Mann iteration
     p1 <- 2H(p) - p ; p' <- F(p1) ; p1 <- 2p' - p1 ; p <- (1-rho)p + rho*p1
 
 returning the final detector-agent output p'.  Each F application is the
-partial-update proximal map warm-started at the previous F output.
+partial-update proximal map warm-started at the previous F output.  The
+MACE state is the (view, channel, material) sinogram the prior sees; the
+detector agent sees its rows.
 """
 
 from dataclasses import dataclass, field
@@ -48,7 +50,7 @@ class MaceConfig:
     n_iter: int = 20
     sigma: float = 1.0
     n_sub: int = 1
-    init: object = None  # MleConfig, explicit (M, L) sinogram, or None for default MLE
+    init: object = None  # MleConfig, explicit (view, channel, material) start, or None for default MLE
 
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:
@@ -104,10 +106,7 @@ def _grid_search(t_sino: np.ndarray, drf, grid_points) -> np.ndarray:
     Rows are scored per coefficient set, one matrix product per block of at
     most `_GRID_BLOCK` losses, so memory does not grow with the sinogram.
     """
-    axes = [np.linspace(lo, up, n) for lo, up, n in
-            zip(drf.domain.lower, drf.domain.upper, grid_points)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)        # (G, L)
+    pts = drf.domain.grid(grid_points)                        # (G, L)
     phi = drf.eval_channels(pts)                              # (C, G, K)
     att = _exp_neg(phi).sum(axis=2)                           # (C, G)
     n_chan = phi.shape[0]
@@ -134,7 +133,9 @@ def _diverged_rows(p: np.ndarray, domain) -> np.ndarray:
 
 def mle_decompose(t_sino: np.ndarray, air_totals: np.ndarray, drf,
                   cfg: MleConfig = MleConfig()) -> SolveResult:
-    """Maximum-likelihood pathlengths per projection row.
+    """Maximum-likelihood pathlengths per projection: (..., K) transmission and
+    (...) air totals give (..., L) pathlengths; `flagged_rows` are row-major
+    indices into the projections.
 
     Grid search over the calibration domain seeds up to `cfg.n_iter`
     partial-update refinements with both the tether and the linearization at
@@ -143,8 +144,10 @@ def mle_decompose(t_sino: np.ndarray, air_totals: np.ndarray, drf,
     move.  Rows that leave twice the calibration domain (or go non-finite)
     are re-run through the equilibrium solver with a clip prior.
     """
-    t_sino = np.atleast_2d(np.asarray(t_sino, dtype=float))
-    air = np.broadcast_to(np.asarray(air_totals, dtype=float), (t_sino.shape[0],))
+    t_sino = np.asarray(t_sino, dtype=float)
+    shape = t_sino.shape[:-1]
+    air = np.broadcast_to(np.asarray(air_totals, dtype=float), shape).reshape(-1)
+    t_sino = t_sino.reshape(-1, t_sino.shape[-1])
     p0 = _grid_search(t_sino, drf, cfg.grid_points)
     p = p0.copy()
     params = ProxParams(sigma=cfg.sigma)
@@ -164,43 +167,40 @@ def mle_decompose(t_sino: np.ndarray, air_totals: np.ndarray, drf,
         # and would let the rescue's detector steps overshoot the clip prior
         sub_mace = MaceConfig(prior=clip_prior(drf.domain), rho=0.8, n_iter=25, sigma=1.0)
         redo = _run_mace_rows(t_sino[flagged], air[flagged], drf, sub_mace,
-                              p_init=p0[flagged], sino_shape=(flagged.size, 1),
-                              channels=channels)
-        p[flagged] = redo.p
-    return SolveResult(p=p, flagged_rows=flagged, steps=steps)
+                              p_init=p0[flagged, None], channels=channels)
+        p[flagged] = redo.p[:, 0]
+    return SolveResult(p=p.reshape(*shape, -1), flagged_rows=flagged, steps=steps)
 
 
-def _run_mace_rows(t_sino, air, drf, cfg: MaceConfig, p_init, sino_shape, channels=None):
+def _run_mace_rows(t_sino, air, drf, cfg: MaceConfig, p_init, channels=None):
+    """Mann iteration from a (view, channel, material) `p_init`; rows pair with `t_sino`, `air`."""
     params = ProxParams(sigma=cfg.sigma, n_sub=cfg.n_sub)
-    state = {"p_prime": np.array(p_init, dtype=float, copy=True)}
+    rows = (-1, p_init.shape[-1])
+    state = {"p_prime": p_init.reshape(rows)}
 
     def f_agent(q):
-        out = detector_agent_apply(q, t_sino, air, drf, params,
+        out = detector_agent_apply(q.reshape(rows), t_sino, air, drf, params,
                                    p_prime=state["p_prime"], channels=channels)
         state["p_prime"] = out
-        return out
+        return out.reshape(q.shape)
 
     def h_agent(q):
-        return apply_prior(cfg.prior, q, sino_shape)
+        return apply_prior(cfg.prior, q)
 
     return mann_iterate(p_init, f_agent, h_agent, cfg.rho, cfg.n_iter)
 
 
-def run_mace(t_sino: np.ndarray, air_totals: np.ndarray, drf, cfg: MaceConfig,
-             sino_shape=None) -> SolveResult:
+def run_mace(t_sino: np.ndarray, air_totals: np.ndarray, drf, cfg: MaceConfig) -> SolveResult:
     """Consensus-equilibrium decomposition of a transmission sinogram.
 
-    `sino_shape` (n_views, n_channels) tells the prior how to lay rows out in
-    the sinogram plane; it defaults to a single row of channels.  `cfg.init`
-    may be an MleConfig (default: MleConfig(n_iter=15)), or an explicit
-    starting sinogram.
+    `t_sino` is (view, channel, bin) and `air_totals` (view, channel); the
+    result is (view, channel, material).  `cfg.init` may be an MleConfig
+    (default: MleConfig(n_iter=15)), or an explicit starting sinogram.
     """
-    t_sino = np.atleast_2d(np.asarray(t_sino, dtype=float))
-    air = np.broadcast_to(np.asarray(air_totals, dtype=float), (t_sino.shape[0],))
-    if sino_shape is None:
-        sino_shape = (1, t_sino.shape[0])
-    if sino_shape[0] * sino_shape[1] != t_sino.shape[0]:
-        raise ToolkitError("mace: sino_shape does not match row count")
+    t_sino = np.asarray(t_sino, dtype=float)
+    if t_sino.ndim != 3:
+        raise ToolkitError(f"mace: transmission must be (view, channel, bin), got {t_sino.shape}")
+    air = np.broadcast_to(np.asarray(air_totals, dtype=float), t_sino.shape[:2])
     init = cfg.init
     mle = None
     if init is None:
@@ -210,8 +210,9 @@ def run_mace(t_sino: np.ndarray, air_totals: np.ndarray, drf, cfg: MaceConfig,
         p_init = mle.p
     else:
         p_init = np.asarray(init, dtype=float)
-        if p_init.shape != (t_sino.shape[0], drf.n_materials):
+        if p_init.shape != (*t_sino.shape[:2], drf.n_materials):
             raise ToolkitError("mace: init sinogram shape mismatch")
-    result = _run_mace_rows(t_sino, air, drf, cfg, p_init, sino_shape)
+    result = _run_mace_rows(t_sino.reshape(-1, t_sino.shape[2]), air.reshape(-1), drf, cfg,
+                            p_init)
     result.mle_init = mle
     return result

@@ -14,7 +14,7 @@ from pcmd.materials import load_material
 from pcmd.metrics import RoiCircle, RoiSpec, cnr, roi_stats
 from pcmd.phantom import Disk, Phantom, low_contrast_phantom
 from pcmd.priors import gaussian_prior
-from pcmd.recon import fbp_reconstruct, reconstruct_materials, synthesize_mono
+from pcmd.recon import fbp_reconstruct, synthesize_mono
 from pcmd.simulate import expected_counts, sample_poisson, scan_phantom
 from pcmd.solver import MaceConfig, MleConfig, mann_iterate, mle_decompose, run_mace
 from pcmd.spectrum import filtered_kramers
@@ -48,18 +48,17 @@ def cnr_experiment(desk):
     materials, spectrum, geometry, grid, drf = desk
     phantom = low_contrast_phantom()
     t0 = time.perf_counter()
-    counts, trans, _ = scan_phantom(phantom, geometry, spectrum, materials,
-                                    AIR_COUNTS / spectrum.total_fluence, noise=True, seed=SEED)
-    air = counts.air_total
-    mle = mle_decompose(trans.t, air, drf, MleConfig(n_iter=100))
-    mace = run_mace(trans.t, air, drf,
+    t, air, _ = scan_phantom(phantom, geometry, spectrum, materials,
+                             AIR_COUNTS / spectrum.total_fluence, noise=True, seed=SEED)
+    mle = mle_decompose(t, air, drf, MleConfig(n_iter=100))
+    sino = (geometry.n_views, geometry.n_channels)
+    mace = run_mace(t.reshape(*sino, -1), air.reshape(sino), drf,
                     MaceConfig(prior=gaussian_prior([PRIOR_STD, PRIOR_STD]), rho=0.8,
-                               n_iter=20, sigma=MACE_SIGMA, init=MleConfig(n_iter=15)),
-                    sino_shape=(geometry.n_views, geometry.n_channels))
+                               n_iter=20, sigma=MACE_SIGMA, init=MleConfig(n_iter=15)))
     images = {}
     for name, p in (("mle", mle.p), ("mace", mace.p)):
-        mat_img = reconstruct_materials(p, geometry, grid)
-        images[name] = synthesize_mono(mat_img, materials, 70.0, hounsfield=True).values
+        mat_img = fbp_reconstruct(p.reshape(geometry.n_rays, -1), geometry, grid)
+        images[name] = synthesize_mono(mat_img, materials, 70.0, hounsfield=True)
     elapsed = time.perf_counter() - t0
     target = RoiCircle("insert_1p01", (5.0, 0.0), 0.9)
     background = RoiCircle("background", (2.5, 4.33), 1.2)
@@ -95,11 +94,11 @@ def test_criterion_3_mle_consistency(desk):
     materials, spectrum, geometry, grid, drf = desk
     phantom = low_contrast_phantom()
     t0 = time.perf_counter()
-    counts, trans, _ = scan_phantom(phantom, geometry, spectrum, materials,
-                                    AIR_COUNTS / spectrum.total_fluence, noise=False)
+    t, air, _ = scan_phantom(phantom, geometry, spectrum, materials,
+                             AIR_COUNTS / spectrum.total_fluence, noise=False)
     pts, dirs = geometry.all_rays()
     p_true = phantom.pathlengths(pts, dirs)
-    res = mle_decompose(trans.t, counts.air_total, drf, MleConfig(n_iter=100))
+    res = mle_decompose(t, air, drf, MleConfig(n_iter=100))
     err = np.abs(res.p - p_true).max()
     elapsed = time.perf_counter() - t0
     ok = err < 1e-3 and elapsed <= 120.0
@@ -228,8 +227,8 @@ def test_criterion_8_fbp_fidelity():
 def test_criterion_9_throughput_note(desk):
     materials, spectrum, geometry, _, drf = desk
     phantom = low_contrast_phantom()
-    counts, trans, _ = scan_phantom(phantom, geometry, spectrum, materials,
-                                    AIR_COUNTS / spectrum.total_fluence, noise=True, seed=1)
+    t, air, _ = scan_phantom(phantom, geometry, spectrum, materials,
+                             AIR_COUNTS / spectrum.total_fluence, noise=True, seed=1)
     pts, dirs = geometry.all_rays()
     p = phantom.pathlengths(pts, dirs)
     params = ProxParams(sigma=1.0e3, n_sub=1)
@@ -237,7 +236,7 @@ def test_criterion_9_throughput_note(desk):
     t0 = time.perf_counter()
     q = p
     for _ in range(n_iter):
-        q = detector_agent_apply(q, trans.t, counts.air_total, drf, params, p_prime=q)
+        q = detector_agent_apply(q, t, air, drf, params, p_prime=q)
     dt = time.perf_counter() - t0
     import os
 

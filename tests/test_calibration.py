@@ -31,6 +31,13 @@ def test_measure_drf_zero_counts_names_the_pair():
         measure_drf(counts, 100.0)
 
 
+def test_domain_grid_includes_the_bounds_with_the_last_material_fastest():
+    pts = CalibrationDomain(lower=[0.0, 1.0], upper=[40.0, 5.0]).grid((3, 2))
+    assert np.array_equal(pts, [[0, 1], [0, 5], [20, 1], [20, 5], [40, 1], [40, 5]])
+    assert np.array_equal(default_design(points_per_axis=(3, 2)).pathlength_points,
+                          DEFAULT_DOMAIN.grid((3, 2)))
+
+
 def test_measured_samples_match_direct_recomputation(default_spectrum, basis_materials,
                                                      single_channel_geometry):
     design = default_design(points_per_axis=(5, 5))
@@ -203,8 +210,8 @@ def test_dense_grid_validation_residual(default_spectrum, basis_materials, noise
 
 def test_response_nearly_affine_in_pathlength(noiseless_drf):
     # narrow bins: quadratic-and-higher coefficients stay small next to linear
-    powers = noiseless_drf._powers
-    total = powers.sum(axis=1)
+    shape = (noiseless_drf.order + 1,) * noiseless_drf.n_materials
+    total = np.indices(shape).reshape(len(shape), -1).sum(axis=0)  # each coefficient's degree
     theta = noiseless_drf.theta[0]
     lin = np.linalg.norm(theta[:, total == 1], axis=1)
     high = np.linalg.norm(theta[:, total >= 2], axis=1)

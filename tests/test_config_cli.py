@@ -12,6 +12,7 @@ from pcmd.arrayio import read_array, write_array
 from pcmd.cli import main
 from pcmd.config import PipelineConfig
 from pcmd.errors import ConfigError
+from pcmd.pipeline import STAGES, Stage
 from pcmd.priors import apply_prior, gaussian_prior, rotation_matrix
 
 SHIPPED = os.path.join(os.path.dirname(__file__), "..", "configs", "low_contrast.json")
@@ -248,11 +249,10 @@ def test_decorrelated_prior_accepts_std_pairs():
                     "rotation_deg": 30.0}
     prior = PipelineConfig(cfg).prior()
     assert prior.std == ((1.0, 2.0), 1.5)
-    shape = (12, 10)
-    p = np.random.default_rng(3).normal(size=(120, 2))
+    p = np.random.default_rng(3).normal(size=(12, 10, 2))
     rot = rotation_matrix(math.radians(30.0))
-    expected = apply_prior(gaussian_prior([(1.0, 2.0), 1.5]), p @ rot.T, shape) @ rot
-    assert np.allclose(apply_prior(prior, p, shape), expected, rtol=0, atol=1e-12)
+    expected = apply_prior(gaussian_prior([(1.0, 2.0), 1.5]), p @ rot.T) @ rot
+    assert np.allclose(apply_prior(prior, p), expected, rtol=0, atol=1e-12)
 
 
 # --- property: one hostile edit of the shipped config at a time ---
@@ -556,6 +556,51 @@ def test_malformed_manifest_is_stale(pipeline_dir, tmp_path, capsys):
     assert "Traceback" not in captured.err
     assert (tmp_path / "stats.csv").read_bytes() == (out / "stats.csv").read_bytes()
     assert json.loads((tmp_path / "manifest_evaluate.json").read_text())["stage"] == "evaluate"
+
+
+def test_a_copied_directory_is_judged_by_its_own_files(pipeline_dir, tmp_path, capsys):
+    out, config_path = pipeline_dir
+    for path in out.iterdir():
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    t, labels = read_array(tmp_path / "transmission.pcmd")
+    write_array(tmp_path / "transmission.pcmd", t / 2.0, labels)
+    cfg = PipelineConfig.from_file(config_path)
+    assert all(Stage(name, cfg, str(out)).up_to_date() for name in STAGES)
+    stale = [name for name in STAGES if not Stage(name, cfg, str(tmp_path)).up_to_date()]
+    assert stale == ["simulate", "decompose_mle", "decompose_mace"]
+    assert main(["pipeline", "--config", config_path, "--out", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out
+    assert printed.count("up to date, skipping") == 5 and "simulate up to date" not in printed
+    assert (tmp_path / "transmission.pcmd").read_bytes() == (out / "transmission.pcmd").read_bytes()
+    # a manifest keyed by path, as written before keys became file names, is stale
+    manifest = json.loads((tmp_path / "manifest_calibrate.json").read_text())
+    manifest["outputs"] = {str(tmp_path / k): v for k, v in manifest["outputs"].items()}
+    (tmp_path / "manifest_calibrate.json").write_text(json.dumps(manifest))
+    assert not Stage("calibrate", cfg, str(tmp_path)).up_to_date()
+
+
+UNUSABLE_PATHS = ["--out is a file", "--out under a file", "output_dir is a file",
+                  "--config is a directory", "--config is not UTF-8"]
+
+
+@pytest.mark.parametrize("case", UNUSABLE_PATHS)
+def test_unusable_paths_exit_2_naming_the_path(tmp_path, capsys, case):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory")
+    cfg = tiny_config(taken if case == "output_dir is a file" else tmp_path / "out")
+    config = write_config(tmp_path, cfg)
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(json.dumps(cfg).replace("pvc", "p\xe9c").encode("latin-1"))
+    argv, path = {
+        "--out is a file": (["--config", config, "--out", str(taken)], taken),
+        "--out under a file": (["--config", config, "--out", str(taken / "sub")], taken / "sub"),
+        "output_dir is a file": (["--config", config], taken),
+        "--config is a directory": (["--config", str(tmp_path)], tmp_path),
+        "--config is not UTF-8": (["--config", str(latin1)], latin1),
+    }[case]
+    assert main(["simulate", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(path) in err and "Traceback" not in err
 
 
 def test_same_seed_reproduces_noisy_outputs(tmp_path):

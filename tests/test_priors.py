@@ -13,13 +13,13 @@ SHAPE = (24, 18)
 
 def random_sino(seed, channels=2):
     rng = np.random.default_rng(seed)
-    return rng.normal(size=(SHAPE[0] * SHAPE[1], channels))
+    return rng.normal(size=SHAPE + (channels,))
 
 
 def test_gaussian_preserves_constants():
     spec = gaussian_prior([2.0, 1.0])
-    p = np.full((SHAPE[0] * SHAPE[1], 2), 3.7)
-    out = apply_prior(spec, p, SHAPE)
+    p = np.full(SHAPE + (2,), 3.7)
+    out = apply_prior(spec, p)
     assert np.abs(out - 3.7).max() < 1e-12
 
 
@@ -32,13 +32,13 @@ def test_gaussian_kernel_truncated_at_four_sigma():
 
 def test_impulse_matches_dense_convolution_oracle():
     std = 2.0
-    p = np.zeros((SHAPE[0] * SHAPE[1], 1))
-    p[7 * SHAPE[1] + 9] = 1.0
-    got = apply_prior(gaussian_prior([std]), p, SHAPE).reshape(SHAPE)
+    p = np.zeros(SHAPE + (1,))
+    p[7, 9] = 1.0
+    got = apply_prior(gaussian_prior([std]), p)[:, :, 0]
     k = gaussian_kernel(std)
     r = (k.size - 1) // 2
     k2 = np.outer(k, k)
-    padded = np.pad(p.reshape(SHAPE), r, mode="symmetric")
+    padded = np.pad(p[:, :, 0], r, mode="symmetric")
     dense = np.empty(SHAPE)
     for i in range(SHAPE[0]):
         for j in range(SHAPE[1]):
@@ -49,15 +49,15 @@ def test_impulse_matches_dense_convolution_oracle():
 def test_gaussian_is_linear():
     spec = gaussian_prior([1.5, 2.5])
     a, b = random_sino(1), random_sino(2)
-    lhs = apply_prior(spec, 2.0 * a - 0.5 * b, SHAPE)
-    rhs = 2.0 * apply_prior(spec, a, SHAPE) - 0.5 * apply_prior(spec, b, SHAPE)
+    lhs = apply_prior(spec, 2.0 * a - 0.5 * b)
+    rhs = 2.0 * apply_prior(spec, a) - 0.5 * apply_prior(spec, b)
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
 def test_anisotropic_std_pairs():
     spec = gaussian_prior([(3.0, 1.0), 1.0])
     p = random_sino(3)
-    out = apply_prior(spec, p, SHAPE).reshape(SHAPE + (2,))
+    out = apply_prior(spec, p)
     # stronger smoothing along views than channels for material 0
     dv = np.abs(np.diff(out[:, :, 0], axis=0)).mean()
     dc = np.abs(np.diff(out[:, :, 0], axis=1)).mean()
@@ -66,36 +66,35 @@ def test_anisotropic_std_pairs():
 
 def test_clip_examples_and_idempotence():
     spec = clip_prior(DEFAULT_DOMAIN)
-    out = apply_prior(spec, np.array([[-1.0, 7.0]]), (1, 1))
-    assert np.array_equal(out, [[0.0, 5.0]])
+    out = apply_prior(spec, np.array([[[-1.0, 7.0]]]))
+    assert np.array_equal(out, [[[0.0, 5.0]]])
     p = random_sino(4) * 10.0
-    once = apply_prior(spec, p, SHAPE)
-    assert np.array_equal(apply_prior(spec, once, SHAPE), once)
+    once = apply_prior(spec, p)
+    assert np.array_equal(apply_prior(spec, once), once)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.floats(-50, 50), st.floats(-50, 50))
 def test_clip_idempotent_hypothesis(a, b):
     spec = clip_prior(DEFAULT_DOMAIN)
-    p = np.array([[a, b]])
-    once = apply_prior(spec, p, (1, 1))
-    assert np.array_equal(apply_prior(spec, once, (1, 1)), once)
+    p = np.array([[[a, b]]])
+    once = apply_prior(spec, p)
+    assert np.array_equal(apply_prior(spec, once), once)
     assert np.all(once >= DEFAULT_DOMAIN.lower) and np.all(once <= DEFAULT_DOMAIN.upper)
 
 
 def test_identity_rotation_equals_plain_gaussian():
     p = random_sino(5)
-    plain = apply_prior(gaussian_prior([2.0, 2.0]), p, SHAPE)
-    decor = apply_prior(decorrelated_prior([2.0, 2.0], rotation=np.eye(2)), p, SHAPE)
+    plain = apply_prior(gaussian_prior([2.0, 2.0]), p)
+    decor = apply_prior(decorrelated_prior([2.0, 2.0], rotation=np.eye(2)), p)
     assert np.abs(plain - decor).max() < 1e-14
 
 
 def test_equal_stds_commute_with_any_rotation():
     p = random_sino(6)
-    plain = apply_prior(gaussian_prior([1.8, 1.8]), p, SHAPE)
+    plain = apply_prior(gaussian_prior([1.8, 1.8]), p)
     for angle in (0.3, np.pi / 4, 1.2):
-        decor = apply_prior(decorrelated_prior([1.8, 1.8], rotation=rotation_matrix(angle)),
-                            p, SHAPE)
+        decor = apply_prior(decorrelated_prior([1.8, 1.8], rotation=rotation_matrix(angle)), p)
         assert np.abs(plain - decor).max() < 1e-12
 
 
@@ -117,9 +116,9 @@ def test_single_agents_are_nonexpansive():
              clip_prior(DEFAULT_DOMAIN)]
     for spec in specs:
         for _ in range(50):
-            a = rng.normal(scale=3.0, size=(SHAPE[0] * SHAPE[1], 2))
-            b = rng.normal(scale=3.0, size=(SHAPE[0] * SHAPE[1], 2))
-            num = np.linalg.norm(apply_prior(spec, a, SHAPE) - apply_prior(spec, b, SHAPE))
+            a = rng.normal(scale=3.0, size=SHAPE + (2,))
+            b = rng.normal(scale=3.0, size=SHAPE + (2,))
+            num = np.linalg.norm(apply_prior(spec, a) - apply_prior(spec, b))
             assert num <= np.linalg.norm(a - b) * (1.0 + 1e-12)
 
 
@@ -128,9 +127,9 @@ def test_composition_nonexpansiveness_logged_not_asserted(capsys):
     spec = compose_priors([gaussian_prior([2.0, 2.0]), clip_prior(DEFAULT_DOMAIN)])
     worst = 0.0
     for _ in range(50):
-        a = rng.normal(scale=3.0, size=(SHAPE[0] * SHAPE[1], 2))
-        b = rng.normal(scale=3.0, size=(SHAPE[0] * SHAPE[1], 2))
-        num = np.linalg.norm(apply_prior(spec, a, SHAPE) - apply_prior(spec, b, SHAPE))
+        a = rng.normal(scale=3.0, size=SHAPE + (2,))
+        b = rng.normal(scale=3.0, size=SHAPE + (2,))
+        num = np.linalg.norm(apply_prior(spec, a) - apply_prior(spec, b))
         worst = max(worst, num / np.linalg.norm(a - b))
     print(f"composition expansion ratio (informational): {worst:.6f}")
 
@@ -138,21 +137,28 @@ def test_composition_nonexpansiveness_logged_not_asserted(capsys):
 def test_composition_applies_left_to_right():
     spec = compose_priors([clip_prior(DEFAULT_DOMAIN), gaussian_prior([1.0, 1.0])])
     p = random_sino(9) * 30.0
-    manual = apply_prior(gaussian_prior([1.0, 1.0]),
-                         apply_prior(clip_prior(DEFAULT_DOMAIN), p, SHAPE), SHAPE)
-    assert np.array_equal(apply_prior(spec, p, SHAPE), manual)
+    manual = apply_prior(gaussian_prior([1.0, 1.0]), apply_prior(clip_prior(DEFAULT_DOMAIN), p))
+    assert np.array_equal(apply_prior(spec, p), manual)
 
 
 def test_custom_callable_agent():
     p = random_sino(10)
-    assert np.array_equal(apply_prior(lambda q, shape: 0.5 * q, p, SHAPE), 0.5 * p)
-    assert np.array_equal(apply_prior(lambda q, s: q + 1.0, p, SHAPE), p + 1.0)
+    assert np.array_equal(apply_prior(lambda q: 0.5 * q, p), 0.5 * p)
+    assert np.array_equal(apply_prior(lambda q: q + 1.0, p), p + 1.0)
 
 
-def test_shape_mismatch_raises():
-    for prior in (gaussian_prior([1.0, 1.0]), lambda q, shape: q):
-        with pytest.raises(ToolkitError, match="reshape"):
-            apply_prior(prior, random_sino(11), (10, 10))
+def test_bare_callable_receives_the_view_channel_material_cube():
+    seen = []
+    p = random_sino(12)
+    out = apply_prior(lambda q: seen.append(q) or q, p)
+    assert seen[0].shape == SHAPE + (2,) and np.array_equal(seen[0], p)
+    assert np.array_equal(out, p)
+
+
+def test_shape_mismatch_raises():  # a 2-D (rows, material) sinogram
+    for prior in (gaussian_prior([1.0, 1.0]), clip_prior(DEFAULT_DOMAIN), lambda q: q):
+        with pytest.raises(ToolkitError, match="view, channel, material"):
+            apply_prior(prior, random_sino(11).reshape(-1, 2))
 
 
 def test_spec_validation():

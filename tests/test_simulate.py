@@ -5,7 +5,8 @@ from scipy import stats
 from pcmd.errors import ToolkitError
 from pcmd.materials import load_material
 from pcmd.phantom import Phantom, water_equivalent_disk
-from pcmd.simulate import PURPOSE, expected_counts, sample_poisson, scan_phantom, stream
+from pcmd.simulate import (PURPOSE, air_counts, expected_counts, sample_poisson, scan_phantom,
+                           stream)
 from pcmd.spectrum import SourceSpectrum
 
 
@@ -146,20 +147,21 @@ def test_poisson_chi_square_goodness_of_fit(lam):
 def test_empty_phantom_noiseless_rows_sum_to_one(default_spectrum, basis_materials,
                                                  small_geometry):
     ph = Phantom(disks=(), n_materials=2)
-    counts, trans, _ = scan_phantom(ph, small_geometry, default_spectrum, basis_materials,
-                                    dose_scale=5.0, noise=False)
-    assert np.abs(trans.t.sum(axis=1) - 1.0).max() < 1e-12
-    assert np.allclose(trans.t, default_spectrum.bin_fractions()[None, :], atol=1e-12)
+    t, _, _ = scan_phantom(ph, small_geometry, default_spectrum, basis_materials,
+                           dose_scale=5.0, noise=False)
+    assert np.abs(t.sum(axis=1) - 1.0).max() < 1e-12
+    assert np.allclose(t, default_spectrum.bin_fractions()[None, :], atol=1e-12)
 
 
 def test_noise_off_counts_equal_expectation(default_spectrum, basis_materials, small_geometry):
     ph = Phantom(disks=(water_equivalent_disk((0, 0), 5.0, 1.0),), n_materials=2)
-    counts, _, p = scan_phantom(ph, small_geometry, default_spectrum, basis_materials,
-                                dose_scale=7.0, noise=False)
+    t, air, p = scan_phantom(ph, small_geometry, default_spectrum, basis_materials,
+                             dose_scale=7.0, noise=False)
     pts, dirs = small_geometry.all_rays()
     assert np.array_equal(p, ph.pathlengths(pts, dirs))
     lam = expected_counts(default_spectrum, basis_materials, p, 7.0)
-    assert np.array_equal(counts.counts, lam)
+    assert np.all(air == air_counts(default_spectrum, 7.0))
+    assert np.array_equal(t, lam / air[:, None])
 
 
 def test_scan_central_ray_sees_disk_diameter(default_spectrum, basis_materials):

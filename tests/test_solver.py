@@ -290,13 +290,13 @@ def test_early_stop_keeps_the_divergent_row_rescue(noiseless_drf, monkeypatch):
 
 
 def test_run_mace_reports_its_mle_start(default_spectrum, basis_materials, noiseless_drf):
-    p_true = np.tile([[10.0, 1.0]], (4, 1))
-    t = noiseless_rows(default_spectrum, basis_materials, p_true)
-    cfg = MaceConfig(prior=lambda p, s: p, n_iter=2, init=MleConfig(n_iter=15))
-    res = run_mace(t, np.full(4, 1.0e4), noiseless_drf, cfg)
+    p_true = np.tile([[10.0, 1.0]], (1, 4, 1))
+    t = noiseless_rows(default_spectrum, basis_materials, p_true[0])[None]
+    cfg = MaceConfig(prior=lambda p: p, n_iter=2, init=MleConfig(n_iter=15))
+    res = run_mace(t, np.full((1, 4), 1.0e4), noiseless_drf, cfg)
     assert 1 <= len(res.mle_init.steps) < 15
     explicit = MaceConfig(prior=cfg.prior, n_iter=2, init=p_true.copy())
-    assert run_mace(t, np.full(4, 1.0e4), noiseless_drf, explicit).mle_init is None
+    assert run_mace(t, np.full((1, 4), 1.0e4), noiseless_drf, explicit).mle_init is None
 
 
 # --- consensus equilibrium on simulated rows ---
@@ -307,11 +307,11 @@ def test_run_mace_identity_prior_stays_near_mle(default_spectrum, basis_material
     m = 24
     p_true = rng.uniform([2, 0.2], [20, 1.5], size=(m, 2))
     t = noiseless_rows(default_spectrum, basis_materials, p_true)
-    air = np.full(m, 3.0e5)
-    cfg = MaceConfig(prior=lambda p, s: p, rho=0.8, n_iter=40, sigma=10.0,
+    air = np.full((1, m), 3.0e5)
+    cfg = MaceConfig(prior=lambda p: p, rho=0.8, n_iter=40, sigma=10.0,
                      init=MleConfig(n_iter=15))
-    res = run_mace(t, air, noiseless_drf, cfg)
-    assert np.abs(res.p - p_true).max() < 1e-4
+    res = run_mace(t[None], air, noiseless_drf, cfg)
+    assert np.abs(res.p[0] - p_true).max() < 1e-4
     assert len(res.residuals) == 40
 
 
@@ -319,15 +319,13 @@ def test_run_mace_explicit_init_and_shape_checks(default_spectrum, basis_materia
                                                  noiseless_drf):
     m = 6
     p_true = np.tile([[10.0, 1.0]], (m, 1))
-    t = noiseless_rows(default_spectrum, basis_materials, p_true)
-    air = np.full(m, 1.0e4)
-    cfg = MaceConfig(prior=lambda p, s: p, rho=0.8, n_iter=2,
-                     init=p_true.copy())
-    res = run_mace(t, air, noiseless_drf, cfg, sino_shape=(2, 3))
-    assert res.p.shape == (m, 2)
-    with pytest.raises(ToolkitError, match="sino_shape"):
-        run_mace(t, air, noiseless_drf, cfg, sino_shape=(4, 3))
-    bad = MaceConfig(prior=lambda p, s: p, init=np.zeros((m + 1, 2)))
+    t = noiseless_rows(default_spectrum, basis_materials, p_true).reshape(2, 3, -1)
+    air = np.full((2, 3), 1.0e4)
+    cfg = MaceConfig(prior=lambda p: p, rho=0.8, n_iter=2,
+                     init=p_true.reshape(2, 3, 2))
+    res = run_mace(t, air, noiseless_drf, cfg)
+    assert res.p.shape == (2, 3, 2)
+    bad = MaceConfig(prior=lambda p: p, init=np.zeros((2, 4, 2)))
     with pytest.raises(ToolkitError, match="init"):
         run_mace(t, air, noiseless_drf, bad)
 
@@ -347,6 +345,40 @@ def test_run_mace_gaussian_prior_smooths_noisy_rows(default_spectrum, basis_mate
     mle = mle_decompose(t, np.full(m, air), noiseless_drf, MleConfig(n_iter=30))
     cfg = MaceConfig(prior=gaussian_prior([2.0, 2.0]), rho=0.8, n_iter=15, sigma=0.1,
                      init=MleConfig(n_iter=15))
-    mace = run_mace(t, np.full(m, air), noiseless_drf, cfg, sino_shape=(v, c))
-    assert mace.p[:, 0].std() < 0.35 * mle.p[:, 0].std()
-    assert abs(mace.p[:, 0].mean() - mle.p[:, 0].mean()) < 0.02 * abs(mle.p[:, 0].mean())
+    mace = run_mace(t.reshape(v, c, -1), np.full((v, c), air), noiseless_drf, cfg)
+    assert mace.p[..., 0].std() < 0.35 * mle.p[:, 0].std()
+    assert abs(mace.p[..., 0].mean() - mle.p[:, 0].mean()) < 0.02 * abs(mle.p[:, 0].mean())
+
+
+def test_mle_on_a_view_channel_cube_equals_the_row_call_bit_for_bit(default_spectrum,
+                                                                    basis_materials,
+                                                                    noiseless_drf):
+    rng = np.random.default_rng(12)
+    p_true = rng.uniform([0.3, 0.05], [25, 2], size=(12, 2))
+    t = noiseless_rows(default_spectrum, basis_materials, p_true)
+    t[[2, 7]] = 0.0   # two rows for the clip-prior rescue
+    air = rng.uniform(1.0e4, 3.0e5, size=12)
+    rows = mle_decompose(t, air, noiseless_drf, MleConfig(n_iter=20))
+    cube = mle_decompose(t.reshape(3, 4, -1), air.reshape(3, 4), noiseless_drf,
+                         MleConfig(n_iter=20))
+    assert cube.p.shape == (3, 4, 2)
+    assert np.array_equal(cube.p, rows.p.reshape(3, 4, 2))
+    assert np.array_equal(cube.flagged_rows, rows.flagged_rows)
+    assert rows.flagged_rows.tolist() == [2, 7] and cube.steps == rows.steps
+
+
+def test_run_mace_hands_a_bare_callable_prior_the_cube(default_spectrum, basis_materials,
+                                                      noiseless_drf):
+    p_true = np.tile([10.0, 1.0], (2, 3, 1))
+    t = noiseless_rows(default_spectrum, basis_materials, p_true.reshape(6, 2))
+    shapes = []
+    cfg = MaceConfig(prior=lambda p: shapes.append(p.shape) or p, n_iter=3, init=p_true)
+    res = run_mace(t.reshape(2, 3, -1), np.full((2, 3), 1.0e4), noiseless_drf, cfg)
+    assert shapes == [(2, 3, 2)] * 3 and res.p.shape == (2, 3, 2)
+
+
+def test_run_mace_rejects_transmission_rows(default_spectrum, basis_materials, noiseless_drf):
+    t = noiseless_rows(default_spectrum, basis_materials, np.tile([10.0, 1.0], (6, 1)))
+    cfg = MaceConfig(prior=lambda p: p, n_iter=2)
+    with pytest.raises(ToolkitError, match=r"mace: transmission must be \(view, channel, bin\)"):
+        run_mace(t, np.full(6, 1.0e4), noiseless_drf, cfg)
