@@ -110,5 +110,5 @@ def write_png_preview(path, image: np.ndarray, window_center: float, window_widt
     with open(path, "wb") as fh:
         fh.write(b"\x89PNG\r\n\x1a\n")
         fh.write(_png_chunk(b"IHDR", ihdr))
-        fh.write(_png_chunk(b"IDAT", zlib.compress(raw, 9)))
+        fh.write(_png_chunk(b"IDAT", zlib.compress(raw, 6)))
         fh.write(_png_chunk(b"IEND", b""))

@@ -11,6 +11,7 @@ consumes, so `pipeline`, a loop over `STAGES`, skips a stage whose manifest
 still matches.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -27,7 +28,7 @@ from .errors import ConfigError, ToolkitError
 from .metrics import cnr, roi_stats
 from .recon import synthesize_mono
 from .simulate import scan_phantom
-from .solver import mle_decompose, run_mace
+from .solver import mle_decompose, run_mace, same_mle_at_cap
 
 METHODS = ("mle", "mace")
 
@@ -112,7 +113,8 @@ def _files(templates, cfg: PipelineConfig, out: str, methods=()) -> list:
 class Stage:
     """One run of a stage of `STAGES`: its directory (`out_dir`, else the config's,
     relative to the config file), the `methods` (default: all) whose input files
-    exist, its array files and its manifest."""
+    exist, its array files and its manifest.  An output or manifest path taken by
+    a directory is a ConfigError (exit 2) before the stage computes anything."""
 
     def __init__(self, name: str, cfg: PipelineConfig, out_dir=None, methods=None):
         out = out_dir or cfg.output_dir
@@ -131,6 +133,10 @@ class Stage:
         self.sizes = {"view": v["geometry"]["n_views"], "channel": v["geometry"]["n_channels"],
                       "bin": v["spectrum"]["n_bins"], "material": len(cfg.material_names),
                       "x": v["grid"]["n_x"], "y": v["grid"]["n_y"]}
+        for path in [*_files(self.spec.outputs, cfg, self.out_dir, self.methods),
+                     self.manifest_path]:
+            if os.path.isdir(path):
+                raise ConfigError(f"{name}: output path {path} is a directory")
         self.t0 = time.perf_counter()
 
     def outputs(self, method=None) -> list:
@@ -229,6 +235,22 @@ def cmd_calibrate(cfg: PipelineConfig, out_dir=None) -> list:
     return stage.finish(written)
 
 
+def _mle_start(cfg: PipelineConfig, out: str, n_iter: int):
+    """The MLE stage's sinogram in `out` and its pass count, when that sinogram is
+    the start MACE would compute, an MLE capped at `n_iter` passes: its log passes
+    `same_mle_at_cap` and its manifest is current.  Else None, and MACE computes it."""
+    try:
+        mle = Stage("decompose_mle", cfg, out)
+        path, log_path = mle.outputs()
+        with open(log_path) as fh:
+            steps = [float(r["max_step_cm"]) for r in map(json.loads, fh) if "pass" in r]
+    except (ConfigError, OSError, ValueError, LookupError, TypeError):  # unusable or malformed
+        return None
+    if not (same_mle_at_cap(steps, n_iter) and mle.up_to_date()):
+        return None
+    return mle.read(path), len(steps)
+
+
 def cmd_decompose(cfg: PipelineConfig, method: str, out_dir=None) -> list:
     """Decompose the transmission sinogram into material pathlengths."""
     if method not in METHODS:
@@ -247,9 +269,14 @@ def cmd_decompose(cfg: PipelineConfig, method: str, out_dir=None) -> list:
         result = mle_decompose(t_sino, air, drf, cfg.mle_config())
         summary = {"iterations": cfg.values["mle"]["n_iter"], "passes": len(result.steps)}
     else:
-        result = run_mace(t_sino, air, drf, cfg.mace_config(domain=drf.domain))
+        mace = cfg.mace_config(domain=drf.domain)
+        start = _mle_start(cfg, stage.out_dir, mace.init.n_iter)
+        if start is not None:
+            mace = dataclasses.replace(mace, init=start[0])
+        result = run_mace(t_sino, air, drf, mace)
         summary = {"iterations": cfg.values["mace"]["n_iter"],
-                   "mle_init_passes": len(result.mle_init.steps)}
+                   "mle_init_passes": start[1] if start else len(result.mle_init.steps),
+                   "mle_init_reused": start is not None}
     elapsed = time.perf_counter() - t0
 
     path, log_path = stage.outputs()

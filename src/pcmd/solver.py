@@ -23,7 +23,7 @@ from .priors import apply_prior, clip_prior
 
 _DIVERGED_SPAN_FACTOR = 1.0  # rows beyond domain inflated by one full span are suspect
 _STOP_CM = 1.0e-10  # largest row step (cm) after which MLE refinement stops
-_GRID_BLOCK = 1 << 19  # loss entries (rows x grid points) per grid-search product
+_GRID_BLOCK = 1 << 16  # loss entries (rows x grid points) per grid-search product: 0.5 MB, kept in cache
 
 
 @dataclass(frozen=True)
@@ -170,6 +170,18 @@ def mle_decompose(t_sino: np.ndarray, air_totals: np.ndarray, drf,
                               p_init=p0[flagged, None], channels=channels)
         p[flagged] = redo.p[:, 0]
     return SolveResult(p=p.reshape(*shape, -1), flagged_rows=flagged, steps=steps)
+
+
+def same_mle_at_cap(steps, n_iter: int) -> bool:
+    """Whether an MLE that ran the passes `steps` records gives, on the same
+    inputs and settings, the result of one capped at `n_iter` passes: it ran
+    exactly `n_iter`, or it stopped by the `_STOP_CM` rule before reaching
+    `n_iter`, so a higher cap runs the same passes.  `steps` must read as the
+    stop rule writes them: every pass but the last moved more than `_STOP_CM`."""
+    k = len(steps)
+    if k == 0 or any(s <= _STOP_CM for s in steps[:-1]):
+        return False
+    return n_iter == k or (n_iter > k and steps[-1] <= _STOP_CM)
 
 
 def _run_mace_rows(t_sino, air, drf, cfg: MaceConfig, p_init, channels=None):

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import os
@@ -579,15 +580,103 @@ def test_a_copied_directory_is_judged_by_its_own_files(pipeline_dir, tmp_path, c
     assert not Stage("calibrate", cfg, str(tmp_path)).up_to_date()
 
 
+# --- MACE starts from the MLE stage's sinogram when that is the start it would compute ---
+
+def copy_outputs(out, dest):
+    for path in out.iterdir():
+        (dest / path.name).write_bytes(path.read_bytes())
+    return dest
+
+
+def mace_summary(out):
+    return json.loads((out / "decompose_mace.log.jsonl").read_text().splitlines()[-1])
+
+
+def computed_mace(out, config_path):
+    """`pcmd decompose --method mace` in `out` with the MLE manifest gone, so the
+    start is computed; returns the bytes of its output."""
+    (out / "manifest_decompose_mle.json").unlink()
+    assert main(["decompose", "--config", config_path, "--out", str(out), "--method", "mace"]) == 0
+    assert mace_summary(out)["mle_init_reused"] is False
+    return (out / "pathlengths_mace.pcmd").read_bytes()
+
+
+def test_mace_reuses_a_converged_mle_stage_output(pipeline_dir, tmp_path):
+    out, config_path = pipeline_dir
+    mle = [json.loads(l) for l in (out / "decompose_mle.log.jsonl").read_text().splitlines()]
+    assert mle[-1]["passes"] < 8 and mle[-2]["max_step_cm"] <= 1e-10   # converged before 8
+    summary = mace_summary(out)
+    assert summary["mle_init_reused"] is True and summary["mle_init_passes"] == mle[-1]["passes"]
+    computed = computed_mace(copy_outputs(out, tmp_path), config_path)
+    assert computed == (out / "pathlengths_mace.pcmd").read_bytes()
+    assert mace_summary(tmp_path)["mle_init_passes"] == summary["mle_init_passes"]
+
+
+# (mle.n_iter, mace.mle_init_iters, reused): the tiny config's MLE converges after 6 passes
+MLE_CAPS = {"converged before the MACE cap": (25, 8, True),
+            "converged after the MACE cap": (25, 4, False),
+            "unconverged at the MACE cap": (2, 2, True),
+            "unconverged below the MACE cap": (2, 3, False)}
+
+
+@pytest.mark.parametrize("mle_iter, init_iters, reused", MLE_CAPS.values(), ids=MLE_CAPS)
+def test_mace_start_is_reused_only_when_it_equals_the_computed_one(
+        pipeline_dir, tmp_path, mle_iter, init_iters, reused):
+    out, _ = pipeline_dir
+    cfg = tiny_config(tmp_path)
+    cfg["mle"]["n_iter"], cfg["mace"]["mle_init_iters"] = mle_iter, init_iters
+    config_path = write_config(tmp_path, cfg)
+    for name in ("transmission.pcmd", "air_totals.pcmd", "calibration.pcmdcal"):
+        (tmp_path / name).write_bytes((out / name).read_bytes())
+    for method in ("mle", "mace"):
+        assert main(["decompose", "--config", config_path, "--method", method]) == 0
+    summary = mace_summary(tmp_path)
+    assert summary["mle_init_reused"] is reused
+    assert summary["mle_init_passes"] == min(init_iters, 6)
+    output = (tmp_path / "pathlengths_mace.pcmd").read_bytes()
+    assert computed_mace(tmp_path, config_path) == output
+
+
+def test_mace_computes_its_start_after_the_transmission_changes(pipeline_dir, tmp_path):
+    out, config_path = pipeline_dir
+    copy_outputs(out, tmp_path)
+    t, labels = read_array(tmp_path / "transmission.pcmd")
+    write_array(tmp_path / "transmission.pcmd", t * 0.999, labels)
+    assert main(["decompose", "--config", config_path, "--out", str(tmp_path),
+                 "--method", "mace"]) == 0
+    assert mace_summary(tmp_path)["mle_init_reused"] is False
+
+
+@pytest.mark.parametrize("log", ["not json\n", "[1]\n", '"pass"\n', '{"pass": 0}\n',
+                                 '{"pass": 0, "max_step_cm": "small"}\n', ""])
+def test_a_malformed_mle_log_under_a_current_manifest_means_a_computed_start(
+        pipeline_dir, tmp_path, capsys, log):
+    out, config_path = pipeline_dir
+    copy_outputs(out, tmp_path)
+    (tmp_path / "decompose_mle.log.jsonl").write_text(log)
+    manifest = json.loads((tmp_path / "manifest_decompose_mle.json").read_text())
+    manifest["outputs"]["decompose_mle.log.jsonl"] = hashlib.sha256(log.encode()).hexdigest()
+    (tmp_path / "manifest_decompose_mle.json").write_text(json.dumps(manifest))
+    assert Stage("decompose_mle", PipelineConfig.from_file(config_path), str(tmp_path)).up_to_date()
+    assert main(["decompose", "--config", config_path, "--out", str(tmp_path),
+                 "--method", "mace"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert mace_summary(tmp_path)["mle_init_reused"] is False
+    assert (tmp_path / "pathlengths_mace.pcmd").read_bytes() == \
+        (out / "pathlengths_mace.pcmd").read_bytes()
+
+
 UNUSABLE_PATHS = ["--out is a file", "--out under a file", "output_dir is a file",
-                  "--config is a directory", "--config is not UTF-8"]
+                  "--config is a directory", "--config is not UTF-8",
+                  "an output is a directory", "a manifest is a directory"]
 
 
 @pytest.mark.parametrize("case", UNUSABLE_PATHS)
 def test_unusable_paths_exit_2_naming_the_path(tmp_path, capsys, case):
     taken = tmp_path / "taken"
     taken.write_text("a file, not a directory")
-    cfg = tiny_config(taken if case == "output_dir is a file" else tmp_path / "out")
+    out = tmp_path / "out"
+    cfg = tiny_config(taken if case == "output_dir is a file" else out)
     config = write_config(tmp_path, cfg)
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(json.dumps(cfg).replace("pvc", "p\xe9c").encode("latin-1"))
@@ -597,8 +686,13 @@ def test_unusable_paths_exit_2_naming_the_path(tmp_path, capsys, case):
         "output_dir is a file": (["--config", config], taken),
         "--config is a directory": (["--config", str(tmp_path)], tmp_path),
         "--config is not UTF-8": (["--config", str(latin1)], latin1),
+        "an output is a directory": (["--config", config], out / "transmission.pcmd"),
+        "a manifest is a directory": (["--config", config], out / "manifest_simulate.json"),
     }[case]
-    assert main(["simulate", *argv]) == 2
+    if case in ("an output is a directory", "a manifest is a directory"):
+        path.mkdir(parents=True)
+    command = "pipeline" if case == "a manifest is a directory" else "simulate"
+    assert main([command, *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and str(path) in err and "Traceback" not in err
 

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from helpers import grid_polish_minimizer, prox_objective
-from pcmd.calibration import DrfPolynomial
+from pcmd.calibration import DrfPolynomial, calibrate_drf, default_design
 from pcmd.errors import NumericError, ToolkitError
+from pcmd.geometry import ScanGeometry
 from pcmd.priors import gaussian_prior
 from pcmd import solver
-from pcmd.simulate import expected_counts
+from pcmd.simulate import expected_counts, sample_poisson
 from pcmd.solver import (MaceConfig, MleConfig, equilibrium_residual, mann_iterate,
                          mle_decompose, run_mace)
 
@@ -169,6 +170,27 @@ def test_single_channel_grid_search_memory_is_bounded(noiseless_drf):
     assert peak < 64 * 2**20   # the whole 20,000 x 1,681 loss would be 269 MB
 
 
+@pytest.fixture(scope="module")
+def noisy_cal_study(default_spectrum, basis_materials):
+    """A four-channel calibration fitted to noisy slab scans, and 700 noisy rows per channel."""
+    geometry = ScanGeometry(mode="parallel", n_views=1, n_channels=4, spacing=0.5)
+    drf = calibrate_drf(default_spectrum, basis_materials, default_design(), geometry,
+                        noise=True, seed=3)
+    p = np.random.default_rng(23).uniform([0.0, 0.0], [30.0, 4.0], size=(700 * 4, 2))
+    lam = expected_counts(default_spectrum, basis_materials, p,
+                          2.0e4 / default_spectrum.total_fluence)
+    return drf, sample_poisson(lam, seed=24) / 2.0e4
+
+
+def test_grid_search_points_do_not_depend_on_the_block_size(noisy_cal_study, monkeypatch):
+    drf, t = noisy_cal_study
+    found = []
+    for block in (1 << 19, 1 << 16):   # 311 and 38 rows of 41 x 41 points per product
+        monkeypatch.setattr(solver, "_GRID_BLOCK", block)
+        found.append(solver._grid_search(t, drf, (41, 41)))
+    assert np.array_equal(*found)
+
+
 def test_mle_recovers_off_grid_truth(default_spectrum, basis_materials, noiseless_drf):
     rng = np.random.default_rng(5)
     p_true = rng.uniform([0.3, 0.05], [25, 2], size=(100, 2))
@@ -287,6 +309,33 @@ def test_early_stop_keeps_the_divergent_row_rescue(noiseless_drf, monkeypatch):
     assert np.array_equal(res.flagged_rows, every.flagged_rows)
     assert res.flagged_rows.size == 3
     assert np.array_equal(res.p, every.p)
+
+
+STOP = solver._STOP_CM
+
+
+@pytest.mark.parametrize("steps, n_iter, same", [
+    ([1.0, 1e-3, STOP], 3, True),           # converged at the cap
+    ([1.0, 1e-3, STOP / 2], 8, True),       # converged, so a higher cap runs the same passes
+    ([1.0, 1e-3, STOP / 2], 2, False),      # a lower cap stops before convergence
+    ([1.0, 1e-3, 1e-6], 3, True),           # the same cap, unconverged
+    ([1.0, 1e-3, 1e-6], 5, False),          # a higher cap runs more passes
+    ([1.0, 1e-3, 1e-6], 2, False),
+    ([1.0, STOP, 1e-6], 3, False),          # the stop rule would have ended at pass 1
+    ([], 1, False),
+])
+def test_same_mle_at_cap(steps, n_iter, same):
+    assert solver.same_mle_at_cap(steps, n_iter) is same
+
+
+def test_same_mle_at_cap_agrees_with_rerunning_the_mle(noiseless_study, noiseless_drf):
+    t, air = noiseless_study
+    ran = mle_decompose(t, air, noiseless_drf, MleConfig(n_iter=30))
+    k = len(ran.steps)
+    for n_iter in (k - 1, k, k + 1, 30):
+        capped = mle_decompose(t, air, noiseless_drf, MleConfig(n_iter=n_iter))
+        assert solver.same_mle_at_cap(ran.steps, n_iter) == np.array_equal(capped.p, ran.p)
+    assert solver.same_mle_at_cap(ran.steps, 30) and not solver.same_mle_at_cap(ran.steps, k - 1)
 
 
 def test_run_mace_reports_its_mle_start(default_spectrum, basis_materials, noiseless_drf):
