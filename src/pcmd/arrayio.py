@@ -39,8 +39,9 @@ def array_to_bytes(arr: np.ndarray, labels=None) -> bytes:
     for lab in labels:
         enc = lab.encode("utf-8")
         head += struct.pack("<H", len(enc)) + enc
-    body = bytes(head) + arr.tobytes(order="C")
-    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+    payload = memoryview(arr).cast("B")
+    crc = zlib.crc32(payload, zlib.crc32(head)) & 0xFFFFFFFF
+    return b"".join((head, payload, struct.pack("<I", crc)))
 
 
 def array_from_bytes(buf: bytes):
@@ -49,8 +50,9 @@ def array_from_bytes(buf: bytes):
         raise ArrayFormatError("container truncated")
     if buf[:4] != MAGIC:
         raise ArrayFormatError(f"bad magic {buf[:4]!r}")
+    view = memoryview(buf)   # slices of it copy nothing
     (crc,) = struct.unpack("<I", buf[-4:])
-    if crc != (zlib.crc32(buf[:-4]) & 0xFFFFFFFF):
+    if crc != (zlib.crc32(view[:-4]) & 0xFFFFFFFF):
         raise ArrayFormatError("CRC mismatch")
     version, dtype, ndim = struct.unpack("<HHH", buf[4:10])
     if version != VERSION:
@@ -73,7 +75,7 @@ def array_from_bytes(buf: bytes):
     expect = off + 8 * count + 4
     if len(buf) != expect:
         raise ArrayFormatError(f"payload length mismatch: file {len(buf)} bytes, expected {expect}")
-    arr = np.frombuffer(buf[off:off + 8 * count], dtype="<f8").reshape(sizes).copy()
+    arr = np.frombuffer(view[off:off + 8 * count], dtype="<f8").reshape(sizes).copy()
     return arr, labels
 
 

@@ -131,6 +131,11 @@ class DrfPolynomial:
     def n_bins(self) -> int:
         return self.theta.shape[1]
 
+    @property
+    def n_sets(self) -> int:
+        """Distinct coefficient sets: 1 when every channel shares one, else n_channels."""
+        return self._coef.shape[0]
+
     def _tables(self, p: np.ndarray, grad: bool) -> np.ndarray:
         """Basis and, with `grad`, its p-derivatives at points p (..., L, N): (..., n_coef, R, N).
 
@@ -175,10 +180,6 @@ class DrfPolynomial:
     def grad(self, p, channel: int = 0) -> np.ndarray:
         """Exact Jacobian d phi / dp, shape (..., K, L)."""
         return self._at_points(p, channel, True)[0, ..., 1:]
-
-    def eval_channels(self, p) -> np.ndarray:
-        """phi at points (G, L) per distinct coefficient set: (C, G, K), C = 1 if shared."""
-        return self._at_points(p, None, False)[..., 0]
 
     def eval_jac(self, p: np.ndarray, channels=None):
         """phi (M, K) and its Jacobian d phi / dp (M, K, L) for a stack of rows (M, L).

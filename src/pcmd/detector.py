@@ -9,7 +9,8 @@ by repeatedly (i) linearizing phi at the current iterate, (ii) building the
 optimal quadratic surrogate of exp(-z) + t*z on [z_min, inf) with
 z_min = z_ref - epsilon, and (iii) solving the resulting small linear
 system in closed form.  The full agent applies this independently to every
-projection row, vectorized across the sinogram.
+projection row, vectorized across blocks of at most `_BLOCK_ROWS` rows so
+its working memory does not grow with the sinogram.
 """
 
 from dataclasses import dataclass, field
@@ -23,14 +24,18 @@ from .errors import NumericError, ToolkitError
 # iteration finite.  CLAMP_EVENTS counts how often it engaged.
 Z_CLAMP = 50.0
 CLAMP_EVENTS = {"count": 0}
+# Rows per detector-agent block.  A block's basis table holds rows x n_coef x
+# (1 + L) floats, 9.8 MB at order 4 and two materials, whatever the scan size.
+_BLOCK_ROWS = 1 << 14
 
 
 def _exp_neg(z: np.ndarray) -> np.ndarray:
-    clipped = np.clip(z, -Z_CLAMP, Z_CLAMP)
-    n = int(np.count_nonzero(clipped != z))
+    n = int(np.count_nonzero(np.abs(z) > Z_CLAMP))   # NaN is not moved by the clip
     if n:
         CLAMP_EVENTS["count"] += n
-    return np.exp(-clipped)
+    e = np.clip(z, -Z_CLAMP, Z_CLAMP, out=np.empty_like(z, dtype=float))   # one buffer
+    np.negative(e, out=e)
+    return np.exp(e, out=e)
 
 
 @dataclass(frozen=True)
@@ -129,35 +134,56 @@ def detector_agent_apply(p: np.ndarray, t_sino: np.ndarray, air_totals: np.ndarr
     `p` (M, L) is the proximal tether; the response is linearized at
     `p_prime` (defaults to `p` itself) and refreshed after each of the
     `params.n_sub` updates.  Rows are fully decoupled, so any row
-    permutation commutes with this map.  With on_nonfinite="hold", rows whose
-    update goes non-finite keep their previous value instead of raising
-    (callers then flag them downstream).
+    permutation commutes with this map, and rows are processed in blocks of
+    at most `_BLOCK_ROWS` (whole views when `channels` is None), each block
+    running all its updates.  With on_nonfinite="hold", rows whose update
+    goes non-finite keep their previous value instead of raising (callers
+    then flag them downstream).
     """
     p = np.atleast_2d(np.asarray(p, dtype=float))
     t_sino = np.atleast_2d(np.asarray(t_sino, dtype=float))
     air = np.atleast_1d(np.asarray(air_totals, dtype=float))
     if t_sino.shape[0] != p.shape[0] or air.shape[0] != p.shape[0]:
         raise ToolkitError("detector agent: p, t, and air totals must agree on rows")
-    pp = p.copy() if p_prime is None else np.atleast_2d(np.asarray(p_prime, dtype=float)).copy()
+    pp = p if p_prime is None else np.atleast_2d(np.asarray(p_prime, dtype=float))
+    if pp.shape != p.shape:
+        raise ToolkitError(f"detector agent: p_prime is {pp.shape}, p is {p.shape}")
+    if channels is None:   # eval_jac groups a block's rows by channel: keep views whole
+        step = max(1, _BLOCK_ROWS // drf.n_channels) * drf.n_channels
+    else:
+        channels, step = np.asarray(channels, dtype=int), _BLOCK_ROWS
     inv_a2 = 1.0 / (params.sigma**2 * air)  # 1/alpha^2, alpha = sigma*sqrt(air)
-    eye = np.eye(p.shape[1])
-    for _ in range(params.n_sub):
-        phi, a = drf.eval_jac(pp, channels=channels)     # (M, K), (M, K, L)
-        b, c = _surrogate_terms(phi, t_sino, params.epsilon)
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            h = np.einsum("mki,mk,mkj->mij", a, c, a) + inv_a2[:, None, None] * eye
-            a_pp = np.einsum("mkl,ml->mk", a, pp)
-            rhs = np.einsum("mkl,mk->ml", a, c * a_pp - b) + inv_a2[:, None] * p
-            new = _solve_batched(h, rhs)
-        bad = ~np.all(np.isfinite(new), axis=1)
-        if np.any(bad):
-            if on_nonfinite == "raise":
-                raise NumericError(
-                    f"detector agent: non-finite update at rows {np.nonzero(bad)[0][:8].tolist()}"
-                )
-            new[bad] = pp[bad]
-        pp = new
-    return pp
+    out = np.empty_like(p)
+    for lo in range(0, p.shape[0], step):
+        rows = slice(lo, lo + step)
+        block_channels = None if channels is None else channels[rows]
+        q = pp[rows]
+        for _ in range(params.n_sub):
+            new = _prox_update(p[rows], t_sino[rows], inv_a2[rows], drf, params.epsilon, q,
+                               block_channels)
+            bad = ~np.all(np.isfinite(new), axis=1)
+            if np.any(bad):
+                if on_nonfinite == "raise":
+                    raise NumericError("detector agent: non-finite update at rows "
+                                       f"{(lo + np.nonzero(bad)[0][:8]).tolist()}")
+                new[bad] = q[bad]
+            q = new
+        out[rows] = q
+    return out
+
+
+def _prox_update(p, t_sino, inv_a2, drf, epsilon, pp, channels):
+    """One linearize-and-solve update of a block of rows, linearized at `pp`.
+
+    Its own function so that its temporaries are freed before the next update.
+    """
+    phi, a = drf.eval_jac(pp, channels=channels)     # (M, K), (M, K, L)
+    b, c = _surrogate_terms(phi, t_sino, epsilon)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        h = np.einsum("mki,mk,mkj->mij", a, c, a) + inv_a2[:, None, None] * np.eye(p.shape[1])
+        a_pp = np.einsum("mkl,ml->mk", a, pp)
+        rhs = np.einsum("mkl,mk->ml", a, c * a_pp - b) + inv_a2[:, None] * p
+        return _solve_batched(h, rhs)
 
 
 def prox_partial_update(p: np.ndarray, p_prime: np.ndarray, t: np.ndarray,

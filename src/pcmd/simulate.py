@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ToolkitError
 from .materials import mu_matrix
 
-_ROW_CHUNK = 16384  # limits the (rows, n_energies) attenuation temporary
+_ROW_CHUNK = 16384  # rows of the one (rows, n_energies) attenuation buffer
 
 
 def expected_counts(spectrum, materials, pathlengths: np.ndarray, dose_scale: float = 1.0) -> np.ndarray:
@@ -35,10 +35,13 @@ def expected_counts(spectrum, materials, pathlengths: np.ndarray, dose_scale: fl
     mu = mu_matrix(materials, spectrum.energies)          # (L, nE)
     wbin = spectrum.binned_fluence_matrix()               # (nE, K)
     out = np.empty((p.shape[0], wbin.shape[1]))
+    buf = np.empty((min(_ROW_CHUNK, p.shape[0]), mu.shape[1]))
     for lo in range(0, p.shape[0], _ROW_CHUNK):
         hi = min(lo + _ROW_CHUNK, p.shape[0])
-        att = np.exp(-(p[lo:hi] @ mu))                    # (chunk, nE)
-        out[lo:hi] = att @ wbin
+        att = np.matmul(p[lo:hi], mu, out=buf[:hi - lo])  # (chunk, nE)
+        np.negative(att, out=att)
+        np.exp(att, out=att)
+        np.matmul(att, wbin, out=out[lo:hi])
     out *= dose_scale
     return out[0] if squeeze else out
 

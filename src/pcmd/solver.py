@@ -103,22 +103,23 @@ def mann_iterate(p_init: np.ndarray, f_agent, h_agent, rho: float, n_iter: int):
 def _grid_search(t_sino: np.ndarray, drf, grid_points) -> np.ndarray:
     """Exhaustive minimization of sum_k exp(-phi_k) + phi_k * t_k per row.
 
-    Rows are scored per coefficient set, one matrix product per block of at
-    most `_GRID_BLOCK` losses, so memory does not grow with the sinogram.
+    Rows are scored one coefficient set at a time, one matrix product per
+    block of at most `_GRID_BLOCK` losses, so memory grows with neither the
+    sinogram nor the number of sets.
     """
     pts = drf.domain.grid(grid_points)                        # (G, L)
-    phi = drf.eval_channels(pts)                              # (C, G, K)
-    att = _exp_neg(phi).sum(axis=2)                           # (C, G)
-    n_chan = phi.shape[0]
-    if t_sino.shape[0] % n_chan:
+    n_sets = drf.n_sets
+    if t_sino.shape[0] % n_sets:
         raise ToolkitError("mle: sinogram rows not divisible by channel count")
-    t3 = t_sino.reshape(-1, n_chan, t_sino.shape[1])          # (V, C, K)
+    t3 = t_sino.reshape(-1, n_sets, t_sino.shape[1])          # (V, C, K)
     best = np.empty(t3.shape[:2], dtype=np.intp)
     block = max(1, _GRID_BLOCK // pts.shape[0])
-    for c in range(n_chan):
+    for c in range(n_sets):
+        phi = drf.eval(pts, channel=c)                        # (G, K)
+        att = _exp_neg(phi).sum(axis=1)                       # (G,)
         for v in range(0, t3.shape[0], block):
-            loss = t3[v:v + block, c] @ phi[c].T              # (rows, G)
-            loss += att[c]
+            loss = t3[v:v + block, c] @ phi.T                 # (rows, G)
+            loss += att
             best[v:v + block, c] = np.argmin(loss, axis=1)
     return pts[best.ravel()]
 

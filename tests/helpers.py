@@ -1,4 +1,16 @@
+import tracemalloc
+
 import numpy as np
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Peak bytes that Python and numpy allocate while `fn(*args, **kwargs)` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def exact_phi(spectrum, materials, points):

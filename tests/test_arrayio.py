@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import traced_peak
 from pcmd.arrayio import (array_from_bytes, array_to_bytes, read_array, write_array,
                           write_png_preview)
 from pcmd.errors import ArrayFormatError
@@ -35,6 +36,19 @@ def test_special_values_survive():
     arr = np.array([[0.0, -0.0, np.inf, -np.inf, np.nan, 1e-308]])
     back, _ = array_from_bytes(array_to_bytes(arr))
     assert back.tobytes() == arr.astype("<f8").tobytes()
+
+
+def test_codec_holds_one_copy_and_a_file_read_two(tmp_path):
+    arr = np.random.default_rng(5).normal(size=(360, 256, 8))   # 5.6 MB
+    path = tmp_path / "big.pcmd"
+    labels = ["view", "channel", "bin"]
+    blob = array_to_bytes(arr, labels)
+    assert traced_peak(array_to_bytes, arr, labels) <= 1.1 * arr.nbytes
+    assert traced_peak(array_from_bytes, blob) <= 1.1 * arr.nbytes
+    assert traced_peak(write_array, path, arr, labels) <= 1.1 * arr.nbytes
+    # the file's bytes and the array, plus room for the header and the file object
+    assert traced_peak(read_array, path) <= 2 * arr.nbytes + 2**16
+    assert path.read_bytes() == blob
 
 
 def test_bad_magic_rejected():

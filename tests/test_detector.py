@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import grid_polish_minimizer, prox_objective
+from helpers import grid_polish_minimizer, prox_objective, traced_peak
 from pcmd import detector
 from pcmd.calibration import CalibrationDomain, DrfPolynomial
 from pcmd.detector import (ProxParams, detector_agent_apply, detector_loss,
                            prox_partial_update, surrogate_at)
-from pcmd.errors import NumericError
+from pcmd.errors import NumericError, ToolkitError
 from pcmd.simulate import expected_counts
 
 
@@ -248,6 +248,14 @@ def test_shape_mismatch_raises(noiseless_drf):
                              noiseless_drf, ProxParams())
 
 
+@pytest.mark.parametrize("rows", [2, 4])
+def test_p_prime_of_another_shape_raises(noiseless_drf, monkeypatch, rows):
+    monkeypatch.setattr(detector, "_BLOCK_ROWS", 1)   # a longer p_prime must not be cut to p's rows
+    with pytest.raises(ToolkitError, match="p_prime"):
+        detector_agent_apply(np.ones((3, 2)), np.full((3, 8), 0.5), np.ones(3),
+                             noiseless_drf, ProxParams(), p_prime=np.ones((rows, 2)))
+
+
 @pytest.mark.filterwarnings("ignore:invalid value")
 def test_nonfinite_raise_and_hold(noiseless_drf):
     p = np.array([[np.inf, 1.0]])
@@ -271,3 +279,80 @@ def test_exp_clamp_counts_events():
     before = detector.CLAMP_EVENTS["count"]
     detector_agent_apply(p, np.full((1, 3), 0.5), np.ones(1), drf, ProxParams(n_sub=1))
     assert detector.CLAMP_EVENTS["count"] == before + clamped
+
+
+def test_nan_is_not_counted_as_a_clamp():
+    before = detector.CLAMP_EVENTS["count"]
+    out = detector._exp_neg(np.array([np.nan, 60.0, 1.0, -np.inf]))
+    assert detector.CLAMP_EVENTS["count"] == before + 2   # 60 and -inf are moved, NaN is not
+    assert np.isnan(out[0])
+    assert np.array_equal(out[1:], np.exp([-50.0, -1.0, 50.0]))
+
+
+# --- blocks of rows ---
+
+N_CHAN = 4
+
+
+@pytest.fixture(scope="module")
+def per_channel_rows(noiseless_drf):
+    """A four-channel calibration and 25 views of noisy rows, tether and linearization point."""
+    theta = np.stack([noiseless_drf.theta[0] * (1.0 + 0.02 * c) for c in range(N_CHAN)])
+    drf = DrfPolynomial(theta=theta, order=noiseless_drf.order, n_materials=2,
+                        domain=noiseless_drf.domain, basis_scale=noiseless_drf.basis_scale)
+    rng = np.random.default_rng(31)
+    p_true = rng.uniform([1.0, 0.1], [30.0, 4.0], size=(25 * N_CHAN, 2))
+    t = np.exp(-drf.eval_sino(p_true)) * rng.uniform(0.95, 1.05, size=(p_true.shape[0], 8))
+    tether = p_true + rng.normal(0.0, 0.3, size=p_true.shape)
+    p_prime = p_true + rng.normal(0.0, 0.3, size=p_true.shape)
+    return drf, tether, t, np.full(p_true.shape[0], 2.0e4), p_prime
+
+
+@pytest.mark.parametrize("explicit, sizes", [
+    (False, (28, 28, 28, 16)),     # whole views of four channels
+    (True, (30, 30, 30, 10)),      # plain row slices
+])
+@pytest.mark.parametrize("n_sub", [1, 2])
+def test_blocks_give_the_unblocked_result(per_channel_rows, monkeypatch, explicit, sizes, n_sub):
+    drf, p, t, air, pp = per_channel_rows
+    channels = np.arange(p.shape[0]) % N_CHAN if explicit else None
+    params = ProxParams(sigma=0.7, n_sub=n_sub)
+    whole = detector_agent_apply(p, t, air, drf, params, p_prime=pp, channels=channels)
+    seen = []
+    eval_jac = DrfPolynomial.eval_jac
+
+    def spy(self, rows, channels=None):
+        seen.append(rows.shape[0])
+        return eval_jac(self, rows, channels)
+
+    monkeypatch.setattr(DrfPolynomial, "eval_jac", spy)
+    monkeypatch.setattr(detector, "_BLOCK_ROWS", 30)
+    blocked = detector_agent_apply(p, t, air, drf, params, p_prime=pp, channels=channels)
+    assert seen == [n for n in sizes for _ in range(n_sub)]   # each block runs every update
+    assert np.abs(blocked - whole).max() <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+@pytest.mark.parametrize("block_rows", [30, 1 << 14])
+def test_a_bad_row_in_a_later_block_is_reported_by_its_row(per_channel_rows, monkeypatch,
+                                                           block_rows):
+    drf, p, t, air, pp = per_channel_rows
+    p = p.copy()
+    p[70, 0] = np.inf
+    monkeypatch.setattr(detector, "_BLOCK_ROWS", block_rows)
+    with pytest.raises(NumericError, match=r"rows \[70\]$"):
+        detector_agent_apply(p, t, air, drf, ProxParams(), p_prime=pp)
+
+
+def test_agent_memory_does_not_grow_with_rows(per_channel_rows):
+    drf = per_channel_rows[0]
+    rng = np.random.default_rng(32)
+
+    def peak(n_rows):
+        p = rng.uniform([1.0, 0.1], [30.0, 4.0], size=(n_rows, 2))
+        t = np.exp(-drf.eval_sino(p))
+        return traced_peak(detector_agent_apply, p, t, np.full(n_rows, 2.0e4), drf,
+                           ProxParams(n_sub=1))
+
+    one = peak(detector._BLOCK_ROWS)
+    assert peak(4 * detector._BLOCK_ROWS) <= 1.5 * one

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from helpers import traced_peak
+from pcmd import simulate
 from pcmd.errors import ToolkitError
 from pcmd.materials import load_material
 from pcmd.phantom import Phantom, water_equivalent_disk
@@ -53,6 +55,15 @@ def test_expected_counts_monotone_decreasing(default_spectrum, basis_materials):
         step[l] = 0.37
         lam1 = expected_counts(default_spectrum, basis_materials, base + step)
         assert np.all(lam1 < lam0)
+
+
+def test_expected_counts_holds_one_chunk_buffer(default_spectrum, basis_materials):
+    rows = 3 * simulate._ROW_CHUNK
+    p = np.random.default_rng(9).uniform(0.0, [30.0, 4.0], size=(rows, 2))
+    out_bytes = rows * default_spectrum.n_bins * 8
+    chunk_bytes = simulate._ROW_CHUNK * default_spectrum.energies.size * 8
+    peak = traced_peak(expected_counts, default_spectrum, basis_materials, p, 2.0)
+    assert peak <= out_bytes + 1.25 * chunk_bytes
 
 
 def test_mismatched_material_count_raises(default_spectrum, basis_materials):

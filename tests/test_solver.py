@@ -1,9 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from helpers import grid_polish_minimizer, prox_objective
+from helpers import grid_polish_minimizer, prox_objective, traced_peak
 from pcmd.calibration import DrfPolynomial, calibrate_drf, default_design
 from pcmd.errors import NumericError, ToolkitError
 from pcmd.geometry import ScanGeometry
@@ -161,13 +159,22 @@ def test_blocked_grid_search_equals_full_matrix_argmin(noiseless_drf, monkeypatc
 
 def test_single_channel_grid_search_memory_is_bounded(noiseless_drf):
     t = np.random.default_rng(22).uniform(0.0, 0.3, size=(20000, noiseless_drf.n_bins))
-    tracemalloc.start()
-    try:
-        solver._grid_search(t, noiseless_drf, (41, 41))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(solver._grid_search, t, noiseless_drf, (41, 41))
     assert peak < 64 * 2**20   # the whole 20,000 x 1,681 loss would be 269 MB
+
+
+def test_grid_search_memory_does_not_grow_with_the_set_count(noiseless_drf):
+    t = np.random.default_rng(25).uniform(0.0, 0.3, size=(64 * 20, noiseless_drf.n_bins))
+    peaks = []
+    for n_sets in (4, 64):
+        theta = np.stack([noiseless_drf.theta[0] * (1.0 + 0.001 * c) for c in range(n_sets)])
+        drf = DrfPolynomial(theta=theta, order=noiseless_drf.order, n_materials=2,
+                            domain=noiseless_drf.domain, basis_scale=noiseless_drf.basis_scale)
+        assert drf.n_sets == n_sets
+        peaks.append(traced_peak(solver._grid_search, t, drf, (41, 41)))
+    # phi of all 64 sets at 41 x 41 points would be 6.9 MB on its own
+    assert peaks[1] < 2 * 2**20
+    assert peaks[1] < 1.25 * peaks[0]
 
 
 @pytest.fixture(scope="module")
