@@ -15,6 +15,7 @@ Written files round-trip bitwise; readers validate magic, version, payload
 length, and CRC.
 """
 
+import math
 import struct
 import zlib
 
@@ -71,7 +72,7 @@ def array_from_bytes(buf: bytes):
             off += n
     except (struct.error, UnicodeDecodeError) as err:
         raise ArrayFormatError(f"malformed header ({err})") from None
-    count = int(np.prod(sizes)) if ndim else 1
+    count = math.prod(sizes)  # exact; an int64 product could wrap and pass the length check
     expect = off + 8 * count + 4
     if len(buf) != expect:
         raise ArrayFormatError(f"payload length mismatch: file {len(buf)} bytes, expected {expect}")

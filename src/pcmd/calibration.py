@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arrayio import array_from_bytes, array_to_bytes
-from .errors import NumericError, PhotonStarvationError, ToolkitError
+from .errors import ConfigError, NumericError, PhotonStarvationError, ToolkitError
 from .simulate import expected_counts, sample_poisson
 
 
@@ -31,6 +31,8 @@ class CalibrationDomain:
         up = np.asarray(self.upper, dtype=float)
         if lo.shape != up.shape or lo.ndim != 1:
             raise ToolkitError("calibration domain: lower/upper must be equal-length vectors")
+        if not (np.isfinite(lo).all() and np.isfinite(up).all()):
+            raise ToolkitError("calibration domain: bounds must be finite")
         if np.any(lo > up):
             raise ToolkitError("calibration domain: lower bound exceeds upper bound")
         object.__setattr__(self, "lower", lo)
@@ -112,8 +114,8 @@ class DrfPolynomial:
         if not np.all(np.isfinite(theta)):
             raise ToolkitError("drf: coefficients must be finite")
         scale = np.asarray(self.basis_scale, dtype=float)
-        if scale.shape != (self.n_materials,) or np.any(scale <= 0):
-            raise ToolkitError("drf: basis scale must be positive per material")
+        if scale.shape != (self.n_materials,) or not np.all((scale > 0) & (scale < np.inf)):
+            raise ToolkitError("drf: basis scale must be positive and finite per material")
         if self.domain.n_materials != self.n_materials:
             raise ToolkitError("drf: domain must bound every material")
         object.__setattr__(self, "theta", theta)
@@ -165,21 +167,21 @@ class DrfPolynomial:
         c, n, r, pts = tab.shape
         return np.matmul(coef, tab.reshape(c, n, r * pts)).reshape(-1, self.n_bins, r, pts)
 
-    def _at_points(self, p, channel, grad: bool) -> np.ndarray:
-        """Response at points (..., L) for `channel`, or every set if None: (C, ..., K, R)."""
+    def _at_points(self, p, channel: int, grad: bool) -> np.ndarray:
+        """Response at points (..., L) for `channel`: (..., K, R)."""
         p = np.asarray(p, dtype=float)
-        coef = self._coef if channel is None or len(self._coef) == 1 else self._coef[[channel]]
+        coef = self._coef if len(self._coef) == 1 else self._coef[[channel]]
         pts = np.ascontiguousarray(p.reshape(-1, self.n_materials).T)
-        out = self._apply(pts[None], coef, grad)                  # (C, K, R, N)
-        return np.moveaxis(out, -1, 1).reshape(out.shape[:1] + p.shape[:-1] + out.shape[1:3])
+        out = self._apply(pts[None], coef, grad)[0]               # (K, R, N)
+        return np.moveaxis(out, -1, 0).reshape(p.shape[:-1] + out.shape[:2])
 
     def eval(self, p, channel: int = 0) -> np.ndarray:
         """phi(p) for one detector channel; p is (..., L), result (..., K)."""
-        return self._at_points(p, channel, False)[0, ..., 0]
+        return self._at_points(p, channel, False)[..., 0]
 
     def grad(self, p, channel: int = 0) -> np.ndarray:
         """Exact Jacobian d phi / dp, shape (..., K, L)."""
-        return self._at_points(p, channel, True)[0, ..., 1:]
+        return self._at_points(p, channel, True)[..., 1:]
 
     def eval_jac(self, p: np.ndarray, channels=None):
         """phi (M, K) and its Jacobian d phi / dp (M, K, L) for a stack of rows (M, L).
@@ -343,9 +345,12 @@ def save_calibration(path, drf: DrfPolynomial):
 
 def load_calibration(path) -> DrfPolynomial:
     """Read a calibration container; a corrupt or inconsistent one raises
-    ToolkitError naming the file."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
+    ToolkitError naming the file, an unreadable path ConfigError naming it."""
+    try:
+        with open(path, "rb") as fh:
+            buf = fh.read()
+    except OSError as err:  # a directory, unreadable, ...
+        raise ConfigError(f"calibration file {path}: {err.strerror}") from None
     cut = buf.find(_HEADER_SENTINEL)
     if cut < 0:
         raise ToolkitError(f"{path}: not a calibration container")

@@ -228,6 +228,9 @@ def _check_rules(v):
                           f"(bins at least 1 keV wide), got {spec['n_bins']}")
 
     n = len(v["materials"])
+    for i, name in enumerate(v["materials"]):
+        if name in v["materials"][:i]:  # one image file per material name
+            raise ConfigError(f"materials[{i}]: duplicate material {name!r}")
     per_material = {"calibration.points_per_axis": cal["points_per_axis"],
                     "calibration.domain": cal["domain"],
                     "mle.grid_points": v["mle"]["grid_points"]}

@@ -68,13 +68,6 @@ class SurrogateQuadratic:
     z_ref: np.ndarray = field(repr=False)
     z_min: np.ndarray = field(repr=False)
 
-    def value(self, z: np.ndarray) -> np.ndarray:
-        d = np.asarray(z, dtype=float) - self.z_ref
-        return np.sum(self.b * d + 0.5 * self.c * d * d, axis=-1)
-
-    def gradient(self, z: np.ndarray) -> np.ndarray:
-        return self.b + self.c * (np.asarray(z, dtype=float) - self.z_ref)
-
 
 def _surrogate_terms(z_ref: np.ndarray, t: np.ndarray, epsilon: float):
     """Gradient b and curvature c of the surrogate of exp(-z) + t*z at z_ref.
@@ -99,13 +92,6 @@ def surrogate_at(z_ref: np.ndarray, t: np.ndarray, epsilon: float = 1.0e-3) -> S
     z_ref = np.asarray(z_ref, dtype=float)
     b, c = _surrogate_terms(z_ref, np.asarray(t, dtype=float), epsilon)
     return SurrogateQuadratic(b=b, c=c, z_ref=z_ref, z_min=z_ref - epsilon)
-
-
-def detector_loss(p: np.ndarray, t: np.ndarray, air_total: float, drf,
-                  channel: int = 0) -> float:
-    """Poisson transmission loss for one projection row (constant dropped)."""
-    phi = drf.eval(np.asarray(p, dtype=float), channel=channel)
-    return float(air_total * np.sum(_exp_neg(phi) + np.asarray(t) * phi))
 
 
 def _solve_batched(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:

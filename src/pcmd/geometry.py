@@ -86,13 +86,6 @@ class ScanGeometry:
         pts = np.broadcast_to(src, dirs.shape).copy()
         return pts, dirs
 
-    def ray_for(self, view: int, channel: int):
-        """Single ray in world coordinates: (point (2,), unit direction (2,))."""
-        if not 0 <= channel < self.n_channels:
-            raise ToolkitError(f"channel index {channel} out of range [0, {self.n_channels})")
-        pts, dirs = self.rays_for_view(view)
-        return pts[channel], dirs[channel]
-
     def all_rays(self):
         """Rays for the full sinogram, row-major (view, channel): (M,2), (M,2)."""
         pts = np.empty((self.n_rays, 2))
@@ -203,12 +196,6 @@ def project_image(values: np.ndarray, geometry: ScanGeometry, grid: ImageGrid) -
         pts, dirs = geometry.rays_for_view(v)
         out[v * c:(v + 1) * c] = _traverse(pts, dirs, grid, values)
     return out[:, 0] if squeeze else out
-
-
-def chord_through_box(points, dirs, grid) -> np.ndarray:
-    """Chord length of each ray through the grid bounding box (cm)."""
-    ones = np.ones((grid.n_x, grid.n_y, 1))
-    return _traverse(np.atleast_2d(points), np.atleast_2d(dirs), grid, ones)[:, 0]
 
 
 def rebin_fan_to_parallel(sino: np.ndarray, geometry: ScanGeometry):

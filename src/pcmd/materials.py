@@ -101,17 +101,3 @@ def equivalent_fractions(target: MaterialAttenuation, basis, energies_kev=None) 
     b = target.mu_at(energies_kev)
     frac, *_ = np.linalg.lstsq(a, b, rcond=None)
     return frac
-
-
-def conversion_matrix(basis_from, basis_to, energies_kev) -> np.ndarray:
-    """Matrix mapping volume fractions in `basis_from` to fractions in `basis_to`.
-
-    Built by matching total attenuation at exactly L energies, so mono-energy
-    images synthesized at those energies are preserved by the change of basis.
-    """
-    energies_kev = np.asarray(energies_kev, dtype=float)
-    if energies_kev.size != len(basis_to):
-        raise ToolkitError("need exactly one matching energy per target basis material")
-    w = mu_matrix(basis_to, energies_kev).T    # (L, L): mu_to[i](E_j)
-    v = mu_matrix(basis_from, energies_kev).T  # (L, L)
-    return np.linalg.solve(w, v)

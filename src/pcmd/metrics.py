@@ -32,7 +32,7 @@ class RoiSpec:
         raise ToolkitError(f"roi {label!r} not defined")
 
 
-def _mask(image: np.ndarray, grid, circle: RoiCircle) -> np.ndarray:
+def _mask(grid, circle: RoiCircle) -> np.ndarray:
     xs, ys = grid.pixel_centers()
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     m = (gx - circle.center[0]) ** 2 + (gy - circle.center[1]) ** 2 <= circle.radius**2
@@ -49,7 +49,7 @@ def roi_stats(image: np.ndarray, grid, roi: RoiSpec):
     image = np.asarray(image, dtype=float)
     out = {}
     for c in roi.circles:
-        vals = image[_mask(image, grid, c)]
+        vals = image[_mask(grid, c)]
         std = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
         out[c.label] = (float(vals.mean()), std)
     return out
@@ -58,8 +58,8 @@ def roi_stats(image: np.ndarray, grid, roi: RoiSpec):
 def cnr(image: np.ndarray, grid, target: RoiCircle, background: RoiCircle) -> float:
     """|mean(target) - mean(background)| / std(background)."""
     image = np.asarray(image, dtype=float)
-    tvals = image[_mask(image, grid, target)]
-    bvals = image[_mask(image, grid, background)]
+    tvals = image[_mask(grid, target)]
+    bvals = image[_mask(grid, background)]
     bstd = float(bvals.std(ddof=1)) if bvals.size > 1 else 0.0
     if bstd == 0.0:
         raise ToolkitError("cnr: background std is zero (degenerate noiseless ROI)")

@@ -71,13 +71,6 @@ class Phantom:
         return img
 
 
-def water_equivalent_disk(center, radius, density, basis_names=("polyethylene", "pvc")) -> Disk:
-    """Disk mimicking water at the given density, as a basis-material mix."""
-    basis = [load_material(n) for n in basis_names]
-    frac = equivalent_fractions(load_material("water"), basis)
-    return Disk(center=center, radius=radius, fractions=density * frac)
-
-
 def low_contrast_phantom(background_radius: float = 10.0,
                          insert_densities=(1.01, 1.005, 1.003),
                          insert_radii=(1.5, 1.2, 1.0),

@@ -164,7 +164,8 @@ class Stage:
 
     def read(self, path) -> np.ndarray:
         """The array in `path`, with the labels and shape of `AXES`, every value
-        finite and within its rule; else a ToolkitError (exit 3) naming the file."""
+        finite and within its rule; else a ToolkitError (exit 3) naming the file,
+        or a ConfigError (exit 2) naming an unreadable path."""
         axes, shape, rule = self._axes(path)
         try:
             arr, labels = read_array(path)
@@ -178,6 +179,8 @@ class Stage:
                 raise ToolkitError(f"values must be {rule[1]}")
         except ToolkitError as err:
             raise ToolkitError(f"{self.name}: {path}: {err}") from None
+        except OSError as err:  # a directory, unreadable, ...
+            raise ConfigError(f"{self.name}: input file {path}: {err.strerror}") from None
         return arr
 
     def up_to_date(self) -> bool:

@@ -65,18 +65,6 @@ class GaussianPrior:
         return out
 
 
-def gaussian_prior(std) -> GaussianPrior:
-    return GaussianPrior(std)
-
-
-def decorrelated_prior(std, rotation=None) -> GaussianPrior:
-    """Rotated-material-space Gaussian prior; default rotation is 45 degrees,
-    which decorrelates the two basis channels to first order."""
-    if rotation is None:
-        rotation = rotation_matrix(math.pi / 4.0)
-    return GaussianPrior(std, rotation)
-
-
 def clip_prior(domain):
     """Componentwise clamp of every pathlength vector to the calibration domain."""
     lo = np.asarray(domain.lower, dtype=float)

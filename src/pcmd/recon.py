@@ -122,13 +122,3 @@ def synthesize_mono(image: np.ndarray, materials, energy_kev: float,
     if hounsfield:
         out = 1000.0 * out / load_material("water").mu_at(energy_kev)
     return out
-
-
-def basis_change(image: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Apply an invertible linear map to each pixel's material-fraction vector (..., L)."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape[0] != matrix.shape[1] or matrix.shape[0] != image.shape[-1]:
-        raise ToolkitError("basis_change: matrix must be square, one row per material")
-    if abs(np.linalg.det(matrix)) < 1e-300:
-        raise ToolkitError("basis_change: matrix is singular")
-    return image @ matrix.T

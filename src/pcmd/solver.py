@@ -63,7 +63,6 @@ class MaceConfig:
 class SolveResult:
     p: np.ndarray
     residuals: list = field(default_factory=list)
-    consensus: np.ndarray = None
     flagged_rows: np.ndarray = None
     steps: list = field(default_factory=list)  # MLE: largest row step (cm) per refinement pass
     mle_init: "SolveResult" = None  # MACE: the MLE result it started from, if it ran one
@@ -82,8 +81,8 @@ def mann_iterate(p_init: np.ndarray, f_agent, h_agent, rho: float, n_iter: int):
     """Relaxed fixed-point iteration over two agents; returns a SolveResult.
 
     `f_agent` and `h_agent` map arrays to arrays of the same shape.  The
-    returned `p` is the final F output; `consensus` is the final relaxed
-    state, and `residuals` tracks the per-iteration agent disagreement.
+    returned `p` is the final F output, and `residuals` tracks the
+    per-iteration agent disagreement.
     """
     p = np.array(p_init, dtype=float, copy=True)
     p_f = p
@@ -97,7 +96,7 @@ def mann_iterate(p_init: np.ndarray, f_agent, h_agent, rho: float, n_iter: int):
         if not np.all(np.isfinite(p)):
             raise NumericError(f"mace: non-finite state at iteration {i}")
         residuals.append(equilibrium_residual(p_f, h_out))
-    return SolveResult(p=p_f, residuals=residuals, consensus=p)
+    return SolveResult(p=p_f, residuals=residuals)
 
 
 def _grid_search(t_sino: np.ndarray, drf, grid_points) -> np.ndarray:

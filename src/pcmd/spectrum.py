@@ -82,11 +82,6 @@ class SourceSpectrum:
     def total_fluence(self) -> float:
         return float(self.binned_fluence_matrix().sum())
 
-    def bin_fractions(self) -> np.ndarray:
-        """Fraction of total fluence landing in each bin (air transmission)."""
-        per_bin = self.binned_fluence_matrix().sum(axis=0)
-        return per_bin / per_bin.sum()
-
 
 def filtered_kramers(kvp: float = 120.0, e_min: float = 40.0, n_bins: int = 8,
                      filtration_cm_al: float = 0.3, k_lines: bool = True) -> SourceSpectrum:

@@ -1,4 +1,6 @@
+import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 
@@ -11,6 +13,14 @@ def traced_peak(fn, *args, **kwargs):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def oversized_container(labels):
+    """A CRC-valid container of sizes (2^32, 2^32, 1) and no payload: the element
+    count is 2^64, which an int64 product wraps to 0, the payload it has."""
+    head = b"PCMD" + struct.pack("<HHH3Q", 1, 0, 3, 2**32, 2**32, 1)
+    head += b"".join(struct.pack("<H", len(lab)) + lab.encode() for lab in labels)
+    return head + struct.pack("<I", zlib.crc32(head) & 0xFFFFFFFF)
 
 
 def exact_phi(spectrum, materials, points):

@@ -13,7 +13,7 @@ from pcmd.geometry import ImageGrid, ScanGeometry
 from pcmd.materials import load_material
 from pcmd.metrics import RoiCircle, RoiSpec, cnr, roi_stats
 from pcmd.phantom import Disk, Phantom, low_contrast_phantom
-from pcmd.priors import gaussian_prior
+from pcmd.priors import GaussianPrior
 from pcmd.recon import fbp_reconstruct, synthesize_mono
 from pcmd.simulate import expected_counts, sample_poisson, scan_phantom
 from pcmd.solver import MaceConfig, MleConfig, mann_iterate, mle_decompose, run_mace
@@ -53,7 +53,7 @@ def cnr_experiment(desk):
     mle = mle_decompose(t, air, drf, MleConfig(n_iter=100))
     sino = (geometry.n_views, geometry.n_channels)
     mace = run_mace(t.reshape(*sino, -1), air.reshape(sino), drf,
-                    MaceConfig(prior=gaussian_prior([PRIOR_STD, PRIOR_STD]), rho=0.8,
+                    MaceConfig(prior=GaussianPrior([PRIOR_STD, PRIOR_STD]), rho=0.8,
                                n_iter=20, sigma=MACE_SIGMA, init=MleConfig(n_iter=15)))
     images = {}
     for name, p in (("mle", mle.p), ("mace", mace.p)):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import traced_peak
+from helpers import oversized_container, traced_peak
 from pcmd.arrayio import (array_from_bytes, array_to_bytes, read_array, write_array,
                           write_png_preview)
 from pcmd.errors import ArrayFormatError
@@ -117,3 +117,8 @@ def test_malformed_header_under_a_valid_crc_rejected(header):
     sealed = header + struct.pack("<I", zlib.crc32(header) & 0xFFFFFFFF)
     with pytest.raises(ArrayFormatError, match="malformed header"):
         array_from_bytes(sealed)
+
+
+def test_sizes_whose_product_wraps_int64_fail_the_length_check():
+    with pytest.raises(ArrayFormatError, match="payload length mismatch"):
+        array_from_bytes(oversized_container(["view", "channel", "material"]))

@@ -7,7 +7,7 @@ from helpers import exact_phi
 from pcmd.calibration import (DEFAULT_DOMAIN, CalibrationDesign, CalibrationDomain, DrfPolynomial,
                               calibrate_drf, default_design, fit_drf, load_calibration,
                               measure_drf, save_calibration, slab_scan_protocol)
-from pcmd.errors import NumericError, PhotonStarvationError
+from pcmd.errors import NumericError, PhotonStarvationError, ToolkitError
 from pcmd.geometry import ScanGeometry
 
 
@@ -279,6 +279,17 @@ def test_fan_channels_differ_then_match_after_cos_correction(default_spectrum, b
                         default_design(points_per_axis=(6, 6)), geo, noise=False)
     # off-center channel coefficients differ from the center's
     assert np.abs(drf.theta[0] - drf.theta[2]).max() > 1e-6
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_bounds_and_basis_scale_rejected(bad):
+    with pytest.raises(ToolkitError, match="finite"):
+        CalibrationDomain(lower=np.array([0.0, bad]), upper=np.array([40.0, 5.0]))
+    with pytest.raises(ToolkitError, match="finite"):
+        CalibrationDomain(lower=np.zeros(2), upper=np.array([bad, 5.0]))
+    with pytest.raises(ToolkitError, match="finite"):
+        DrfPolynomial(theta=np.zeros((1, 1, 4)), order=1, n_materials=2, domain=DEFAULT_DOMAIN,
+                      basis_scale=np.array([bad, 5.0]))
 
 
 def test_calibration_container_roundtrip(tmp_path, noiseless_drf):

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import oversized_container
 from pcmd.arrayio import read_array, write_array
 from pcmd.cli import main
 from pcmd.config import PipelineConfig
 from pcmd.errors import ConfigError
 from pcmd.pipeline import STAGES, Stage
-from pcmd.priors import apply_prior, gaussian_prior, rotation_matrix
+from pcmd.priors import GaussianPrior, apply_prior, rotation_matrix
 
 SHIPPED = os.path.join(os.path.dirname(__file__), "..", "configs", "low_contrast.json")
 with open(SHIPPED) as _fh:
@@ -174,6 +175,7 @@ HOSTILE_SECTIONS = [
     (("calibration",), {"domain": [5, 5]}, "calibration.domain[0]"),
     (("rois", 0, "label"), ["a"], "rois[0].label"),
     (("materials",), [["a"], "pvc"], "materials[0]"),
+    (("materials",), ["polyethylene", "polyethylene"], "materials[1]"),
     (("cnr", "target"), ["x"], "cnr.target"),
     (("calibration",), [], "calibration"),
     (("mace",), [], "mace"),
@@ -252,7 +254,7 @@ def test_decorrelated_prior_accepts_std_pairs():
     assert prior.std == ((1.0, 2.0), 1.5)
     p = np.random.default_rng(3).normal(size=(12, 10, 2))
     rot = rotation_matrix(math.radians(30.0))
-    expected = apply_prior(gaussian_prior([(1.0, 2.0), 1.5]), p @ rot.T) @ rot
+    expected = apply_prior(GaussianPrior([(1.0, 2.0), 1.5]), p @ rot.T) @ rot
     assert np.allclose(apply_prior(prior, p), expected, rtol=0, atol=1e-12)
 
 
@@ -529,6 +531,15 @@ HOSTILE_FILES = {
     "calibration header, string order": ("decompose", "mle", _meta("order", "4")),
     "calibration header, 7 channels": ("decompose", "mle", _meta("n_channels", 7)),
     "calibration header, 3 bins": ("decompose", "mle", _meta("n_bins", 3)),
+    "calibration header, NaN basis scale": ("decompose", "mle",
+                                            _meta("basis", {"kind": "monomial",
+                                                            "scale": [math.nan, 5.0]})),
+    "calibration header, infinite upper bound": ("decompose", "mle",
+                                                 _meta("domain", {"lower": [0.0, 0.0],
+                                                                  "upper": [math.inf, 5.0]})),
+    "pathlengths sized past 2^63 elements": ("reconstruct", None, (
+        "pathlengths_mle.pcmd", lambda out: (out / "pathlengths_mle.pcmd").write_bytes(
+            oversized_container(["view", "channel", "material"])))),
 }
 
 
@@ -544,6 +555,24 @@ def test_hostile_stage_files_exit_3_naming_the_file(pipeline_dir, tmp_path, caps
     assert main(argv + (["--method", method] if method else [])) == 3
     err = capsys.readouterr().err
     assert str(tmp_path / name) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, method, name", [
+    ("reconstruct", None, "pathlengths_mle.pcmd"),
+    ("decompose", "mle", "calibration.pcmdcal"),
+])
+def test_an_input_that_is_a_directory_exits_2_naming_it(pipeline_dir, tmp_path, capsys,
+                                                        command, method, name):
+    out, config_path = pipeline_dir
+    for path in out.iterdir():
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    (tmp_path / name).unlink()
+    (tmp_path / name).mkdir()
+    argv = [command, "--config", config_path, "--out", str(tmp_path)]
+    assert main(argv + (["--method", method] if method else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(tmp_path / name) in err
+    assert "Traceback" not in err
 
 
 def test_malformed_manifest_is_stale(pipeline_dir, tmp_path, capsys):

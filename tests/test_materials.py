@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from pcmd.errors import ToolkitError
-from pcmd.materials import (MaterialAttenuation, conversion_matrix, equivalent_fractions,
-                            list_materials, load_material, mu_matrix)
+from pcmd.materials import (MaterialAttenuation, equivalent_fractions, list_materials,
+                            load_material, mu_matrix)
 
 
 def test_bundled_tables_cover_range_and_are_positive():
@@ -53,10 +53,3 @@ def test_water_equivalent_fractions_reproduce_water_curve(basis_materials):
     water = load_material("water").mu_at(energies)
     assert np.abs(mix - water).max() / water.min() < 0.01
     assert frac[0] > 0.8 and 0.0 < frac[1] < 0.2  # mostly polyethylene plus a little pvc
-
-
-def test_conversion_matrix_roundtrip(basis_materials):
-    target = [load_material("water"), load_material("pvc")]
-    m = conversion_matrix(basis_materials, target, energies_kev=[50.0, 100.0])
-    m_back = conversion_matrix(target, basis_materials, energies_kev=[50.0, 100.0])
-    assert np.allclose(m_back @ m, np.eye(2), atol=1e-12)

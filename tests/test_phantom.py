@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from pcmd.config import PipelineConfig
 from pcmd.errors import ToolkitError
-from pcmd.phantom import Disk, Phantom, low_contrast_phantom, water_equivalent_disk
+from pcmd.phantom import Disk, Phantom, low_contrast_phantom
 
 
 def test_chord_length_matches_closed_form():
@@ -35,9 +36,10 @@ def test_overlapping_disks_accumulate():
 
 
 def test_water_disk_central_ray_is_water_equivalent(basis_materials):
-    from pcmd.materials import load_material, mu_matrix
+    from pcmd.materials import equivalent_fractions, load_material, mu_matrix
 
-    disk = water_equivalent_disk((0.0, 0.0), 5.0, density=1.0)
+    disk = Disk(center=(0.0, 0.0), radius=5.0,
+                fractions=equivalent_fractions(load_material("water"), basis_materials))
     ph = Phantom(disks=(disk,), n_materials=2)
     p = ph.pathlengths(np.array([[0.0, -10.0]]), np.array([[0.0, 1.0]]))[0]
     # 10 cm of water-equivalent mix: attenuation matches 10 cm of water at 70 keV
@@ -57,9 +59,14 @@ def test_fraction_validation():
                 n_materials=2)
 
 
+def water_disk(density):
+    """The disk a config builds for `water_density`."""
+    disk = {"center": [0.0, 0.0], "radius": 1.0, "water_density": density}
+    return PipelineConfig({"phantom": {"disks": [disk]}}).phantom().disks[0]
+
+
 def test_density_scaling_fractions_may_exceed_one():
-    d = water_equivalent_disk((0, 0), 1.0, density=1.01)
-    base = water_equivalent_disk((0, 0), 1.0, density=1.0)
+    d, base = water_disk(1.01), water_disk(1.0)
     assert np.allclose(d.fractions, 1.01 * base.fractions, rtol=1e-14)
 
 

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcmd.calibration import DEFAULT_DOMAIN
+from pcmd.config import PipelineConfig
 from pcmd.errors import ToolkitError
-from pcmd.priors import (apply_prior, clip_prior, compose_priors, decorrelated_prior,
-                         gaussian_kernel, gaussian_prior, rotation_matrix)
+from pcmd.priors import (GaussianPrior, apply_prior, clip_prior, compose_priors, gaussian_kernel,
+                         rotation_matrix)
 
 SHAPE = (24, 18)
 
@@ -17,7 +18,7 @@ def random_sino(seed, channels=2):
 
 
 def test_gaussian_preserves_constants():
-    spec = gaussian_prior([2.0, 1.0])
+    spec = GaussianPrior([2.0, 1.0])
     p = np.full(SHAPE + (2,), 3.7)
     out = apply_prior(spec, p)
     assert np.abs(out - 3.7).max() < 1e-12
@@ -34,7 +35,7 @@ def test_impulse_matches_dense_convolution_oracle():
     std = 2.0
     p = np.zeros(SHAPE + (1,))
     p[7, 9] = 1.0
-    got = apply_prior(gaussian_prior([std]), p)[:, :, 0]
+    got = apply_prior(GaussianPrior([std]), p)[:, :, 0]
     k = gaussian_kernel(std)
     r = (k.size - 1) // 2
     k2 = np.outer(k, k)
@@ -47,7 +48,7 @@ def test_impulse_matches_dense_convolution_oracle():
 
 
 def test_gaussian_is_linear():
-    spec = gaussian_prior([1.5, 2.5])
+    spec = GaussianPrior([1.5, 2.5])
     a, b = random_sino(1), random_sino(2)
     lhs = apply_prior(spec, 2.0 * a - 0.5 * b)
     rhs = 2.0 * apply_prior(spec, a) - 0.5 * apply_prior(spec, b)
@@ -55,7 +56,7 @@ def test_gaussian_is_linear():
 
 
 def test_anisotropic_std_pairs():
-    spec = gaussian_prior([(3.0, 1.0), 1.0])
+    spec = GaussianPrior([(3.0, 1.0), 1.0])
     p = random_sino(3)
     out = apply_prior(spec, p)
     # stronger smoothing along views than channels for material 0
@@ -85,34 +86,34 @@ def test_clip_idempotent_hypothesis(a, b):
 
 def test_identity_rotation_equals_plain_gaussian():
     p = random_sino(5)
-    plain = apply_prior(gaussian_prior([2.0, 2.0]), p)
-    decor = apply_prior(decorrelated_prior([2.0, 2.0], rotation=np.eye(2)), p)
+    plain = apply_prior(GaussianPrior([2.0, 2.0]), p)
+    decor = apply_prior(GaussianPrior([2.0, 2.0], np.eye(2)), p)
     assert np.abs(plain - decor).max() < 1e-14
 
 
 def test_equal_stds_commute_with_any_rotation():
     p = random_sino(6)
-    plain = apply_prior(gaussian_prior([1.8, 1.8]), p)
+    plain = apply_prior(GaussianPrior([1.8, 1.8]), p)
     for angle in (0.3, np.pi / 4, 1.2):
-        decor = apply_prior(decorrelated_prior([1.8, 1.8], rotation=rotation_matrix(angle)), p)
+        decor = apply_prior(GaussianPrior([1.8, 1.8], rotation_matrix(angle)), p)
         assert np.abs(plain - decor).max() < 1e-12
 
 
 def test_default_decorrelated_rotation_is_45_degrees():
-    spec = decorrelated_prior([6.0, 1.5])
+    spec = PipelineConfig({"prior": {"kind": "decorrelated-gaussian", "std": [6.0, 1.5]}}).prior()
     expected = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
     assert np.allclose(spec.rotation, expected, atol=1e-15)
 
 
 def test_nonorthonormal_rotation_rejected():
     with pytest.raises(ToolkitError, match="orthonormal"):
-        decorrelated_prior([1.0, 1.0], rotation=np.array([[1.0, 0.1], [0.0, 1.0]]))
+        GaussianPrior([1.0, 1.0], np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
 def test_single_agents_are_nonexpansive():
     rng = np.random.default_rng(7)
-    specs = [gaussian_prior([2.0, 3.0]),
-             decorrelated_prior([6.0, 1.5]),
+    specs = [GaussianPrior([2.0, 3.0]),
+             GaussianPrior([6.0, 1.5], rotation_matrix(np.pi / 4)),
              clip_prior(DEFAULT_DOMAIN)]
     for spec in specs:
         for _ in range(50):
@@ -124,7 +125,7 @@ def test_single_agents_are_nonexpansive():
 
 def test_composition_nonexpansiveness_logged_not_asserted(capsys):
     rng = np.random.default_rng(8)
-    spec = compose_priors([gaussian_prior([2.0, 2.0]), clip_prior(DEFAULT_DOMAIN)])
+    spec = compose_priors([GaussianPrior([2.0, 2.0]), clip_prior(DEFAULT_DOMAIN)])
     worst = 0.0
     for _ in range(50):
         a = rng.normal(scale=3.0, size=SHAPE + (2,))
@@ -135,9 +136,9 @@ def test_composition_nonexpansiveness_logged_not_asserted(capsys):
 
 
 def test_composition_applies_left_to_right():
-    spec = compose_priors([clip_prior(DEFAULT_DOMAIN), gaussian_prior([1.0, 1.0])])
+    spec = compose_priors([clip_prior(DEFAULT_DOMAIN), GaussianPrior([1.0, 1.0])])
     p = random_sino(9) * 30.0
-    manual = apply_prior(gaussian_prior([1.0, 1.0]), apply_prior(clip_prior(DEFAULT_DOMAIN), p))
+    manual = apply_prior(GaussianPrior([1.0, 1.0]), apply_prior(clip_prior(DEFAULT_DOMAIN), p))
     assert np.array_equal(apply_prior(spec, p), manual)
 
 
@@ -156,13 +157,13 @@ def test_bare_callable_receives_the_view_channel_material_cube():
 
 
 def test_shape_mismatch_raises():  # a 2-D (rows, material) sinogram
-    for prior in (gaussian_prior([1.0, 1.0]), clip_prior(DEFAULT_DOMAIN), lambda q: q):
+    for prior in (GaussianPrior([1.0, 1.0]), clip_prior(DEFAULT_DOMAIN), lambda q: q):
         with pytest.raises(ToolkitError, match="view, channel, material"):
             apply_prior(prior, random_sino(11).reshape(-1, 2))
 
 
 def test_spec_validation():
     with pytest.raises(ToolkitError, match="positive"):
-        gaussian_prior([0.0, 1.0])
+        GaussianPrior([0.0, 1.0])
     with pytest.raises(ToolkitError, match="empty"):
         compose_priors([])

@@ -3,9 +3,9 @@ import pytest
 
 from pcmd.errors import ToolkitError
 from pcmd.geometry import ImageGrid, ScanGeometry, project_image
-from pcmd.materials import conversion_matrix, equivalent_fractions, load_material
+from pcmd.materials import equivalent_fractions, load_material
 from pcmd.phantom import Disk, Phantom
-from pcmd.recon import basis_change, fbp_reconstruct, synthesize_mono
+from pcmd.recon import fbp_reconstruct, synthesize_mono
 
 from helpers import reference_fbp
 
@@ -186,44 +186,6 @@ def test_water_density_1p01_displays_ten_units_above_water(basis_materials):
     for energy in (50.0, 70.0, 100.0):
         mono = synthesize_mono(img, basis_materials, energy, hounsfield=True)
         assert np.abs(mono - 1010.0).max() < 0.02 * 1010.0
-
-
-def test_basis_change_identity_and_roundtrip():
-    rng = np.random.default_rng(1)
-    img = rng.normal(size=(6, 5, 2))
-    assert np.array_equal(basis_change(img, np.eye(2)), img)
-    m = np.array([[1.3, -0.4], [0.2, 0.9]])
-    back = basis_change(basis_change(img, m), np.linalg.inv(m))
-    assert np.abs(back - img).max() < 1e-12
-
-
-def test_basis_change_singular_matrix_rejected():
-    with pytest.raises(ToolkitError, match="singular"):
-        basis_change(np.zeros((2, 2, 2)), np.array([[1.0, 2.0], [2.0, 4.0]]))
-
-
-def test_basis_change_preserves_mono_at_matched_energies(basis_materials):
-    rng = np.random.default_rng(2)
-    img = rng.uniform(0, 1, size=(7, 7, 2))
-    target = [load_material("water"), load_material("pvc")]
-    energies = (50.0, 100.0)
-    m = conversion_matrix(basis_materials, target, energies)
-    changed = basis_change(img, m)
-    for e in energies:
-        mono_a = synthesize_mono(img, basis_materials, e)
-        mono_b = synthesize_mono(changed, target, e)
-        assert np.abs(mono_a - mono_b).max() < 1e-10
-
-
-def test_mono_commutes_with_basis_change(basis_materials):
-    # transforming fractions by M and attenuation vectors by M^-T leaves mono fixed
-    rng = np.random.default_rng(3)
-    img = rng.normal(size=(5, 5, 2))
-    m = np.array([[1.1, 0.3], [-0.2, 0.8]])
-    mu = np.array([mat.mu_at(70.0) for mat in basis_materials])
-    direct = img @ mu
-    transformed = basis_change(img, m) @ np.linalg.solve(m.T, mu)
-    assert np.abs(direct - transformed).max() < 1e-10
 
 
 def test_fbp_of_material_columns_shapes(desk_geometry, desk_grid):

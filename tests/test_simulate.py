@@ -5,11 +5,17 @@ from scipy import stats
 from helpers import traced_peak
 from pcmd import simulate
 from pcmd.errors import ToolkitError
-from pcmd.materials import load_material
-from pcmd.phantom import Phantom, water_equivalent_disk
+from pcmd.materials import equivalent_fractions, load_material
+from pcmd.phantom import Disk, Phantom
 from pcmd.simulate import (PURPOSE, air_counts, expected_counts, sample_poisson, scan_phantom,
                            stream)
 from pcmd.spectrum import SourceSpectrum
+
+
+def water_disk(basis_materials, radius):
+    """A centred disk of water, as its basis-material mix."""
+    return Disk(center=(0.0, 0.0), radius=radius,
+                fractions=equivalent_fractions(load_material("water"), basis_materials))
 
 
 def test_zero_pathlength_gives_binned_fluence(default_spectrum, basis_materials):
@@ -161,11 +167,13 @@ def test_empty_phantom_noiseless_rows_sum_to_one(default_spectrum, basis_materia
     t, _, _ = scan_phantom(ph, small_geometry, default_spectrum, basis_materials,
                            dose_scale=5.0, noise=False)
     assert np.abs(t.sum(axis=1) - 1.0).max() < 1e-12
-    assert np.allclose(t, default_spectrum.bin_fractions()[None, :], atol=1e-12)
+    sp = default_spectrum
+    air_fractions = sp.binned_fluence_matrix().sum(0) / sp.total_fluence
+    assert np.allclose(t, air_fractions[None, :], atol=1e-12)
 
 
 def test_noise_off_counts_equal_expectation(default_spectrum, basis_materials, small_geometry):
-    ph = Phantom(disks=(water_equivalent_disk((0, 0), 5.0, 1.0),), n_materials=2)
+    ph = Phantom(disks=(water_disk(basis_materials, 5.0),), n_materials=2)
     t, air, p = scan_phantom(ph, small_geometry, default_spectrum, basis_materials,
                              dose_scale=7.0, noise=False)
     pts, dirs = small_geometry.all_rays()
@@ -179,7 +187,7 @@ def test_scan_central_ray_sees_disk_diameter(default_spectrum, basis_materials):
     from pcmd.geometry import ScanGeometry
 
     geo = ScanGeometry(mode="parallel", n_views=1, n_channels=3, spacing=1.0)
-    disk = water_equivalent_disk((0.0, 0.0), 5.0, 1.0)
+    disk = water_disk(basis_materials, 5.0)
     ph = Phantom(disks=(disk,), n_materials=2)
     pts, dirs = geo.all_rays()
     p = ph.pathlengths(pts, dirs)

@@ -5,7 +5,7 @@ from helpers import grid_polish_minimizer, prox_objective, traced_peak
 from pcmd.calibration import DrfPolynomial, calibrate_drf, default_design
 from pcmd.errors import NumericError, ToolkitError
 from pcmd.geometry import ScanGeometry
-from pcmd.priors import gaussian_prior
+from pcmd.priors import GaussianPrior
 from pcmd import solver
 from pcmd.simulate import expected_counts, sample_poisson
 from pcmd.solver import (MaceConfig, MleConfig, equilibrium_residual, mann_iterate,
@@ -56,8 +56,8 @@ def test_fixed_point_stays_fixed():
     sigma = 0.8
     f, h = quadratic_prox(qf, af, sigma), quadratic_prox(qh, ah, sigma)
     settled = mann_iterate(np.zeros((1, n)), f, h, 0.5, 500)
-    res = mann_iterate(settled.consensus, f, h, 0.5, 30)
-    assert np.abs(res.consensus - settled.consensus).max() < 1e-10
+    res = mann_iterate(np.zeros((1, n)), f, h, 0.5, 530)
+    assert np.abs(res.p - settled.p).max() < 1e-10
     assert res.residuals[-1] < 1e-10
 
 
@@ -72,8 +72,9 @@ def test_single_iteration_matches_hand_trace():
     p1b = 2.0 * pf - p1
     pc = (1.0 - rho) * p0 + rho * p1b
     assert np.array_equal(res.p, pf)
-    assert np.array_equal(res.consensus, pc)
     assert res.residuals[0] == equilibrium_residual(pf, h(p0))
+    # the second iteration starts from the relaxed state pc
+    assert np.array_equal(mann_iterate(p0, f, h, rho, 2).p, f(2.0 * h(pc) - pc))
 
 
 def test_equilibrium_residual_cases():
@@ -108,9 +109,9 @@ def test_nonfinite_state_aborts_with_iteration_index():
 
 def test_mace_config_validation():
     with pytest.raises(ToolkitError, match="rho"):
-        MaceConfig(prior=gaussian_prior([1.0, 1.0]), rho=1.0)
+        MaceConfig(prior=GaussianPrior([1.0, 1.0]), rho=1.0)
     with pytest.raises(ToolkitError, match="iteration"):
-        MaceConfig(prior=gaussian_prior([1.0, 1.0]), n_iter=0)
+        MaceConfig(prior=GaussianPrior([1.0, 1.0]), n_iter=0)
 
 
 # --- maximum-likelihood decomposition against the simulator truth ---
@@ -399,7 +400,7 @@ def test_run_mace_gaussian_prior_smooths_noisy_rows(default_spectrum, basis_mate
 
     t = sample_poisson(lam, seed=3).astype(float) / air
     mle = mle_decompose(t, np.full(m, air), noiseless_drf, MleConfig(n_iter=30))
-    cfg = MaceConfig(prior=gaussian_prior([2.0, 2.0]), rho=0.8, n_iter=15, sigma=0.1,
+    cfg = MaceConfig(prior=GaussianPrior([2.0, 2.0]), rho=0.8, n_iter=15, sigma=0.1,
                      init=MleConfig(n_iter=15))
     mace = run_mace(t.reshape(v, c, -1), np.full((v, c), air), noiseless_drf, cfg)
     assert mace.p[..., 0].std() < 0.35 * mle.p[:, 0].std()

@@ -10,7 +10,7 @@ def test_default_spectrum_shape(default_spectrum):
     assert sp.n_bins == 8
     assert sp.energies[0] == 40.0 and sp.energies[-1] == 120.0
     assert np.all(sp.fluence >= 0)
-    assert np.isclose(sp.bin_fractions().sum(), 1.0, atol=1e-14)
+    assert np.isclose(sp.binned_fluence_matrix().sum(), sp.fluence.sum(), rtol=1e-14)
 
 
 def test_bin_masks_partition_support(default_spectrum):
