@@ -5,28 +5,8 @@ response, decomposes sinograms into basis-material pathlengths (maximum
 likelihood or consensus equilibrium between a detector agent and a sinogram
 denoiser), and reconstructs material and virtual mono-energetic images.
 
-Submodules are imported lazily so the CLI can configure threading before any
-numeric backend loads.
+Importing the package loads no submodule, so the CLI can configure threading
+before any numeric backend loads; import submodules by name (`pcmd.solver`).
 """
 
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "arrayio", "calibration", "config", "detector", "errors", "geometry",
-    "materials", "metrics", "phantom", "pipeline", "priors", "recon",
-    "simulate", "solver", "spectrum",
-)
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        import importlib
-
-        module = importlib.import_module(f".{name}", __name__)
-        globals()[name] = module
-        return module
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_SUBMODULES))

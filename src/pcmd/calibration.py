@@ -10,7 +10,7 @@ order-4 fit well-conditioned over the full 0-40 cm x 0-5 cm domain.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -111,7 +111,9 @@ class DrfPolynomial:
         n_coef = (self.order + 1) ** self.n_materials
         if theta.ndim != 3 or theta.shape[2] != n_coef:
             raise ToolkitError(f"drf: theta must be (channels, bins, {n_coef})")
-        if not np.all(np.isfinite(theta)):
+        # channels whose coefficients are all equal evaluate as one shared set
+        coef = theta[:1] if theta.strides[0] == 0 or not np.any(theta != theta[0]) else theta
+        if not np.all(np.isfinite(coef)):
             raise ToolkitError("drf: coefficients must be finite")
         scale = np.asarray(self.basis_scale, dtype=float)
         if scale.shape != (self.n_materials,) or not np.all((scale > 0) & (scale < np.inf)):
@@ -120,8 +122,7 @@ class DrfPolynomial:
             raise ToolkitError("drf: domain must bound every material")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "basis_scale", scale)
-        # channels whose coefficients are all equal evaluate as one shared set
-        object.__setattr__(self, "_coef", theta if np.any(theta != theta[0]) else theta[:1])
+        object.__setattr__(self, "_coef", coef)
         if self.bin_edges is not None:
             object.__setattr__(self, "bin_edges", np.asarray(self.bin_edges, dtype=float))
 
@@ -183,33 +184,40 @@ class DrfPolynomial:
         """Exact Jacobian d phi / dp, shape (..., K, L)."""
         return self._at_points(p, channel, True)[..., 1:]
 
-    def eval_jac(self, p: np.ndarray, channels=None):
+    def select(self, channels) -> "DrfPolynomial":
+        """This calibration restricted to `channels`, in their order: channel i
+        of the result is channel `channels[i]` of this one.  A shared
+        calibration selects as a zero-copy view of its one coefficient set."""
+        ch = np.asarray(channels, dtype=int).reshape(-1)
+        if ch.size == 0 or ch.min() < 0 or ch.max() >= self.n_channels:
+            raise ToolkitError(f"drf: select needs one or more channels in 0..{self.n_channels - 1}")
+        theta = (np.broadcast_to(self._coef, (ch.size,) + self._coef.shape[1:])
+                 if self.n_sets == 1 else self.theta[ch])
+        return replace(self, theta=theta)
+
+    def eval_jac(self, p: np.ndarray):
         """phi (M, K) and its Jacobian d phi / dp (M, K, L) for a stack of rows (M, L).
 
-        Rows are row-major (view, channel) over all detector channels unless
-        explicit `channels` give each row its own.  Both results are views
-        with rows along the fastest axis, so per-row arithmetic on them runs
-        over long contiguous vectors.
+        Rows are row-major (view, channel) over all detector channels; `select`
+        pairs rows with other channels.  Both results are views with rows
+        along the fastest axis, so per-row arithmetic on them runs over long
+        contiguous vectors.
         """
         p = np.asarray(p, dtype=float)
-        coef = self._coef
-        if channels is not None and coef.shape[0] > 1:
-            groups, coef = p[..., None], coef[np.asarray(channels, dtype=int)]  # (M, L, 1)
-        else:
-            if channels is None and p.shape[0] % self.n_channels:
-                raise ToolkitError("drf: sinogram rows not divisible by channel count")
-            groups = p.reshape(-1, coef.shape[0], p.shape[1]).transpose(1, 2, 0)  # (C, L, V)
-        out = self._apply(np.ascontiguousarray(groups), coef, True)    # (C, K, R, V)
+        if p.shape[0] % self.n_channels:
+            raise ToolkitError("drf: sinogram rows not divisible by channel count")
+        groups = p.reshape(-1, self.n_sets, p.shape[1]).transpose(1, 2, 0)   # (C, L, V)
+        out = self._apply(np.ascontiguousarray(groups), self._coef, True)     # (C, K, R, V)
         out = np.ascontiguousarray(out.transpose(1, 2, 3, 0)).reshape(out.shape[1:3] + (-1,))
         return out[:, 0].T, out[:, 1:].transpose(2, 0, 1)
 
-    def eval_sino(self, p: np.ndarray, channels=None) -> np.ndarray:
+    def eval_sino(self, p: np.ndarray) -> np.ndarray:
         """phi for a stack of projection rows (M, L) -> (M, K), rows as in `eval_jac`."""
-        return self.eval_jac(p, channels)[0]
+        return self.eval_jac(p)[0]
 
-    def grad_sino(self, p: np.ndarray, channels=None) -> np.ndarray:
+    def grad_sino(self, p: np.ndarray) -> np.ndarray:
         """Jacobians for a stack of rows (M, L) -> (M, K, L)."""
-        return self.eval_jac(p, channels)[1]
+        return self.eval_jac(p)[1]
 
 
 def measure_drf(mean_counts: np.ndarray, air_total: float) -> np.ndarray:

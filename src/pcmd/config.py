@@ -261,9 +261,16 @@ def _check_rules(v):
                               f"got [{lo}, {up}]")
 
     labels = [r["label"] for r in v["rois"]]
-    for i, label in enumerate(labels):
-        if label in labels[:i]:
-            raise ConfigError(f"rois[{i}].label: duplicate label {label!r}")
+    g = v["grid"]
+    xs, ys = ImageGrid(n_x=g["n_x"], n_y=g["n_y"], pixel_size=g["pixel_cm"]).pixel_centers()
+    for i, roi in enumerate(v["rois"]):
+        if roi["label"] in labels[:i]:
+            raise ConfigError(f"rois[{i}].label: duplicate label {roi['label']!r}")
+        (cx, cy), r = roi["center"], roi["radius"]
+        # the row of centres nearest cy decides each column, as in metrics' mask
+        if not np.any((xs - cx) ** 2 + np.min((ys - cy) ** 2) <= r**2):
+            raise ConfigError(f"rois[{i}]: no pixel centre of the grid ({g['n_x']} x {g['n_y']} "
+                              f"pixels of {g['pixel_cm']} cm) falls inside the circle")
     if v["cnr"] is not None:
         for which in ("target", "background"):
             if v["cnr"][which] not in labels:

@@ -7,7 +7,7 @@ Per projection row, the (constant-dropped) Poisson transmission loss is
 with phi the calibrated polynomial response.  Its proximal map is computed
 by repeatedly (i) linearizing phi at the current iterate, (ii) building the
 optimal quadratic surrogate of exp(-z) + t*z on [z_min, inf) with
-z_min = z_ref - epsilon, and (iii) solving the resulting small linear
+z_min = z_ref - EPSILON, and (iii) solving the resulting small linear
 system in closed form.  The full agent applies this independently to every
 projection row, vectorized across blocks of at most `_BLOCK_ROWS` rows so
 its working memory does not grow with the sinogram.
@@ -24,6 +24,8 @@ from .errors import NumericError, ToolkitError
 # iteration finite.  CLAMP_EVENTS counts how often it engaged.
 Z_CLAMP = 50.0
 CLAMP_EVENTS = {"count": 0}
+# Surrogate offset: the quadratic majorizes exp(-z) + t*z on [z_ref - EPSILON, inf).
+EPSILON = 1.0e-3
 # Rows per detector-agent block.  A block's basis table holds rows x n_coef x
 # (1 + L) floats, 9.8 MB at order 4 and two materials, whatever the scan size.
 _BLOCK_ROWS = 1 << 14
@@ -40,19 +42,16 @@ def _exp_neg(z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProxParams:
-    """Proximal-map parameters: strength sigma, partial updates, surrogate offset."""
+    """Proximal-map parameters: strength sigma and partial updates."""
 
     sigma: float = 1.0
     n_sub: int = 1
-    epsilon: float = 1.0e-3
 
     def __post_init__(self):
         if not self.sigma > 0:
             raise ToolkitError("prox params: sigma must be positive")
         if self.n_sub < 1:
             raise ToolkitError("prox params: need at least one partial update")
-        if not self.epsilon > 0:
-            raise ToolkitError("prox params: epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,7 @@ def _surrogate_terms(z_ref: np.ndarray, t: np.ndarray, epsilon: float):
     return t - e, e * (2.0 * (np.expm1(epsilon) - epsilon) / epsilon**2)
 
 
-def surrogate_at(z_ref: np.ndarray, t: np.ndarray, epsilon: float = 1.0e-3) -> SurrogateQuadratic:
+def surrogate_at(z_ref: np.ndarray, t: np.ndarray, epsilon: float = EPSILON) -> SurrogateQuadratic:
     """Optimal quadratic surrogate of g(z) = exp(-z) + t*z at z_ref.
 
     The curvature matches the bound's value at z_min = z_ref - epsilon, which
@@ -114,17 +113,18 @@ def _solve_batched(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def detector_agent_apply(p: np.ndarray, t_sino: np.ndarray, air_totals: np.ndarray,
                          drf, params: ProxParams, p_prime: np.ndarray = None,
-                         channels=None, on_nonfinite: str = "raise") -> np.ndarray:
+                         on_nonfinite: str = "raise") -> np.ndarray:
     """Partial-update proximal map applied independently to every row.
 
     `p` (M, L) is the proximal tether; the response is linearized at
     `p_prime` (defaults to `p` itself) and refreshed after each of the
-    `params.n_sub` updates.  Rows are fully decoupled, so any row
-    permutation commutes with this map, and rows are processed in blocks of
-    at most `_BLOCK_ROWS` (whole views when `channels` is None), each block
-    running all its updates.  With on_nonfinite="hold", rows whose update
-    goes non-finite keep their previous value instead of raising (callers
-    then flag them downstream).
+    `params.n_sub` updates.  Rows are row-major (view, channel) under `drf`
+    and fully decoupled: each depends only on its own inputs and channel.
+    They are processed in blocks of whole views of at most `_BLOCK_ROWS`
+    rows (one view when a view is longer), each block running all its
+    updates.  With on_nonfinite="hold", rows whose update goes non-finite
+    keep their previous value instead of raising (callers then flag them
+    downstream).
     """
     p = np.atleast_2d(np.asarray(p, dtype=float))
     t_sino = np.atleast_2d(np.asarray(t_sino, dtype=float))
@@ -134,19 +134,14 @@ def detector_agent_apply(p: np.ndarray, t_sino: np.ndarray, air_totals: np.ndarr
     pp = p if p_prime is None else np.atleast_2d(np.asarray(p_prime, dtype=float))
     if pp.shape != p.shape:
         raise ToolkitError(f"detector agent: p_prime is {pp.shape}, p is {p.shape}")
-    if channels is None:   # eval_jac groups a block's rows by channel: keep views whole
-        step = max(1, _BLOCK_ROWS // drf.n_channels) * drf.n_channels
-    else:
-        channels, step = np.asarray(channels, dtype=int), _BLOCK_ROWS
+    step = max(1, _BLOCK_ROWS // drf.n_channels) * drf.n_channels   # eval_jac groups rows by channel
     inv_a2 = 1.0 / (params.sigma**2 * air)  # 1/alpha^2, alpha = sigma*sqrt(air)
     out = np.empty_like(p)
     for lo in range(0, p.shape[0], step):
         rows = slice(lo, lo + step)
-        block_channels = None if channels is None else channels[rows]
         q = pp[rows]
         for _ in range(params.n_sub):
-            new = _prox_update(p[rows], t_sino[rows], inv_a2[rows], drf, params.epsilon, q,
-                               block_channels)
+            new = _prox_update(p[rows], t_sino[rows], inv_a2[rows], drf, q)
             bad = ~np.all(np.isfinite(new), axis=1)
             if np.any(bad):
                 if on_nonfinite == "raise":
@@ -158,13 +153,13 @@ def detector_agent_apply(p: np.ndarray, t_sino: np.ndarray, air_totals: np.ndarr
     return out
 
 
-def _prox_update(p, t_sino, inv_a2, drf, epsilon, pp, channels):
+def _prox_update(p, t_sino, inv_a2, drf, pp):
     """One linearize-and-solve update of a block of rows, linearized at `pp`.
 
     Its own function so that its temporaries are freed before the next update.
     """
-    phi, a = drf.eval_jac(pp, channels=channels)     # (M, K), (M, K, L)
-    b, c = _surrogate_terms(phi, t_sino, epsilon)
+    phi, a = drf.eval_jac(pp)                        # (M, K), (M, K, L)
+    b, c = _surrogate_terms(phi, t_sino, EPSILON)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         h = np.einsum("mki,mk,mkj->mij", a, c, a) + inv_a2[:, None, None] * np.eye(p.shape[1])
         a_pp = np.einsum("mkl,ml->mk", a, pp)
@@ -177,7 +172,6 @@ def prox_partial_update(p: np.ndarray, p_prime: np.ndarray, t: np.ndarray,
                         channel: int = 0) -> np.ndarray:
     """Single-row partial-update proximal map (N = params.n_sub updates)."""
     out = detector_agent_apply(np.asarray(p, dtype=float)[None], np.asarray(t, dtype=float)[None],
-                               np.array([air_total]), drf, params,
-                               p_prime=np.asarray(p_prime, dtype=float)[None],
-                               channels=np.array([channel]))
+                               np.array([air_total]), drf.select([channel]), params,
+                               p_prime=np.asarray(p_prime, dtype=float)[None])
     return out[0]

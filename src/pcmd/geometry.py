@@ -231,13 +231,8 @@ def rebin_fan_to_parallel(sino: np.ndarray, geometry: ScanGeometry):
     g0 = np.clip(np.floor(gi).astype(int), 0, c - 2)
     wg = np.clip(gi - g0, 0.0, 1.0)
 
-    out = np.empty((par.n_views, c, sino.shape[2]))
-    for j in range(par.n_views):
-        a00 = sino[b0[j], g0, :]
-        a01 = sino[b0[j], g0 + 1, :]
-        a10 = sino[b1[j], g0, :]
-        a11 = sino[b1[j], g0 + 1, :]
-        low = a00 * (1 - wg)[:, None] + a01 * wg[:, None]
-        high = a10 * (1 - wg)[:, None] + a11 * wg[:, None]
-        out[j] = low * (1 - wb[j])[:, None] + high * wb[j][:, None]
+    # (views, channels) index tables gather (views, channels, columns) corners
+    low = sino[b0, g0] * (1 - wg)[:, None] + sino[b0, g0 + 1] * wg[:, None]
+    high = sino[b1, g0] * (1 - wg)[:, None] + sino[b1, g0 + 1] * wg[:, None]
+    out = low * (1 - wb)[..., None] + high * wb[..., None]
     return par, out.reshape(par.n_rays, -1).squeeze()

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import detector
 from .detector import ProxParams, _exp_neg, detector_agent_apply
 from .errors import NumericError, ToolkitError
 from .priors import apply_prior, clip_prior
@@ -142,7 +143,9 @@ def mle_decompose(t_sino: np.ndarray, air_totals: np.ndarray, drf,
     the current iterate.  Refinement stops after the first pass in which no
     row moves by more than `_STOP_CM`; `steps` records each pass's largest
     move.  Rows that leave twice the calibration domain (or go non-finite)
-    are re-run through the equilibrium solver with a clip prior.
+    are re-run through the equilibrium solver with a clip prior, from their
+    grid-search start, as one-view sinograms of at most
+    `detector._BLOCK_ROWS` rows under their channels' calibration.
     """
     t_sino = np.asarray(t_sino, dtype=float)
     shape = t_sino.shape[:-1]
@@ -161,14 +164,14 @@ def mle_decompose(t_sino: np.ndarray, air_totals: np.ndarray, drf,
         if steps[-1] <= _STOP_CM:
             break
     flagged = _diverged_rows(p, drf.domain)
-    if flagged.size:
-        channels = flagged % drf.n_channels
+    for lo in range(0, flagged.size, detector._BLOCK_ROWS):
+        rows = flagged[lo:lo + detector._BLOCK_ROWS]
         # moderate prox strength here: the refinement sigma is deliberately huge
         # and would let the rescue's detector steps overshoot the clip prior
-        sub_mace = MaceConfig(prior=clip_prior(drf.domain), rho=0.8, n_iter=25, sigma=1.0)
-        redo = _run_mace_rows(t_sino[flagged], air[flagged], drf, sub_mace,
-                              p_init=p0[flagged, None], channels=channels)
-        p[flagged] = redo.p[:, 0]
+        sub_mace = MaceConfig(prior=clip_prior(drf.domain), rho=0.8, n_iter=25, sigma=1.0,
+                              init=p0[None, rows])
+        p[rows] = run_mace(t_sino[None, rows], air[None, rows],
+                           drf.select(rows % drf.n_channels), sub_mace).p[0]
     return SolveResult(p=p.reshape(*shape, -1), flagged_rows=flagged, steps=steps)
 
 
@@ -184,24 +187,6 @@ def same_mle_at_cap(steps, n_iter: int) -> bool:
     return n_iter == k or (n_iter > k and steps[-1] <= _STOP_CM)
 
 
-def _run_mace_rows(t_sino, air, drf, cfg: MaceConfig, p_init, channels=None):
-    """Mann iteration from a (view, channel, material) `p_init`; rows pair with `t_sino`, `air`."""
-    params = ProxParams(sigma=cfg.sigma, n_sub=cfg.n_sub)
-    rows = (-1, p_init.shape[-1])
-    state = {"p_prime": p_init.reshape(rows)}
-
-    def f_agent(q):
-        out = detector_agent_apply(q.reshape(rows), t_sino, air, drf, params,
-                                   p_prime=state["p_prime"], channels=channels)
-        state["p_prime"] = out
-        return out.reshape(q.shape)
-
-    def h_agent(q):
-        return apply_prior(cfg.prior, q)
-
-    return mann_iterate(p_init, f_agent, h_agent, cfg.rho, cfg.n_iter)
-
-
 def run_mace(t_sino: np.ndarray, air_totals: np.ndarray, drf, cfg: MaceConfig) -> SolveResult:
     """Consensus-equilibrium decomposition of a transmission sinogram.
 
@@ -213,10 +198,8 @@ def run_mace(t_sino: np.ndarray, air_totals: np.ndarray, drf, cfg: MaceConfig) -
     if t_sino.ndim != 3:
         raise ToolkitError(f"mace: transmission must be (view, channel, bin), got {t_sino.shape}")
     air = np.broadcast_to(np.asarray(air_totals, dtype=float), t_sino.shape[:2])
-    init = cfg.init
+    init = MleConfig(n_iter=15) if cfg.init is None else cfg.init
     mle = None
-    if init is None:
-        init = MleConfig(n_iter=15)
     if isinstance(init, MleConfig):
         mle = mle_decompose(t_sino, air, drf, init)
         p_init = mle.p
@@ -224,7 +207,17 @@ def run_mace(t_sino: np.ndarray, air_totals: np.ndarray, drf, cfg: MaceConfig) -
         p_init = np.asarray(init, dtype=float)
         if p_init.shape != (*t_sino.shape[:2], drf.n_materials):
             raise ToolkitError("mace: init sinogram shape mismatch")
-    result = _run_mace_rows(t_sino.reshape(-1, t_sino.shape[2]), air.reshape(-1), drf, cfg,
-                            p_init)
+    t_rows, air_rows = t_sino.reshape(-1, t_sino.shape[2]), air.reshape(-1)
+    params = ProxParams(sigma=cfg.sigma, n_sub=cfg.n_sub)
+    p_prime = p_init.reshape(-1, drf.n_materials)
+
+    def f_agent(q):   # linearized at its previous output
+        nonlocal p_prime
+        p_prime = detector_agent_apply(q.reshape(p_prime.shape), t_rows, air_rows, drf, params,
+                                       p_prime=p_prime)
+        return p_prime.reshape(q.shape)
+
+    result = mann_iterate(p_init, f_agent, lambda q: apply_prior(cfg.prior, q), cfg.rho,
+                          cfg.n_iter)
     result.mle_init = mle
     return result

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from helpers import exact_phi
+from helpers import exact_phi, traced_peak
 from pcmd.calibration import (DEFAULT_DOMAIN, CalibrationDesign, CalibrationDomain, DrfPolynomial,
                               calibrate_drf, default_design, fit_drf, load_calibration,
                               measure_drf, save_calibration, slab_scan_protocol)
@@ -179,9 +179,10 @@ def test_kernel_matches_direct_monomial_sum(case):
     p = rng.uniform([-20.0, -3.0], [60.0, 8.0], size=(50 * n_chan, 2))
     if case == "explicit":
         channels = rng.integers(0, n_chan, size=p.shape[0])
-        phi, jac = drf.eval_jac(p, channels=channels)
-        assert np.array_equal(drf.eval_sino(p, channels=channels), phi)
-        assert np.array_equal(drf.grad_sino(p, channels=channels), jac)
+        one_view = drf.select(channels)
+        phi, jac = one_view.eval_jac(p)
+        assert np.array_equal(one_view.eval_sino(p), phi)
+        assert np.array_equal(one_view.grad_sino(p), jac)
     else:
         channels = np.arange(p.shape[0]) % n_chan   # row-major (view, channel)
         phi, jac = drf.eval_jac(p)
@@ -197,6 +198,39 @@ def test_kernel_matches_direct_monomial_sum(case):
         assert np.all(np.abs(drf.grad(p, channel=c) - ref_jac) <= 1e-12 * size[..., 1:])
         stack = drf.eval(p.reshape(10, -1, 2), channel=c)
         assert np.all(np.abs(stack.reshape(ref_phi.shape) - ref_phi) <= 1e-12 * size[..., 0])
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_selected_channels_evaluate_as_their_channels(shared):
+    rng = np.random.default_rng(13)
+    theta = rng.normal(size=(5, 6, 25))
+    if shared:
+        theta[:] = theta[0]
+    drf = DrfPolynomial(theta=theta, order=4, n_materials=2, domain=DEFAULT_DOMAIN,
+                        basis_scale=np.array([40.0, 5.0]))
+    channels = np.array([4, 0, 4, 2, 1, 3, 0])
+    p = rng.uniform([0.0, 0.0], [40.0, 5.0], size=(3 * channels.size, 2))   # three views
+    one_view = drf.select(channels)
+    assert one_view.n_channels == channels.size
+    phi, jac = one_view.eval_jac(p)
+    for row, c in enumerate(np.tile(channels, 3)):
+        assert np.allclose(phi[row], drf.eval(p[row], channel=c), rtol=1e-13, atol=1e-13)
+        assert np.allclose(jac[row], drf.grad(p[row], channel=c), rtol=1e-13, atol=1e-13)
+
+
+def test_select_on_a_shared_calibration_copies_no_coefficients(noiseless_drf):
+    channels = np.zeros(20_000, dtype=int)
+    coefficients = channels.size * noiseless_drf.theta[0].nbytes
+    assert traced_peak(noiseless_drf.select, channels) < coefficients / 100
+    assert noiseless_drf.select(channels).n_sets == 1
+
+
+@pytest.mark.parametrize("channels", [[1], [-1], [0, 3], []])
+def test_select_outside_the_channels_raises(channels):
+    drf = DrfPolynomial(theta=np.ones((1, 2, 25)), order=4, n_materials=2, domain=DEFAULT_DOMAIN,
+                        basis_scale=np.array([40.0, 5.0]))
+    with pytest.raises(ToolkitError, match="channels"):
+        drf.select(channels)
 
 
 def test_dense_grid_validation_residual(default_spectrum, basis_materials, noiseless_drf):

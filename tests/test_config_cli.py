@@ -3,6 +3,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -235,6 +237,16 @@ def test_zero_width_calibration_axis_exits_2_before_the_fit(tmp_path, capsys):
     assert PipelineConfig(cfg).calibration_domain().span[1] == 0.0
 
 
+@pytest.mark.parametrize("roi", [{"center": [50.0, 50.0]}, {"radius": 0.05}])
+def test_a_roi_holding_no_pixel_centre_exits_2_before_any_stage(tmp_path, capsys, roi):
+    cfg = tiny_config(tmp_path / "out")
+    cfg["rois"][0].update(roi)
+    assert main(["pipeline", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: rois[0]:") and "grid" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bounds_that_build_are_accepted(tmp_path):
     cfg = tiny_config(tmp_path / "out")
     cfg["geometry"].update(mode="fan", sid_cm=50.0, sdd_cm=100.0, n_views=2**16)
@@ -340,6 +352,19 @@ def test_bad_json_reports_file(tmp_path):
 
 
 # --- CLI end to end ---
+
+def test_importing_the_cli_loads_no_numeric_backend():
+    # --threads caps the BLAS threads through the environment, which only
+    # reaches a backend that loads after the flag is read
+    import pcmd
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pcmd.__file__)))
+    probe = "import sys, pcmd.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
+
 
 def test_cli_exit_codes(tmp_path):
     cfg = tiny_config(tmp_path / "out")

@@ -132,7 +132,7 @@ def test_monotone_objective_on_affine_response():
     # by more than epsilon) carry no guarantee and are only counted
     drf = affine_drf()
     rng = np.random.default_rng(6)
-    eps = 1e-3
+    eps = detector.EPSILON
     in_region_steps = 0
     for trial in range(20):
         p_star = rng.uniform([0, 0], [30, 4])
@@ -145,8 +145,7 @@ def test_monotone_objective_on_affine_response():
         pp = tether.copy()
         for _ in range(8):
             z_min = drf.eval(pp, 0) - eps
-            pp = prox_partial_update(tether, pp, t, air, drf,
-                                     ProxParams(sigma=sigma, n_sub=1, epsilon=eps))
+            pp = prox_partial_update(tether, pp, t, air, drf, ProxParams(sigma=sigma, n_sub=1))
             cur = obj(pp)
             if np.all(drf.eval(pp, 0) >= z_min):
                 in_region_steps += 1
@@ -197,23 +196,22 @@ def test_rows_are_independent_and_permutable(noiseless_drf):
     rng = np.random.default_rng(12)
     m = 40
     p = rng.uniform([0, 0], [30, 4], size=(m, 2))
-    t = np.exp(-noiseless_drf.eval_sino(p, channels=np.zeros(m, dtype=int)))
+    drf = noiseless_drf.select(np.zeros(m, dtype=int))
+    t = np.exp(-drf.eval_sino(p))
     air = np.full(m, 1.0e4)
     params = ProxParams(sigma=0.7, n_sub=2)
-    ch = np.zeros(m, dtype=int)
-    out = detector_agent_apply(p, t, air, noiseless_drf, params, channels=ch)
+    out = detector_agent_apply(p, t, air, drf, params)
     perm = rng.permutation(m)
-    out_perm = detector_agent_apply(p[perm], t[perm], air[perm], noiseless_drf, params,
-                                    channels=ch)
+    out_perm = detector_agent_apply(p[perm], t[perm], air[perm], drf, params)
     assert np.array_equal(out[perm], out_perm)
 
 
 def test_single_row_sinogram_equals_row_prox(noiseless_drf):
     p = np.array([[10.0, 1.0]])
-    t = np.exp(-noiseless_drf.eval_sino(p, channels=np.zeros(1, dtype=int)))
+    drf = noiseless_drf.select([0])
+    t = np.exp(-drf.eval_sino(p))
     params = ProxParams(sigma=0.5, n_sub=3)
-    full = detector_agent_apply(p, t, np.array([2.0e4]), noiseless_drf, params,
-                                channels=np.zeros(1, dtype=int))
+    full = detector_agent_apply(p, t, np.array([2.0e4]), drf, params)
     row = prox_partial_update(p[0], p[0], t[0], 2.0e4, noiseless_drf, params)
     assert np.array_equal(full[0], row)
 
@@ -222,11 +220,10 @@ def test_agent_near_identity_at_rowwise_mle(noiseless_drf):
     rng = np.random.default_rng(13)
     m = 25
     p_true = rng.uniform([1, 0.1], [30, 4], size=(m, 2))
-    t = np.exp(-noiseless_drf.eval_sino(p_true, channels=np.zeros(m, dtype=int)))
+    drf = noiseless_drf.select(np.zeros(m, dtype=int))
+    t = np.exp(-drf.eval_sino(p_true))
     air = np.full(m, 3.0e5)
-    out = detector_agent_apply(p_true, t, air, noiseless_drf,
-                               ProxParams(sigma=1e4, n_sub=1),
-                               channels=np.zeros(m, dtype=int))
+    out = detector_agent_apply(p_true, t, air, drf, ProxParams(sigma=1e4, n_sub=1))
     assert np.abs(out - p_true).max() < 1e-6
 
 
@@ -239,9 +236,8 @@ def test_noiseless_rows_recover_truth_with_large_sigma(default_spectrum, basis_m
     t = lam / default_spectrum.total_fluence
     air = np.full(m, 3.0e5)
     p = p_true + rng.normal(0, 0.2, size=(m, 2))  # warm start near truth
-    out = detector_agent_apply(p, t, air, noiseless_drf,
-                               ProxParams(sigma=1e3, n_sub=50),
-                               channels=np.zeros(m, dtype=int))
+    out = detector_agent_apply(p, t, air, noiseless_drf.select(np.zeros(m, dtype=int)),
+                               ProxParams(sigma=1e3, n_sub=50))
     assert np.abs(out - p_true).max() < 1e-4
 
 
@@ -263,11 +259,10 @@ def test_p_prime_of_another_shape_raises(noiseless_drf, monkeypatch, rows):
 def test_nonfinite_raise_and_hold(noiseless_drf):
     p = np.array([[np.inf, 1.0]])
     t = np.full((1, 8), 0.5)
+    drf = noiseless_drf.select([0])
     with pytest.raises(NumericError, match="non-finite"):
-        detector_agent_apply(p, t, np.ones(1), noiseless_drf, ProxParams(),
-                             channels=np.zeros(1, dtype=int))
-    held = detector_agent_apply(p, t, np.ones(1), noiseless_drf, ProxParams(),
-                                channels=np.zeros(1, dtype=int), on_nonfinite="hold")
+        detector_agent_apply(p, t, np.ones(1), drf, ProxParams())
+    held = detector_agent_apply(p, t, np.ones(1), drf, ProxParams(), on_nonfinite="hold")
     assert np.array_equal(held, p)
 
 
@@ -313,24 +308,25 @@ def per_channel_rows(noiseless_drf):
 
 @pytest.mark.parametrize("explicit, sizes", [
     (False, (28, 28, 28, 16)),     # whole views of four channels
-    (True, (30, 30, 30, 10)),      # plain row slices
+    (True, (100,)),                # one view of 100 selected channels: one block
 ])
 @pytest.mark.parametrize("n_sub", [1, 2])
 def test_blocks_give_the_unblocked_result(per_channel_rows, monkeypatch, explicit, sizes, n_sub):
     drf, p, t, air, pp = per_channel_rows
-    channels = np.arange(p.shape[0]) % N_CHAN if explicit else None
+    if explicit:
+        drf = drf.select(np.arange(p.shape[0]) % N_CHAN)
     params = ProxParams(sigma=0.7, n_sub=n_sub)
-    whole = detector_agent_apply(p, t, air, drf, params, p_prime=pp, channels=channels)
+    whole = detector_agent_apply(p, t, air, drf, params, p_prime=pp)
     seen = []
     eval_jac = DrfPolynomial.eval_jac
 
-    def spy(self, rows, channels=None):
+    def spy(self, rows):
         seen.append(rows.shape[0])
-        return eval_jac(self, rows, channels)
+        return eval_jac(self, rows)
 
     monkeypatch.setattr(DrfPolynomial, "eval_jac", spy)
     monkeypatch.setattr(detector, "_BLOCK_ROWS", 30)
-    blocked = detector_agent_apply(p, t, air, drf, params, p_prime=pp, channels=channels)
+    blocked = detector_agent_apply(p, t, air, drf, params, p_prime=pp)
     assert seen == [n for n in sizes for _ in range(n_sub)]   # each block runs every update
     assert np.abs(blocked - whole).max() <= 1e-12
 

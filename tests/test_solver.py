@@ -6,7 +6,7 @@ from pcmd.calibration import DrfPolynomial, calibrate_drf, default_design
 from pcmd.errors import NumericError, ToolkitError
 from pcmd.geometry import ScanGeometry
 from pcmd.priors import GaussianPrior
-from pcmd import solver
+from pcmd import detector, solver
 from pcmd.simulate import expected_counts, sample_poisson
 from pcmd.solver import (MaceConfig, MleConfig, equilibrium_residual, mann_iterate,
                          mle_decompose, run_mace)
@@ -221,9 +221,8 @@ def test_degenerate_single_point_grid_refines_from_that_point(default_spectrum,
     # single-point grid spans the domain bounds -> starts at the lower corner
     p = np.array([[0.0, 0.0]])
     for _ in range(10):
-        p = detector_agent_apply(p, t, air, noiseless_drf,
-                                 ProxParams(sigma=1.0e3, n_sub=1), p_prime=p,
-                                 channels=np.zeros(1, dtype=int))
+        p = detector_agent_apply(p, t, air, noiseless_drf.select([0]),
+                                 ProxParams(sigma=1.0e3, n_sub=1), p_prime=p)
     assert np.array_equal(res.p, p)
 
 
@@ -256,6 +255,24 @@ def test_divergent_rows_are_clipped_back(noiseless_drf):
     # the clip-prior rescue settles near the calibration boundary
     lo, up = noiseless_drf.domain.lower, noiseless_drf.domain.upper
     assert np.all(res.p >= lo - 0.5) and np.all(res.p <= up + 0.5)
+
+
+def test_rescue_in_chunks_gives_the_single_chunk_result(noiseless_drf, monkeypatch):
+    # four channels whose coefficients differ, so each chunk selects its rows' own
+    theta = np.stack([noiseless_drf.theta[0] * (1.0 + 0.02 * c) for c in range(4)])
+    drf = DrfPolynomial(theta=theta, order=noiseless_drf.order, n_materials=2,
+                        domain=noiseless_drf.domain, basis_scale=noiseless_drf.basis_scale)
+    rng = np.random.default_rng(21)
+    p_true = rng.uniform([1.0, 0.1], [30.0, 4.0], size=(10 * 4, 2))
+    t = np.exp(-drf.eval_sino(p_true))
+    t[rng.choice(t.shape[0], size=12, replace=False)] = 0.0
+    air = np.full(t.shape[0], 1.0e4)
+    one = mle_decompose(t, air, drf, MleConfig(n_iter=30))
+    monkeypatch.setattr(detector, "_BLOCK_ROWS", 5)   # chunks of 5, 5 and 2 flagged rows
+    chunked = mle_decompose(t, air, drf, MleConfig(n_iter=30))
+    assert one.flagged_rows.size == 12
+    assert np.array_equal(chunked.flagged_rows, one.flagged_rows)
+    assert np.abs(chunked.p - one.p).max() <= 1e-12
 
 
 # --- early stop of the refinement loop ---
