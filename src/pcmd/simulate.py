@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ToolkitError
 from .materials import mu_matrix
 
-_ROW_CHUNK = 16384  # rows of the one (rows, n_energies) attenuation buffer
+_ROW_CHUNK = 4096  # rows of the one (rows, n_energies) attenuation buffer
 
 
 def expected_counts(spectrum, materials, pathlengths: np.ndarray, dose_scale: float = 1.0) -> np.ndarray:

@@ -21,6 +21,7 @@ from . import detector
 from .detector import ProxParams, _exp_neg, detector_agent_apply
 from .errors import NumericError, ToolkitError
 from .priors import apply_prior, clip_prior
+from .workspace import Workspace
 
 _DIVERGED_SPAN_FACTOR = 1.0  # rows beyond domain inflated by one full span are suspect
 _STOP_CM = 1.0e-10  # largest row step (cm) after which MLE refinement stops
@@ -133,7 +134,7 @@ def _diverged_rows(p: np.ndarray, domain) -> np.ndarray:
 
 
 def mle_decompose(t_sino: np.ndarray, air_totals: np.ndarray, drf,
-                  cfg: MleConfig = MleConfig()) -> SolveResult:
+                  cfg: MleConfig = MleConfig(), work: Workspace = None) -> SolveResult:
     """Maximum-likelihood pathlengths per projection: (..., K) transmission and
     (...) air totals give (..., L) pathlengths; `flagged_rows` are row-major
     indices into the projections.
@@ -145,7 +146,9 @@ def mle_decompose(t_sino: np.ndarray, air_totals: np.ndarray, drf,
     move.  Rows that leave twice the calibration domain (or go non-finite)
     are re-run through the equilibrium solver with a clip prior, from their
     grid-search start, as one-view sinograms of at most
-    `detector._BLOCK_ROWS` rows under their channels' calibration.
+    `detector._BLOCK_ROWS` rows under their channels' calibration.  Every
+    detector pass, the rescue's too, works in `work` (a fresh Workspace
+    when None).
     """
     t_sino = np.asarray(t_sino, dtype=float)
     shape = t_sino.shape[:-1]
@@ -154,10 +157,11 @@ def mle_decompose(t_sino: np.ndarray, air_totals: np.ndarray, drf,
     p0 = _grid_search(t_sino, drf, cfg.grid_points)
     p = p0.copy()
     params = ProxParams(sigma=cfg.sigma)
+    work = Workspace() if work is None else work
     steps = []
     for _ in range(cfg.n_iter):
         new = detector_agent_apply(p, t_sino, air, drf, params, p_prime=p,
-                                   on_nonfinite="hold")
+                                   on_nonfinite="hold", work=work)
         steps.append(float(np.max(np.abs(new - p), initial=0.0)))
         p = new
         # a pass is a fixed map of p: once it leaves p unchanged, later passes would too
@@ -171,7 +175,7 @@ def mle_decompose(t_sino: np.ndarray, air_totals: np.ndarray, drf,
         sub_mace = MaceConfig(prior=clip_prior(drf.domain), rho=0.8, n_iter=25, sigma=1.0,
                               init=p0[None, rows])
         p[rows] = run_mace(t_sino[None, rows], air[None, rows],
-                           drf.select(rows % drf.n_channels), sub_mace).p[0]
+                           drf.select(rows % drf.n_channels), sub_mace, work).p[0]
     return SolveResult(p=p.reshape(*shape, -1), flagged_rows=flagged, steps=steps)
 
 
@@ -187,21 +191,25 @@ def same_mle_at_cap(steps, n_iter: int) -> bool:
     return n_iter == k or (n_iter > k and steps[-1] <= _STOP_CM)
 
 
-def run_mace(t_sino: np.ndarray, air_totals: np.ndarray, drf, cfg: MaceConfig) -> SolveResult:
+def run_mace(t_sino: np.ndarray, air_totals: np.ndarray, drf, cfg: MaceConfig,
+             work: Workspace = None) -> SolveResult:
     """Consensus-equilibrium decomposition of a transmission sinogram.
 
     `t_sino` is (view, channel, bin) and `air_totals` (view, channel); the
     result is (view, channel, material).  `cfg.init` may be an MleConfig
     (default: MleConfig(n_iter=15)), or an explicit starting sinogram.
+    Every detector pass, the MLE start's too, works in `work` (a fresh
+    Workspace when None).
     """
     t_sino = np.asarray(t_sino, dtype=float)
     if t_sino.ndim != 3:
         raise ToolkitError(f"mace: transmission must be (view, channel, bin), got {t_sino.shape}")
     air = np.broadcast_to(np.asarray(air_totals, dtype=float), t_sino.shape[:2])
     init = MleConfig(n_iter=15) if cfg.init is None else cfg.init
+    work = Workspace() if work is None else work
     mle = None
     if isinstance(init, MleConfig):
-        mle = mle_decompose(t_sino, air, drf, init)
+        mle = mle_decompose(t_sino, air, drf, init, work)
         p_init = mle.p
     else:
         p_init = np.asarray(init, dtype=float)
@@ -214,7 +222,7 @@ def run_mace(t_sino: np.ndarray, air_totals: np.ndarray, drf, cfg: MaceConfig) -
     def f_agent(q):   # linearized at its previous output
         nonlocal p_prime
         p_prime = detector_agent_apply(q.reshape(p_prime.shape), t_rows, air_rows, drf, params,
-                                       p_prime=p_prime)
+                                       p_prime=p_prime, work=work)
         return p_prime.reshape(q.shape)
 
     result = mann_iterate(p_init, f_agent, lambda q: apply_prior(cfg.prior, q), cfg.rho,

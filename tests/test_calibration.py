@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from helpers import exact_phi, traced_peak
+from pcmd import calibration
 from pcmd.calibration import (DEFAULT_DOMAIN, CalibrationDesign, CalibrationDomain, DrfPolynomial,
                               calibrate_drf, default_design, fit_drf, load_calibration,
                               measure_drf, save_calibration, slab_scan_protocol)
 from pcmd.errors import NumericError, PhotonStarvationError, ToolkitError
 from pcmd.geometry import ScanGeometry
+from pcmd.workspace import Workspace
 
 
 def test_measure_drf_equal_split_gives_log_k():
@@ -141,25 +143,28 @@ def test_sinogram_jacobian_matches_central_differences(default_spectrum, basis_m
 def direct_response(theta, scale, order, p):
     """Per-coefficient monomial sum, its analytic Jacobian, and the sum of |terms|.
 
-    `theta` is one channel's (K, n_coef) with n_coef = (order + 1)^2 and p is
-    (N, 2); coefficient j = a * (order + 1) + b multiplies s0^a s1^b,
-    s = p / scale.
+    `theta` is one channel's (K, n_coef) with n_coef = (order + 1)^L and p is
+    (N, L); coefficient j, the j-th exponent tuple e of
+    `np.ndindex((order + 1,) * L)`, multiplies prod_l s_l^e_l, s = p / scale.
     """
     s = p / scale
+    n_mat = p.shape[1]
     phi = np.zeros((p.shape[0], theta.shape[0]))
-    jac = np.zeros(phi.shape + (2,))
-    size = np.zeros(phi.shape + (3,))
-    for a in range(order + 1):
-        for b in range(order + 1):
-            coef = theta[:, a * (order + 1) + b]
-            mono = s[:, 0] ** a * s[:, 1] ** b
-            d0 = a * s[:, 0] ** max(a - 1, 0) * s[:, 1] ** b / scale[0]
-            d1 = b * s[:, 0] ** a * s[:, 1] ** max(b - 1, 0) / scale[1]
-            for i, term in enumerate((mono, d0, d1)):
-                size[..., i] += np.abs(np.outer(term, coef))
-            phi += np.outer(mono, coef)
-            jac[..., 0] += np.outer(d0, coef)
-            jac[..., 1] += np.outer(d1, coef)
+    jac = np.zeros(phi.shape + (n_mat,))
+    size = np.zeros(phi.shape + (1 + n_mat,))
+    for j, exps in enumerate(np.ndindex((order + 1,) * n_mat)):
+        coef = theta[:, j]
+        powers = [s[:, l] ** e for l, e in enumerate(exps)]
+        terms = [np.prod(powers, axis=0)]
+        for m, e in enumerate(exps):
+            factors = list(powers)
+            factors[m] = e * s[:, m] ** max(e - 1, 0) / scale[m]
+            terms.append(np.prod(factors, axis=0))
+        for i, term in enumerate(terms):
+            size[..., i] += np.abs(np.outer(term, coef))
+        phi += np.outer(terms[0], coef)
+        for m in range(n_mat):
+            jac[..., m] += np.outer(terms[1 + m], coef)
     return phi, jac, size
 
 
@@ -167,37 +172,56 @@ def direct_response(theta, scale, order, p):
 def test_kernel_matches_direct_monomial_sum(case):
     rng = np.random.default_rng(12)
     n_chan = 1 if case == "single" else 3
-    theta = rng.normal(size=(n_chan, 6, 25))
-    if case == "shared":
-        theta[:] = theta[0]
-    scale = np.array([40.0, 5.0])
-    drf = DrfPolynomial(theta=theta, order=4, n_materials=2, domain=DEFAULT_DOMAIN,
-                        basis_scale=scale)
-    assert drf.n_channels == n_chan
-    assert drf._coef.shape[0] == (1 if case in ("single", "shared") else 3)  # shared path
-    # rows inside and outside the 0-40 x 0-5 cm calibration domain
-    p = rng.uniform([-20.0, -3.0], [60.0, 8.0], size=(50 * n_chan, 2))
-    if case == "explicit":
-        channels = rng.integers(0, n_chan, size=p.shape[0])
-        one_view = drf.select(channels)
-        phi, jac = one_view.eval_jac(p)
-        assert np.array_equal(one_view.eval_sino(p), phi)
-        assert np.array_equal(one_view.grad_sino(p), jac)
-    else:
-        channels = np.arange(p.shape[0]) % n_chan   # row-major (view, channel)
-        phi, jac = drf.eval_jac(p)
-        assert np.array_equal(drf.eval_sino(p), phi)
-        assert np.array_equal(drf.grad_sino(p), jac)
+    for n_mat in (1, 2, 3):
+        theta = rng.normal(size=(n_chan, 6, 5**n_mat))
+        if case == "shared":
+            theta[:] = theta[0]
+        scale = np.array([40.0, 5.0, 10.0])[:n_mat]
+        drf = DrfPolynomial(theta=theta, order=4, n_materials=n_mat, basis_scale=scale,
+                            domain=CalibrationDomain(lower=np.zeros(n_mat), upper=scale))
+        assert drf.n_channels == n_chan
+        assert drf._coef.shape[0] == (1 if case in ("single", "shared") else 3)  # shared path
+        # rows inside and outside the calibration domain
+        p = rng.uniform(-0.5 * scale, 1.5 * scale, size=(50 * n_chan, n_mat))
+        if case == "explicit":
+            channels = rng.integers(0, n_chan, size=p.shape[0])
+            one_view = drf.select(channels)
+            phi, jac = one_view.eval_jac(p)
+            assert np.array_equal(one_view.eval_sino(p), phi)
+            assert np.array_equal(one_view.grad_sino(p), jac)
+        else:
+            channels = np.arange(p.shape[0]) % n_chan   # row-major (view, channel)
+            phi, jac = drf.eval_jac(p)
+            assert np.array_equal(drf.eval_sino(p), phi)
+            assert np.array_equal(drf.grad_sino(p), jac)
+        for c in range(n_chan):
+            rows = channels == c
+            ref_phi, ref_jac, size = direct_response(theta[c], scale, 4, p[rows])
+            assert np.all(np.abs(phi[rows] - ref_phi) <= 1e-12 * size[..., 0])
+            assert np.all(np.abs(jac[rows] - ref_jac) <= 1e-12 * size[..., 1:])
+            ref_phi, ref_jac, size = direct_response(theta[c], scale, 4, p)
+            assert np.all(np.abs(drf.eval(p, channel=c) - ref_phi) <= 1e-12 * size[..., 0])
+            assert np.all(np.abs(drf.grad(p, channel=c) - ref_jac) <= 1e-12 * size[..., 1:])
+            stack = drf.eval(p.reshape(10, -1, n_mat), channel=c)
+            assert np.all(np.abs(stack.reshape(ref_phi.shape) - ref_phi) <= 1e-12 * size[..., 0])
+
+
+@pytest.mark.parametrize("group", [1, 4, 16])
+def test_set_groups_change_no_bit(monkeypatch, group):
+    rng = np.random.default_rng(15)
+    n_chan = 11
+    drf = DrfPolynomial(theta=rng.normal(size=(n_chan, 6, 25)), order=4, n_materials=2,
+                        domain=DEFAULT_DOMAIN, basis_scale=np.array([40.0, 5.0]))
+    p = rng.uniform([-20.0, -3.0], [60.0, 8.0], size=(7 * n_chan, 2))
+    monkeypatch.setattr(calibration, "_SET_GROUP", group)
+    work = Workspace()
+    with work.frame():
+        drf.eval_jac(p + 1.0, work)   # a group left unwritten keeps these rows' values
+    phi, jac = drf.eval_jac(p, work)
     for c in range(n_chan):
-        rows = channels == c
-        ref_phi, ref_jac, size = direct_response(theta[c], scale, 4, p[rows])
-        assert np.all(np.abs(phi[rows] - ref_phi) <= 1e-12 * size[..., 0])
-        assert np.all(np.abs(jac[rows] - ref_jac) <= 1e-12 * size[..., 1:])
-        ref_phi, ref_jac, size = direct_response(theta[c], scale, 4, p)
-        assert np.all(np.abs(drf.eval(p, channel=c) - ref_phi) <= 1e-12 * size[..., 0])
-        assert np.all(np.abs(drf.grad(p, channel=c) - ref_jac) <= 1e-12 * size[..., 1:])
-        stack = drf.eval(p.reshape(10, -1, 2), channel=c)
-        assert np.all(np.abs(stack.reshape(ref_phi.shape) - ref_phi) <= 1e-12 * size[..., 0])
+        ref_phi, ref_jac = drf.select([c]).eval_jac(p[c::n_chan])
+        assert phi[c::n_chan].tobytes() == ref_phi.tobytes()
+        assert jac[c::n_chan].tobytes() == ref_jac.tobytes()
 
 
 @pytest.mark.parametrize("shared", [True, False])

@@ -9,6 +9,7 @@ from pcmd.calibration import CalibrationDomain, DrfPolynomial
 from pcmd.detector import ProxParams, detector_agent_apply, prox_partial_update, surrogate_at
 from pcmd.errors import NumericError, ToolkitError
 from pcmd.simulate import expected_counts
+from pcmd.workspace import Workspace
 
 
 def scalar_linear_drf():
@@ -320,9 +321,9 @@ def test_blocks_give_the_unblocked_result(per_channel_rows, monkeypatch, explici
     seen = []
     eval_jac = DrfPolynomial.eval_jac
 
-    def spy(self, rows):
+    def spy(self, rows, work=None):
         seen.append(rows.shape[0])
-        return eval_jac(self, rows)
+        return eval_jac(self, rows, work)
 
     monkeypatch.setattr(DrfPolynomial, "eval_jac", spy)
     monkeypatch.setattr(detector, "_BLOCK_ROWS", 30)
@@ -355,3 +356,17 @@ def test_agent_memory_does_not_grow_with_rows(per_channel_rows):
 
     one = peak(detector._BLOCK_ROWS)
     assert peak(4 * detector._BLOCK_ROWS) <= 1.5 * one
+
+
+def test_a_pass_runs_in_one_reused_workspace(noiseless_drf):
+    # one block of 16,320 rows: 170 views of a 96-channel per-channel calibration
+    theta = np.stack([noiseless_drf.theta[0] * (1.0 + 0.002 * c) for c in range(96)])
+    drf = DrfPolynomial(theta=theta, order=noiseless_drf.order, n_materials=2,
+                        domain=noiseless_drf.domain, basis_scale=noiseless_drf.basis_scale)
+    p = np.random.default_rng(33).uniform([1.0, 0.1], [30.0, 4.0], size=(170 * 96, 2))
+    t = np.exp(-drf.eval_sino(p))
+    args = (p, t, np.full(p.shape[0], 2.0e4), drf, ProxParams(n_sub=1))
+    work = Workspace()
+    # all 96 sets' basis table alone is 9.8 MB; 8 at a time it is 0.8 MB
+    assert traced_peak(detector_agent_apply, *args, work=work) < 10e6
+    assert traced_peak(detector_agent_apply, *args, work=work) < 1e6

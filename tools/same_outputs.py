@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""Byte-compare the stage outputs of two pcmd output directories.
+
+    python tools/same_outputs.py DIR_A DIR_B
+
+Every `.pcmd`, `.pcmdcal`, `.png` and `stats.csv` under either directory is
+compared with the file at the same relative path under the other.  For an
+array file (`.pcmd` arrays, `.pcmdcal` coefficients) whose bytes differ, the
+largest absolute and relative difference of its values is printed.  Exit
+status: 0 when every file is byte-identical, 1 when any differs or is on one
+side only.
+"""
+
+import argparse
+import os
+import sys
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+from pcmd.arrayio import read_array  # noqa: E402
+from pcmd.calibration import load_calibration  # noqa: E402
+
+COMPARED = (".pcmd", ".pcmdcal", ".png")
+
+
+def outputs(root):
+    """Relative paths of the compared files under `root`."""
+    found = set()
+    for here, _, files in os.walk(root):
+        for name in files:
+            if name.endswith(COMPARED) or name == "stats.csv":
+                found.add(os.path.relpath(os.path.join(here, name), root))
+    return found
+
+
+def values(path):
+    return read_array(path)[0] if path.endswith(".pcmd") else load_calibration(path).theta
+
+
+def difference(path_a, path_b):
+    """How two differing files differ, as one line."""
+    if not path_a.endswith((".pcmd", ".pcmdcal")):
+        return "bytes differ"
+    a, b = values(path_a), values(path_b)
+    if a.shape != b.shape:
+        return f"shapes {a.shape} and {b.shape}"
+    with np.errstate(invalid="ignore"):
+        gap = np.where(np.isnan(a) & np.isnan(b), 0.0, np.abs(a - b))
+        scale = np.maximum(np.abs(a), np.abs(b))
+        rel = np.divide(gap, scale, out=np.zeros_like(gap), where=gap > 0)
+    return f"max abs diff {np.nanmax(gap, initial=0.0):.3g}, max rel diff {np.nanmax(rel, initial=0.0):.3g}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("dir_a")
+    parser.add_argument("dir_b")
+    args = parser.parse_args(argv)
+    in_a, in_b = outputs(args.dir_a), outputs(args.dir_b)
+    differ = 0
+    for rel in sorted(in_a | in_b):
+        if rel not in in_b or rel not in in_a:
+            print(f"{rel}: only in {args.dir_a if rel in in_a else args.dir_b}")
+            differ += 1
+            continue
+        path_a, path_b = os.path.join(args.dir_a, rel), os.path.join(args.dir_b, rel)
+        with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
+            if fa.read() == fb.read():
+                continue
+        print(f"{rel}: {difference(path_a, path_b)}")
+        differ += 1
+    print(f"{len(in_a | in_b)} files compared, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
