@@ -9,6 +9,7 @@ per-material scale) so evaluation is unambiguous; the scaled basis keeps the
 order-4 fit well-conditioned over the full 0-40 cm x 0-5 cm domain.
 """
 
+import functools
 import json
 from dataclasses import dataclass, field, replace
 
@@ -21,7 +22,7 @@ from .workspace import Workspace
 
 # Coefficient sets per basis table in `DrfPolynomial.eval_jac`: a detector
 # block of 16,320 rows over 96 per-channel sets (170 views) builds 8 sets'
-# table at a time, 0.8 MB at order 4 and two materials instead of 9.8 MB.
+# table at a time, 0.27 MB at order 4 and two materials instead of 3.3 MB.
 _SET_GROUP = 8
 
 
@@ -89,6 +90,31 @@ def default_design(domain: CalibrationDomain = DEFAULT_DOMAIN, points_per_axis=(
                              repeats_per_point=repeats)
 
 
+@functools.lru_cache(maxsize=16)
+def _lift(order: int, scale: tuple) -> np.ndarray:
+    """The (n_coef, (1 + L) n_coef) matrix that maps coefficient sets to the
+    sets stacked with their derivative sets, for a basis of `order` and
+    per-material `scale`; read-only, shared by every calibration of that basis.
+
+    The derivative of a polynomial is a polynomial in the same basis: in set
+    1 + m, monomial e takes the coefficient of e + 1 in material m, scaled by
+    (e_m + 1) / scale_m, and 0 at the top power.  Every column has at most
+    one nonzero factor, so each entry of the product is one coefficient
+    times one factor, rounded once.
+    """
+    n_mat, n_pow = len(scale), order + 1
+    n_coef = n_pow ** n_mat
+    exps = np.indices((n_pow,) * n_mat).reshape(n_mat, -1)
+    lift = np.zeros((n_coef, 1 + n_mat, n_coef))
+    lift[:, 0] = np.eye(n_coef)
+    for m in range(n_mat):
+        e = np.nonzero(exps[m] < order)[0]
+        lift[e + n_pow ** (n_mat - 1 - m), 1 + m, e] = (exps[m, e] + 1) / scale[m]
+    lift = lift.reshape(n_coef, -1)
+    lift.flags.writeable = False
+    return lift
+
+
 @dataclass(frozen=True)
 class DrfPolynomial:
     """Per-channel polynomial detector response phi(p) and its gradient.
@@ -145,65 +171,72 @@ class DrfPolynomial:
         """Distinct coefficient sets: 1 when every channel shares one, else n_channels."""
         return self._coef.shape[0]
 
-    def _tables(self, p: np.ndarray, grad: bool, work: Workspace,
-                scratch: Workspace = None) -> np.ndarray:
-        """Basis and, with `grad`, its p-derivatives at point groups p (G, L, N):
-        (G, n_coef, R, N), taken from `work`.
+    def _tables(self, p: np.ndarray, work: Workspace, scratch: Workspace = None) -> np.ndarray:
+        """Basis at point groups p (G, L, N): (G, n_coef, N), taken from `work`.
 
-        Row 0 is the basis, row 1 + m its derivative in p_m (R = 1 + L with
-        `grad`): tensor products over materials, left to right, of the power
-        tables s_l^0..s_l^P (s = p / basis_scale), with the derivative table
-        e * s_m^(e-1) / basis_scale_m as factor m of row 1 + m.  The factors
-        are taken from `scratch` (default `work`) and are spent on return.
+        Tensor products over materials, left to right, of the power tables
+        s_l^0..s_l^P (s = p / basis_scale).  The factors are taken from
+        `scratch` (default `work`) and are spent on return.
         """
         scratch = work if scratch is None else scratch
         n_groups, n_mat, n_pts = p.shape
-        n_pow, n_rows = self.order + 1, 1 + n_mat if grad else 1
-        table = work.take((n_groups,) + (n_pow,) * n_mat + (n_rows, n_pts))
+        n_pow = self.order + 1
+        table = work.take((n_groups,) + (n_pow,) * n_mat + (n_pts,))
         s = np.divide(p, self.basis_scale[:, None], out=scratch.take(p.shape))
         power = scratch.take((n_groups, n_mat, n_pow, n_pts))  # s^0 = 1 and s^1 = s exactly
         power[..., 0, :] = 1.0
         if n_pow > 1:
             power[..., 1, :] = s
-        e = np.arange(n_pow)[:, None]
         if n_pow > 2:
             # numpy squares outright when 2 is the only exponent, which may round
             # apart from pow; so at order 2 pow also gives s^1 (as s)
             first = 2 if n_pow > 3 else 1
-            np.power(s[..., None, :], e[first:], out=power[..., first:, :])
-        if grad:
-            deriv = scratch.take(power.shape)
-            deriv[..., 0, :] = 0.0
-            np.multiply(power[..., :-1, :], e[1:], out=deriv[..., 1:, :])
-            deriv[..., 1:, :] /= self.basis_scale[:, None, None]
-        partial = [scratch.take((n_groups,) + (n_pow,) * (m + 1) + (n_pts,))
-                   for m in range(1, n_mat - 1)]
-        for r in range(n_rows):
-            factors = [(deriv if r == 1 + m else power)[:, m] for m in range(n_mat)]   # (G, P+1, N)
-            prod = factors[0]
-            for m in range(1, n_mat):
-                dest = table[..., r, :] if m == n_mat - 1 else partial[m - 1]
-                step = factors[m].reshape((n_groups,) + (1,) * m + (n_pow, n_pts))
-                prod = np.multiply(prod[..., None, :], step, out=dest)
-            if n_mat == 1:
-                table[..., r, :] = prod
-        return table.reshape(n_groups, -1, n_rows, n_pts)
+            # pow runs some 30x slower on a negative base (numpy leaves its vector
+            # path), so it powers |s| and odd powers take the sign of s
+            mag = np.abs(s, out=scratch.take(p.shape))
+            np.power(mag[..., None, :], np.arange(first, n_pow)[:, None], out=power[..., first:, :])
+            np.copysign(power[..., 1::2, :], s[..., None, :], out=power[..., 1::2, :])
+        prod = power[:, 0]                                                 # (G, P+1, N)
+        for m in range(1, n_mat):
+            shape = (n_groups,) + (n_pow,) * (m + 1) + (n_pts,)
+            dest = table if m == n_mat - 1 else scratch.take(shape)
+            step = power[:, m].reshape((n_groups,) + (1,) * m + (n_pow, n_pts))
+            prod = np.multiply(prod[..., None, :], step, out=dest)
+        if n_mat == 1:
+            table[...] = prod
+        return table.reshape(n_groups, -1, n_pts)
+
+    def _with_derivatives(self, coef: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """Coefficient sets (..., K, n_coef) stacked with their derivative sets
+        (`_lift`): (..., K, 1 + L, n_coef), in `out` when given."""
+        lift = _lift(self.order, tuple(self.basis_scale.tolist()))
+        flat = np.matmul(coef.reshape(-1, coef.shape[-1]), lift,
+                         out=None if out is None else out.reshape(-1, lift.shape[1]))
+        return flat.reshape(coef.shape[:-1] + (1 + self.n_materials, coef.shape[-1]))
 
     def _at_points(self, p, channel: int, grad: bool) -> np.ndarray:
-        """Response at points (..., L) for `channel`: (..., K, R)."""
+        """Response at points (..., L) for `channel`: (..., K), or with `grad` (..., K, L)."""
         p = np.asarray(p, dtype=float)
-        coef = self._coef if len(self._coef) == 1 else self._coef[[channel]]
-        tab = self._tables(p.reshape(-1, self.n_materials).T[None], grad, Workspace())
-        out = np.matmul(coef, tab.reshape(1, tab.shape[1], -1))[0].reshape(-1, *tab.shape[2:])
-        return np.moveaxis(out, -1, 0).reshape(p.shape[:-1] + out.shape[:2])
+        coef = self._coef[0 if self.n_sets == 1 else channel]                # (K, n_coef)
+        if grad:
+            coef = self._with_derivatives(coef)[:, 1:].reshape(-1, coef.shape[1])
+        tab = self._tables(p.reshape(-1, self.n_materials).T[None], Workspace())[0]
+        tail = (self.n_bins, self.n_materials) if grad else (self.n_bins,)
+        return (coef @ tab).T.reshape(p.shape[:-1] + tail)
 
     def eval(self, p, channel: int = 0) -> np.ndarray:
         """phi(p) for one detector channel; p is (..., L), result (..., K)."""
-        return self._at_points(p, channel, False)[..., 0]
+        return self._at_points(p, channel, False)
 
     def grad(self, p, channel: int = 0) -> np.ndarray:
         """Exact Jacobian d phi / dp, shape (..., K, L)."""
-        return self._at_points(p, channel, True)[..., 1:]
+        return self._at_points(p, channel, True)
+
+    def eval_sets(self, p):
+        """phi at points p (N, L) under each coefficient set in turn, as
+        `n_sets` arrays (K, N), all contracted with one basis table."""
+        tab = self._tables(np.asarray(p, dtype=float).T[None], Workspace())[0]
+        return (coef @ tab for coef in self._coef)
 
     def select(self, channels) -> "DrfPolynomial":
         """This calibration restricted to `channels`, in their order: channel i
@@ -223,9 +256,12 @@ class DrfPolynomial:
         pairs rows with other channels.  Both results are views of one array
         taken from `work` in the caller's frame (a fresh Workspace when None),
         with rows along the fastest axis, so per-row arithmetic on them runs
-        over long contiguous vectors.  A per-channel calibration is evaluated `_SET_GROUP`
-        coefficient sets at a time, each set with its own matrix product, so
-        grouping changes no bit of the result.
+        over long contiguous vectors.  One basis table is contracted with each
+        coefficient set stacked with its derivative sets (`_with_derivatives`),
+        so phi and the Jacobian come from one product per set.  A per-channel
+        calibration is evaluated `_SET_GROUP` sets at a time, derivative sets
+        included, each set with its own matrix product, so grouping changes
+        no bit of the result.
         """
         p = np.asarray(p, dtype=float)
         if p.shape[0] % self.n_channels:
@@ -241,10 +277,13 @@ class DrfPolynomial:
         for lo in range(0, n_sets, _SET_GROUP):
             sets = slice(lo, lo + _SET_GROUP)
             with work.frame():
-                tab = self._tables(groups[sets], True, work, scratch)       # (G, n_coef, R, V)
-                prod = (out.reshape(1, n_bins, -1) if n_sets == 1 else
-                        work.take((tab.shape[0], n_bins, n_rows * n_views)))
-                np.matmul(self._coef[sets], tab.reshape(tab.shape[0], tab.shape[1], -1), out=prod)
+                tab = self._tables(groups[sets], work, scratch)             # (G, n_coef, V)
+                n_group, n_coef = tab.shape[:2]
+                coef = self._with_derivatives(self._coef[sets],
+                                              work.take((n_group, n_bins, n_rows, n_coef)))
+                prod = (out.reshape(1, -1, n_views) if n_sets == 1 else
+                        work.take((n_group, n_bins * n_rows, n_views)))
+                np.matmul(coef.reshape(n_group, -1, n_coef), tab, out=prod)
                 if n_sets > 1:
                     out[..., sets] = prod.reshape(-1, n_bins, n_rows, n_views).transpose(1, 2, 3, 0)
         out = out.reshape(n_bins, n_rows, -1)
@@ -302,7 +341,7 @@ def fit_drf(points: np.ndarray, phi_hat: np.ndarray, order: int = 4,
     theta = np.empty((n_chan, phi_hat.shape[2], n_coef))
     worst = 0.0
     for c in range(n_chan):
-        design = probe._tables(points[c].T[None], False, Workspace())[0, :, 0].T
+        design = probe._tables(points[c].T[None], Workspace())[0].T
         coef, _, rank, _ = np.linalg.lstsq(design, phi_hat[c], rcond=None)
         if rank < n_coef:
             raise NumericError(

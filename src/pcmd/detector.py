@@ -29,9 +29,9 @@ CLAMP_EVENTS = {"count": 0}
 # Surrogate offset: the quadratic majorizes exp(-z) + t*z on [z_ref - EPSILON, inf).
 EPSILON = 1.0e-3
 # Rows per detector-agent block.  A block's arrays are reused by every later
-# block: a shared calibration's basis table holds rows x n_coef x (1 + L)
-# floats, 9.8 MB at order 4 and two materials, whatever the scan size; a
-# per-channel one builds it `calibration._SET_GROUP` sets at a time.
+# block: a shared calibration's basis table holds rows x n_coef floats,
+# 3.3 MB at order 4 and two materials, whatever the scan size; a per-channel
+# one builds it `calibration._SET_GROUP` sets at a time.
 _BLOCK_ROWS = 1 << 14
 
 

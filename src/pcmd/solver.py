@@ -104,9 +104,9 @@ def mann_iterate(p_init: np.ndarray, f_agent, h_agent, rho: float, n_iter: int):
 def _grid_search(t_sino: np.ndarray, drf, grid_points) -> np.ndarray:
     """Exhaustive minimization of sum_k exp(-phi_k) + phi_k * t_k per row.
 
-    Rows are scored one coefficient set at a time, one matrix product per
-    block of at most `_GRID_BLOCK` losses, so memory grows with neither the
-    sinogram nor the number of sets.
+    The grid's basis table is built once; rows are scored one coefficient set
+    at a time, one matrix product per block of at most `_GRID_BLOCK` losses,
+    so memory grows with neither the sinogram nor the number of sets.
     """
     pts = drf.domain.grid(grid_points)                        # (G, L)
     n_sets = drf.n_sets
@@ -115,8 +115,8 @@ def _grid_search(t_sino: np.ndarray, drf, grid_points) -> np.ndarray:
     t3 = t_sino.reshape(-1, n_sets, t_sino.shape[1])          # (V, C, K)
     best = np.empty(t3.shape[:2], dtype=np.intp)
     block = max(1, _GRID_BLOCK // pts.shape[0])
-    for c in range(n_sets):
-        phi = drf.eval(pts, channel=c)                        # (G, K)
+    for c, phi_t in enumerate(drf.eval_sets(pts)):
+        phi = phi_t.T                                         # (G, K)
         att = _exp_neg(phi).sum(axis=1)                       # (G,)
         for v in range(0, t3.shape[0], block):
             loss = t3[v:v + block, c] @ phi.T                 # (rows, G)
@@ -125,11 +125,17 @@ def _grid_search(t_sino: np.ndarray, drf, grid_points) -> np.ndarray:
     return pts[best.ravel()]
 
 
-def _diverged_rows(p: np.ndarray, domain) -> np.ndarray:
+def _flagged_rows(p: np.ndarray, t_sino: np.ndarray, domain) -> np.ndarray:
+    """Rows to rescue: non-finite, beyond the domain inflated by
+    `_DIVERGED_SPAN_FACTOR` spans, or with no counts in any bin.  A row
+    without counts has no finite likelihood minimum; it drifts outward at a
+    pace set by its channel's slope, so the domain test alone catches it
+    only by chance."""
     lo = domain.lower - _DIVERGED_SPAN_FACTOR * domain.span
     up = domain.upper + _DIVERGED_SPAN_FACTOR * domain.span
     bad = ~np.all(np.isfinite(p), axis=1)
     bad |= np.any((p < lo) | (p > up), axis=1)
+    bad |= ~np.any(t_sino, axis=1)
     return np.nonzero(bad)[0]
 
 
@@ -143,9 +149,9 @@ def mle_decompose(t_sino: np.ndarray, air_totals: np.ndarray, drf,
     partial-update refinements with both the tether and the linearization at
     the current iterate.  Refinement stops after the first pass in which no
     row moves by more than `_STOP_CM`; `steps` records each pass's largest
-    move.  Rows that leave twice the calibration domain (or go non-finite)
-    are re-run through the equilibrium solver with a clip prior, from their
-    grid-search start, as one-view sinograms of at most
+    move.  Rows that leave twice the calibration domain, go non-finite or
+    hold no counts are re-run through the equilibrium solver with a clip
+    prior, from their grid-search start, as one-view sinograms of at most
     `detector._BLOCK_ROWS` rows under their channels' calibration.  Every
     detector pass, the rescue's too, works in `work` (a fresh Workspace
     when None).
@@ -167,7 +173,7 @@ def mle_decompose(t_sino: np.ndarray, air_totals: np.ndarray, drf,
         # a pass is a fixed map of p: once it leaves p unchanged, later passes would too
         if steps[-1] <= _STOP_CM:
             break
-    flagged = _diverged_rows(p, drf.domain)
+    flagged = _flagged_rows(p, t_sino, drf.domain)
     for lo in range(0, flagged.size, detector._BLOCK_ROWS):
         rows = flagged[lo:lo + detector._BLOCK_ROWS]
         # moderate prox strength here: the refinement sigma is deliberately huge

@@ -206,6 +206,35 @@ def test_kernel_matches_direct_monomial_sum(case):
             assert np.all(np.abs(stack.reshape(ref_phi.shape) - ref_phi) <= 1e-12 * size[..., 0])
 
 
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("n_mat", [1, 2, 3])
+def test_derivative_sets_give_the_jacobian(n_mat, order, shared):
+    rng = np.random.default_rng(100 * n_mat + order)
+    n_chan = 3
+    theta = rng.normal(size=(n_chan, 4, (order + 1) ** n_mat))
+    if shared:
+        theta[:] = theta[0]
+    scale = np.array([40.0, 5.0, 10.0])[:n_mat]
+    drf = DrfPolynomial(theta=theta, order=order, n_materials=n_mat, basis_scale=scale,
+                        domain=CalibrationDomain(lower=np.zeros(n_mat), upper=scale))
+    p = rng.uniform(-0.5 * scale, 1.5 * scale, size=(20 * n_chan, n_mat))
+    _, jac = drf.eval_jac(p)
+    if order == 0:
+        assert not jac.any()
+    for c in range(n_chan):
+        rows = p[c::n_chan]
+        # the basis-derivative product rule the kernel used before derivative sets
+        _, ref_jac, size = direct_response(theta[c], scale, order, rows)
+        assert np.all(np.abs(jac[c::n_chan] - ref_jac) <= 1e-12 * size[..., 1:])
+        assert np.all(np.abs(drf.grad(rows, channel=c) - ref_jac) <= 1e-12 * size[..., 1:])
+        for m in range(n_mat):
+            h = np.zeros(n_mat)
+            h[m] = 1e-5 * scale[m]
+            fd = (drf.eval(rows + h, channel=c) - drf.eval(rows - h, channel=c)) / (2 * h[m])
+            assert np.all(np.abs(fd - jac[c::n_chan, :, m]) <= 1e-6 * size[..., 1 + m] + 1e-9)
+
+
 @pytest.mark.parametrize("group", [1, 4, 16])
 def test_set_groups_change_no_bit(monkeypatch, group):
     rng = np.random.default_rng(15)
@@ -240,6 +269,23 @@ def test_selected_channels_evaluate_as_their_channels(shared):
     for row, c in enumerate(np.tile(channels, 3)):
         assert np.allclose(phi[row], drf.eval(p[row], channel=c), rtol=1e-13, atol=1e-13)
         assert np.allclose(jac[row], drf.grad(p[row], channel=c), rtol=1e-13, atol=1e-13)
+
+
+def test_per_row_selection_traces_no_more_than_the_basis_derivative_kernel():
+    # The MLE rescue evaluates `select(rows % n_channels)`, one coefficient set
+    # per row, in the workspace its refinement passes grew on whole-view blocks.
+    # Derivative sets kept per row would hold 600 floats a row (9.8 MB here).
+    rng = np.random.default_rng(17)
+    drf = DrfPolynomial(theta=rng.normal(size=(96, 8, 25)), order=4, n_materials=2,
+                        domain=DEFAULT_DOMAIN, basis_scale=np.array([40.0, 5.0]))
+    work = Workspace()
+    with work.frame():
+        drf.eval_jac(rng.uniform([0.0, 0.0], [40.0, 5.0], size=(96 * 170, 2)), work)
+    one_view = drf.select(rng.integers(0, 96, size=2048))
+    p = rng.uniform([-5.0, -1.0], [45.0, 6.0], size=(2048, 2))
+    with work.frame():
+        peak = traced_peak(one_view.eval_jac, p, work)
+    assert peak <= 7_192   # bytes traced by the basis-derivative kernel it replaced
 
 
 def test_select_on_a_shared_calibration_copies_no_coefficients(noiseless_drf):

@@ -12,8 +12,8 @@ TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     "tools", "same_outputs.py")
 
 
-def compare(dir_a, dir_b):
-    return subprocess.run([sys.executable, TOOL, str(dir_a), str(dir_b)],
+def compare(dir_a, dir_b, *options):
+    return subprocess.run([sys.executable, TOOL, str(dir_a), str(dir_b), *options],
                           capture_output=True, text=True, timeout=60)
 
 
@@ -47,3 +47,26 @@ def test_one_changed_value_is_reported_with_its_size(two_dirs):
     assert run.returncode == 1
     assert "pathlengths_mle.pcmd: max abs diff 1.05e-08, max rel diff 1e-09" in run.stdout
     assert "1 differ" in run.stdout
+
+
+def test_atol_matches_close_arrays_and_still_prints_their_gap(two_dirs):
+    a, b = two_dirs
+    arr = np.arange(12.0).reshape(2, 3, 2) + 0.5
+    arr[0, 1, 1] += 3e-13
+    write_array(b / "pathlengths_mle.pcmd", arr, labels=["view", "channel", "material"])
+    close = compare(a, b, "--atol", "1e-12")
+    assert close.returncode == 0, close.stdout
+    assert "pathlengths_mle.pcmd: max abs diff 3" in close.stdout
+    assert "(within 1e-12)" in close.stdout and "0 differ" in close.stdout
+    far = compare(a, b, "--atol", "1e-13")
+    assert far.returncode == 1 and "1 differ" in far.stdout
+    assert "within" not in far.stdout
+
+
+@pytest.mark.parametrize("name", ["stats.csv", "mono70_mle.png"])
+def test_atol_leaves_stats_and_pngs_byte_compared(two_dirs, name):
+    a, b = two_dirs
+    (b / name).write_bytes((a / name).read_bytes() + b" ")
+    run = compare(a, b, "--atol", "1e6")
+    assert run.returncode == 1
+    assert f"{name}: bytes differ" in run.stdout

@@ -257,6 +257,20 @@ def test_divergent_rows_are_clipped_back(noiseless_drf):
     assert np.all(res.p >= lo - 0.5) and np.all(res.p <= up + 0.5)
 
 
+@pytest.mark.parametrize("slope", [1.0, 2.9])
+def test_rows_without_counts_are_flagged_whatever_the_slope(noiseless_drf, slope):
+    # without the no-count rule, five passes leave these rows unflagged inside
+    # twice the domain: at [75.86, 1.83] cm (slope 1) and [40.05, 5.10] cm (2.9)
+    drf = DrfPolynomial(theta=noiseless_drf.theta * slope, order=noiseless_drf.order,
+                        n_materials=2, domain=noiseless_drf.domain,
+                        basis_scale=noiseless_drf.basis_scale)
+    t = np.exp(-drf.eval(np.linspace([2.0, 0.2], [30.0, 4.0], 6)))
+    t[[1, 4]] = 0.0
+    res = mle_decompose(t, np.full(6, 3.0e5), drf, MleConfig(n_iter=5))
+    assert res.flagged_rows.tolist() == [1, 4]
+    assert np.abs(res.p[[1, 4]] - drf.domain.upper).max() < 1e-3
+
+
 def test_rescue_in_chunks_gives_the_single_chunk_result(noiseless_drf, monkeypatch):
     # four channels whose coefficients differ, so each chunk selects its rows' own
     theta = np.stack([noiseless_drf.theta[0] * (1.0 + 0.02 * c) for c in range(4)])

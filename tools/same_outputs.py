@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Byte-compare the stage outputs of two pcmd output directories.
 
-    python tools/same_outputs.py DIR_A DIR_B
+    python tools/same_outputs.py DIR_A DIR_B [--atol X]
 
 Every `.pcmd`, `.pcmdcal`, `.png` and `stats.csv` under either directory is
 compared with the file at the same relative path under the other.  For an
 array file (`.pcmd` arrays, `.pcmdcal` coefficients) whose bytes differ, the
-largest absolute and relative difference of its values is printed.  Exit
-status: 0 when every file is byte-identical, 1 when any differs or is on one
+largest absolute and relative difference of its values is printed; with
+`--atol X` it still matches when every value lies within X of the other
+side's (NaN matching NaN).  `stats.csv` and PNGs always match byte for byte.
+Exit status: 0 when every file matches, 1 when any differs or is on one
 side only.
 """
 
@@ -39,24 +41,28 @@ def values(path):
     return read_array(path)[0] if path.endswith(".pcmd") else load_calibration(path).theta
 
 
-def difference(path_a, path_b):
-    """How two differing files differ, as one line."""
+def difference(path_a, path_b, atol):
+    """How two byte-different files differ, as one line, and whether they
+    still match: array values all within `atol` of each other (None: never)."""
     if not path_a.endswith((".pcmd", ".pcmdcal")):
-        return "bytes differ"
+        return "bytes differ", False
     a, b = values(path_a), values(path_b)
     if a.shape != b.shape:
-        return f"shapes {a.shape} and {b.shape}"
+        return f"shapes {a.shape} and {b.shape}", False
     with np.errstate(invalid="ignore"):
         gap = np.where(np.isnan(a) & np.isnan(b), 0.0, np.abs(a - b))
         scale = np.maximum(np.abs(a), np.abs(b))
         rel = np.divide(gap, scale, out=np.zeros_like(gap), where=gap > 0)
-    return f"max abs diff {np.nanmax(gap, initial=0.0):.3g}, max rel diff {np.nanmax(rel, initial=0.0):.3g}"
+    line = f"max abs diff {np.nanmax(gap, initial=0.0):.3g}, max rel diff {np.nanmax(rel, initial=0.0):.3g}"
+    return line, atol is not None and bool(np.all(gap <= atol))   # a NaN gap fails
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("dir_a")
     parser.add_argument("dir_b")
+    parser.add_argument("--atol", type=float, default=None,
+                        help="array files whose values all lie within ATOL match")
     args = parser.parse_args(argv)
     in_a, in_b = outputs(args.dir_a), outputs(args.dir_b)
     differ = 0
@@ -69,8 +75,9 @@ def main(argv=None) -> int:
         with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
             if fa.read() == fb.read():
                 continue
-        print(f"{rel}: {difference(path_a, path_b)}")
-        differ += 1
+        line, close = difference(path_a, path_b, args.atol)
+        print(f"{rel}: {line}{f' (within {args.atol:g})' if close else ''}")
+        differ += not close
     print(f"{len(in_a | in_b)} files compared, {differ} differ")
     return 1 if differ else 0
 
