@@ -46,6 +46,17 @@ def _exp_neg(z: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     return np.exp(e, out=e)
 
 
+def _empty_rows(t: np.ndarray) -> np.ndarray:
+    """Mask of the rows of t (M, K) with no counts in any bin.  A row sum, one
+    matrix-vector product, rules out most rows far faster than `any` over the
+    short bin axis; only rows that sum to zero are checked bin by bin."""
+    with np.errstate(invalid="ignore", over="ignore"):   # NaN and inf sums are not zero
+        empty = t @ np.ones(t.shape[1]) == 0.0
+    if np.any(empty):
+        empty[empty] = ~np.any(t[empty], axis=1)
+    return empty
+
+
 @dataclass(frozen=True)
 class ProxParams:
     """Proximal-map parameters: strength sigma and partial updates."""
@@ -137,9 +148,12 @@ def detector_agent_apply(p: np.ndarray, t_sino: np.ndarray, air_totals: np.ndarr
     They are processed in blocks of whole views of at most `_BLOCK_ROWS`
     rows (one view when a view is longer), each block running all its
     updates in the arrays of `work`.  A solver passes one Workspace to all
-    its passes; without one, the call allocates its own.  With
-    on_nonfinite="hold", rows whose update goes non-finite keep their
-    previous value instead of raising (callers then flag them downstream).
+    its passes; without one, the call allocates its own.  A row with no
+    counts in any bin has no finite likelihood minimum, so it returns its
+    tether unchanged: there the map is the identity, and in MACE the prior
+    fills the row in.  With on_nonfinite="hold", rows whose update goes
+    non-finite keep their previous value instead of raising (callers then
+    flag them downstream).
     """
     p = np.atleast_2d(np.asarray(p, dtype=float))
     t_sino = np.atleast_2d(np.asarray(t_sino, dtype=float))
@@ -156,9 +170,12 @@ def detector_agent_apply(p: np.ndarray, t_sino: np.ndarray, air_totals: np.ndarr
     for lo in range(0, p.shape[0], step):
         rows = slice(lo, lo + step)
         q = pp[rows]
+        empty = _empty_rows(t_sino[rows])
         for _ in range(params.n_sub):
             with work.frame():
                 new = _prox_update(p[rows], t_sino[rows], inv_a2[rows], drf, q, work)
+                if np.any(empty):
+                    new[empty] = p[rows][empty]
                 bad = ~np.all(np.isfinite(new), axis=1)
                 if np.any(bad):
                     if on_nonfinite == "raise":

@@ -279,7 +279,8 @@ def cmd_decompose(cfg: PipelineConfig, method: str, out_dir=None) -> list:
         result = run_mace(t_sino, air, drf, mace)
         summary = {"iterations": cfg.values["mace"]["n_iter"],
                    "mle_init_passes": start[1] if start else len(result.mle_init.steps),
-                   "mle_init_reused": start is not None}
+                   "mle_init_reused": start is not None,
+                   "empty_rows": int(np.count_nonzero(~np.any(t_sino, axis=-1)))}
     elapsed = time.perf_counter() - t0
 
     path, log_path = stage.outputs()

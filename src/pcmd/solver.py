@@ -25,7 +25,10 @@ from .workspace import Workspace
 
 _DIVERGED_SPAN_FACTOR = 1.0  # rows beyond domain inflated by one full span are suspect
 _STOP_CM = 1.0e-10  # largest row step (cm) after which MLE refinement stops
-_GRID_BLOCK = 1 << 16  # loss entries (rows x grid points) per grid-search product: 0.5 MB, kept in cache
+# Loss entries (rows x grid points) per grid-search product [t, 1] . [phi; sum exp(-phi)]:
+# the size of the one loss buffer a search allocates (0.5 MB, kept in cache), beside
+# one (rows, bins + 1) buffer of transmission rows and ones.
+_GRID_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -105,23 +108,32 @@ def _grid_search(t_sino: np.ndarray, drf, grid_points) -> np.ndarray:
     """Exhaustive minimization of sum_k exp(-phi_k) + phi_k * t_k per row.
 
     The grid's basis table is built once; rows are scored one coefficient set
-    at a time, one matrix product per block of at most `_GRID_BLOCK` losses,
-    so memory grows with neither the sinogram nor the number of sets.
+    at a time.  Each set's (K, G) table is stacked with its attenuation row
+    sum_k exp(-phi_k) into `phi1` (K + 1, G), and each block of at most
+    `_GRID_BLOCK` losses is copied into `rows1`, whose last column holds 1.0,
+    so one matrix product [t, 1] . [phi; sum exp(-phi)] gives the whole loss.
+    `phi1`, `rows1` and the loss are allocated once per search, so memory
+    grows with neither the sinogram nor the number of sets.
     """
     pts = drf.domain.grid(grid_points)                        # (G, L)
     n_sets = drf.n_sets
     if t_sino.shape[0] % n_sets:
         raise ToolkitError("mle: sinogram rows not divisible by channel count")
     t3 = t_sino.reshape(-1, n_sets, t_sino.shape[1])          # (V, C, K)
+    (n_views, _, n_bins), n_pts = t3.shape, pts.shape[0]
     best = np.empty(t3.shape[:2], dtype=np.intp)
-    block = max(1, _GRID_BLOCK // pts.shape[0])
+    block = max(1, _GRID_BLOCK // n_pts)
+    phi1 = np.empty((n_bins + 1, n_pts))
+    rows1 = np.ones((block, n_bins + 1))
+    loss = np.empty((block, n_pts))
     for c, phi_t in enumerate(drf.eval_sets(pts)):
-        phi = phi_t.T                                         # (G, K)
-        att = _exp_neg(phi).sum(axis=1)                       # (G,)
-        for v in range(0, t3.shape[0], block):
-            loss = t3[v:v + block, c] @ phi.T                 # (rows, G)
-            loss += att
-            best[v:v + block, c] = np.argmin(loss, axis=1)
+        phi1[:n_bins] = phi_t
+        phi1[n_bins] = _exp_neg(phi_t).sum(axis=0)
+        for v in range(0, n_views, block):
+            n = min(block, n_views - v)
+            rows1[:n, :n_bins] = t3[v:v + n, c]
+            np.matmul(rows1[:n], phi1, out=loss[:n])
+            np.argmin(loss[:n], axis=1, out=best[v:v + n, c])
     return pts[best.ravel()]
 
 

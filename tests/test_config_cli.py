@@ -691,6 +691,18 @@ def test_mace_start_is_reused_only_when_it_equals_the_computed_one(
     assert computed_mace(tmp_path, config_path) == output
 
 
+def test_mace_log_counts_rows_without_counts(pipeline_dir, tmp_path):
+    out, config_path = pipeline_dir
+    assert mace_summary(out)["empty_rows"] == 0
+    copy_outputs(out, tmp_path)
+    t, labels = read_array(tmp_path / "transmission.pcmd")
+    t[3, 10:13] = 0.0
+    write_array(tmp_path / "transmission.pcmd", t, labels)
+    assert main(["decompose", "--config", config_path, "--out", str(tmp_path),
+                 "--method", "mace"]) == 0
+    assert mace_summary(tmp_path)["empty_rows"] == 3
+
+
 def test_mace_computes_its_start_after_the_transmission_changes(pipeline_dir, tmp_path):
     out, config_path = pipeline_dir
     copy_outputs(out, tmp_path)

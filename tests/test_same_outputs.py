@@ -70,3 +70,33 @@ def test_atol_leaves_stats_and_pngs_byte_compared(two_dirs, name):
     run = compare(a, b, "--atol", "1e6")
     assert run.returncode == 1
     assert f"{name}: bytes differ" in run.stdout
+
+
+def test_rtol_means_the_same_for_hu_images_and_pathlengths(two_dirs):
+    a, b = two_dirs
+    hu = np.linspace(-1000.0, 1043.0, 12).reshape(3, 4)
+    write_array(a / "mono70_mle.pcmd", hu, labels=["y", "x"])
+    write_array(b / "mono70_mle.pcmd", hu * (1.0 + 5e-12), labels=["y", "x"])
+    arr = np.arange(12.0).reshape(2, 3, 2) + 0.5
+    write_array(b / "pathlengths_mle.pcmd", arr * (1.0 + 5e-12), labels=["view", "channel", "material"])
+    assert "2 differ" in compare(a, b, "--atol", "1e-12").stdout   # the HU image fails, as did pathlengths
+    close = compare(a, b, "--rtol", "1e-11")
+    assert close.returncode == 0, close.stdout
+    assert close.stdout.count("(within rtol 1e-11)") == 2 and "0 differ" in close.stdout
+    far = compare(a, b, "--rtol", "1e-12")
+    assert far.returncode == 1 and "2 differ" in far.stdout
+
+
+def test_a_nan_gap_fails_whatever_the_rtol(two_dirs):
+    a, b = two_dirs
+    arr = np.arange(12.0).reshape(2, 3, 2) + 0.5
+    arr[0, 0, 0] = np.nan
+    write_array(a / "pathlengths_mle.pcmd", arr, labels=["view", "channel", "material"])
+    arr[0, 0, 0] = 0.5
+    write_array(b / "pathlengths_mle.pcmd", arr, labels=["view", "channel", "material"])
+    run = compare(a, b, "--rtol", "1e6", "--atol", "1e6")
+    assert run.returncode == 1 and "1 differ" in run.stdout
+    arr[0, 0, 0] = np.nan   # NaN on both sides matches
+    arr[1, 2, 1] *= 1.0 + 1e-12
+    write_array(b / "pathlengths_mle.pcmd", arr, labels=["view", "channel", "material"])
+    assert compare(a, b, "--rtol", "1e-11").returncode == 0

@@ -146,16 +146,28 @@ def full_matrix_grid_search(t_sino, drf, grid_points):
 
 
 @pytest.mark.parametrize("n_chan", [1, 4])
-def test_blocked_grid_search_equals_full_matrix_argmin(noiseless_drf, monkeypatch, n_chan):
+def test_blocked_grid_search_equals_full_matrix_argmin(noiseless_drf, noisy_cal_study,
+                                                       monkeypatch, n_chan):
     theta = np.stack([noiseless_drf.theta[0] * (1.0 + 0.02 * c) for c in range(n_chan)])
     drf = DrfPolynomial(theta=theta, order=noiseless_drf.order, n_materials=2,
                         domain=noiseless_drf.domain, basis_scale=noiseless_drf.basis_scale)
     rng = np.random.default_rng(21)
     p_true = rng.uniform([0.0, 0.0], [40.0, 5.0], size=(30 * n_chan, 2))
     t = np.exp(-drf.eval_sino(p_true)) * rng.uniform(0.9, 1.1, size=(p_true.shape[0], 8))
+    # a view without counts: only the folded attenuation row scores it, and its
+    # exact minimum is the attenuation-only corner
+    t = np.concatenate([t, np.zeros((n_chan, 8))])
     grid = (21, 21)
     monkeypatch.setattr(solver, "_GRID_BLOCK", 4 * 21 * 21)   # 4 rows per block
-    assert np.array_equal(solver._grid_search(t, drf, grid), full_matrix_grid_search(t, drf, grid))
+    found = solver._grid_search(t, drf, grid)
+    assert np.array_equal(found, full_matrix_grid_search(t, drf, grid))
+    assert np.array_equal(found[-n_chan:], np.tile(drf.domain.upper, (n_chan, 1)))
+    if n_chan == 4:   # the noisy four-channel study at the shipped grid and block size
+        monkeypatch.undo()
+        drf, t = noisy_cal_study
+        reference = [full_matrix_grid_search(t[i:i + 100], drf, (41, 41))   # 100 rows at a time
+                     for i in range(0, len(t), 100)]
+        assert np.array_equal(solver._grid_search(t, drf, (41, 41)), np.concatenate(reference))
 
 
 def test_single_channel_grid_search_memory_is_bounded(noiseless_drf):
@@ -344,7 +356,7 @@ def test_early_stop_keeps_the_divergent_row_rescue(noiseless_drf, monkeypatch):
     res = mle_decompose(t, air, noiseless_drf, MleConfig(n_iter=30))
     monkeypatch.setattr(solver, "_STOP_CM", 0.0)
     every = mle_decompose(t, air, noiseless_drf, MleConfig(n_iter=30))
-    assert len(res.steps) == 30  # rows running off the domain keep moving
+    assert res.steps == [0.0]  # rows without counts keep their tether, so the first pass stops
     assert np.array_equal(res.flagged_rows, every.flagged_rows)
     assert res.flagged_rows.size == 3
     assert np.array_equal(res.p, every.p)
@@ -453,6 +465,31 @@ def test_mle_on_a_view_channel_cube_equals_the_row_call_bit_for_bit(default_spec
     assert np.array_equal(cube.p, rows.p.reshape(3, 4, 2))
     assert np.array_equal(cube.flagged_rows, rows.flagged_rows)
     assert rows.flagged_rows.tolist() == [2, 7] and cube.steps == rows.steps
+
+
+@pytest.mark.parametrize("sigma", [0.08, 1.0])
+def test_mace_fills_rows_without_counts_from_their_neighbours(default_spectrum, basis_materials,
+                                                             sigma):
+    # four neighbouring readings of one view hold no counts in any bin; the
+    # detector agent leaves them at their tether, so the prior inpaints them
+    v, c, air = 12, 16, 2.0e4
+    drf = calibrate_drf(default_spectrum, basis_materials, default_design(),
+                        ScanGeometry(mode="parallel", n_views=1, n_channels=c, spacing=0.5),
+                        noise=True, seed=3)
+    views, chans = np.meshgrid(np.arange(v), np.arange(c), indexing="ij")
+    p_true = np.stack([18.0 + 0.1 * chans + 0.05 * views, 1.1 + 0.01 * views], axis=-1)
+    lam = expected_counts(default_spectrum, basis_materials, p_true.reshape(-1, 2),
+                          air / default_spectrum.total_fluence)
+    t = (sample_poisson(lam, seed=31) / air).reshape(v, c, -1)
+    t[6, 6:10] = 0.0
+    cfg = MaceConfig(prior=GaussianPrior([[1.5, 1.2], [1.5, 1.2]]), n_iter=6, sigma=sigma,
+                     init=MleConfig(n_iter=3))
+    res = run_mace(t, np.full((v, c), air), drf, cfg)
+    assert res.mle_init.flagged_rows.tolist() == [6 * c + ch for ch in range(6, 10)]
+    empty = res.p[6, 6:10]
+    assert np.all(empty >= drf.domain.lower) and np.all(empty <= drf.domain.upper)
+    neighbours = res.p[[4, 5, 7, 8], 6:10, 1].mean(axis=0)   # the same channels, two views each side
+    assert np.abs(empty[:, 1] - neighbours).max() < 0.5
 
 
 def test_run_mace_hands_a_bare_callable_prior_the_cube(default_spectrum, basis_materials,
