@@ -46,15 +46,9 @@ def _exp_neg(z: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     return np.exp(e, out=e)
 
 
-def _empty_rows(t: np.ndarray) -> np.ndarray:
-    """Mask of the rows of t (M, K) with no counts in any bin.  A row sum, one
-    matrix-vector product, rules out most rows far faster than `any` over the
-    short bin axis; only rows that sum to zero are checked bin by bin."""
-    with np.errstate(invalid="ignore", over="ignore"):   # NaN and inf sums are not zero
-        empty = t @ np.ones(t.shape[1]) == 0.0
-    if np.any(empty):
-        empty[empty] = ~np.any(t[empty], axis=1)
-    return empty
+def empty_rows(t: np.ndarray) -> np.ndarray:
+    """Mask of the rows of t (..., K) with no counts in any bin."""
+    return ~np.any(t, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -138,7 +132,8 @@ def _solve_batched(h: np.ndarray, rhs: np.ndarray, work: Workspace) -> np.ndarra
 
 def detector_agent_apply(p: np.ndarray, t_sino: np.ndarray, air_totals: np.ndarray,
                          drf, params: ProxParams, p_prime: np.ndarray = None,
-                         on_nonfinite: str = "raise", work: Workspace = None) -> np.ndarray:
+                         on_nonfinite: str = "raise", work: Workspace = None,
+                         empty: np.ndarray = None) -> np.ndarray:
     """Partial-update proximal map applied independently to every row.
 
     `p` (M, L) is the proximal tether; the response is linearized at
@@ -151,9 +146,10 @@ def detector_agent_apply(p: np.ndarray, t_sino: np.ndarray, air_totals: np.ndarr
     its passes; without one, the call allocates its own.  A row with no
     counts in any bin has no finite likelihood minimum, so it returns its
     tether unchanged: there the map is the identity, and in MACE the prior
-    fills the row in.  With on_nonfinite="hold", rows whose update goes
-    non-finite keep their previous value instead of raising (callers then
-    flag them downstream).
+    fills the row in.  `empty` is the mask of such rows, `empty_rows(t_sino)`
+    when None; a solver computes it once for all its passes.  With
+    on_nonfinite="hold", rows whose update goes non-finite keep their
+    previous value instead of raising (callers then flag them downstream).
     """
     p = np.atleast_2d(np.asarray(p, dtype=float))
     t_sino = np.atleast_2d(np.asarray(t_sino, dtype=float))
@@ -164,18 +160,18 @@ def detector_agent_apply(p: np.ndarray, t_sino: np.ndarray, air_totals: np.ndarr
     if pp.shape != p.shape:
         raise ToolkitError(f"detector agent: p_prime is {pp.shape}, p is {p.shape}")
     work = Workspace() if work is None else work
+    empty = empty_rows(t_sino) if empty is None else empty
     step = max(1, _BLOCK_ROWS // drf.n_channels) * drf.n_channels   # eval_jac groups rows by channel
     inv_a2 = 1.0 / (params.sigma**2 * air)  # 1/alpha^2, alpha = sigma*sqrt(air)
     out = np.empty_like(p)
     for lo in range(0, p.shape[0], step):
         rows = slice(lo, lo + step)
-        q = pp[rows]
-        empty = _empty_rows(t_sino[rows])
+        q, held = pp[rows], empty[rows]
         for _ in range(params.n_sub):
             with work.frame():
                 new = _prox_update(p[rows], t_sino[rows], inv_a2[rows], drf, q, work)
-                if np.any(empty):
-                    new[empty] = p[rows][empty]
+                if np.any(held):
+                    new[held] = p[rows][held]
                 bad = ~np.all(np.isfinite(new), axis=1)
                 if np.any(bad):
                     if on_nonfinite == "raise":

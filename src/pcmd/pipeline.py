@@ -24,6 +24,7 @@ from . import recon
 from .arrayio import read_array, write_array, write_png_preview
 from .calibration import calibrate_drf, load_calibration, save_calibration
 from .config import PipelineConfig
+from .detector import empty_rows
 from .errors import ConfigError, ToolkitError
 from .metrics import cnr, roi_stats
 from .recon import synthesize_mono
@@ -280,7 +281,7 @@ def cmd_decompose(cfg: PipelineConfig, method: str, out_dir=None) -> list:
         summary = {"iterations": cfg.values["mace"]["n_iter"],
                    "mle_init_passes": start[1] if start else len(result.mle_init.steps),
                    "mle_init_reused": start is not None,
-                   "empty_rows": int(np.count_nonzero(~np.any(t_sino, axis=-1)))}
+                   "empty_rows": int(np.count_nonzero(empty_rows(t_sino)))}
     elapsed = time.perf_counter() - t0
 
     path, log_path = stage.outputs()

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import detector
-from .detector import ProxParams, _exp_neg, detector_agent_apply
+from .detector import ProxParams, _exp_neg, detector_agent_apply, empty_rows
 from .errors import NumericError, ToolkitError
 from .priors import apply_prior, clip_prior
 from .workspace import Workspace
@@ -26,7 +26,7 @@ from .workspace import Workspace
 _DIVERGED_SPAN_FACTOR = 1.0  # rows beyond domain inflated by one full span are suspect
 _STOP_CM = 1.0e-10  # largest row step (cm) after which MLE refinement stops
 # Loss entries (rows x grid points) per grid-search product [t, 1] . [phi; sum exp(-phi)]:
-# the size of the one loss buffer a search allocates (0.5 MB, kept in cache), beside
+# the most the one loss buffer of a search holds (0.5 MB, kept in cache), beside
 # one (rows, bins + 1) buffer of transmission rows and ones.
 _GRID_BLOCK = 1 << 16
 
@@ -122,7 +122,7 @@ def _grid_search(t_sino: np.ndarray, drf, grid_points) -> np.ndarray:
     t3 = t_sino.reshape(-1, n_sets, t_sino.shape[1])          # (V, C, K)
     (n_views, _, n_bins), n_pts = t3.shape, pts.shape[0]
     best = np.empty(t3.shape[:2], dtype=np.intp)
-    block = max(1, _GRID_BLOCK // n_pts)
+    block = max(1, min(_GRID_BLOCK // n_pts, n_views))
     phi1 = np.empty((n_bins + 1, n_pts))
     rows1 = np.ones((block, n_bins + 1))
     loss = np.empty((block, n_pts))
@@ -137,17 +137,17 @@ def _grid_search(t_sino: np.ndarray, drf, grid_points) -> np.ndarray:
     return pts[best.ravel()]
 
 
-def _flagged_rows(p: np.ndarray, t_sino: np.ndarray, domain) -> np.ndarray:
-    """Rows to rescue: non-finite, beyond the domain inflated by
-    `_DIVERGED_SPAN_FACTOR` spans, or with no counts in any bin.  A row
-    without counts has no finite likelihood minimum; it drifts outward at a
-    pace set by its channel's slope, so the domain test alone catches it
-    only by chance."""
+def _flagged_rows(p: np.ndarray, empty: np.ndarray, domain) -> np.ndarray:
+    """Rows the MLE cannot trust: non-finite, beyond the domain inflated by
+    `_DIVERGED_SPAN_FACTOR` spans, or `empty` (no counts in any bin).  A row
+    without counts has no finite likelihood minimum; the detector agent
+    holds it at its grid-search start, inside the domain, so only the last
+    rule flags it."""
     lo = domain.lower - _DIVERGED_SPAN_FACTOR * domain.span
     up = domain.upper + _DIVERGED_SPAN_FACTOR * domain.span
     bad = ~np.all(np.isfinite(p), axis=1)
     bad |= np.any((p < lo) | (p > up), axis=1)
-    bad |= ~np.any(t_sino, axis=1)
+    bad |= empty
     return np.nonzero(bad)[0]
 
 
@@ -162,8 +162,10 @@ def mle_decompose(t_sino: np.ndarray, air_totals: np.ndarray, drf,
     the current iterate.  Refinement stops after the first pass in which no
     row moves by more than `_STOP_CM`; `steps` records each pass's largest
     move.  Rows that leave twice the calibration domain, go non-finite or
-    hold no counts are re-run through the equilibrium solver with a clip
-    prior, from their grid-search start, as one-view sinograms of at most
+    hold no counts are flagged.  A row without counts keeps its grid-search
+    start, the grid point where the attenuation alone is least; the others
+    are re-run through the equilibrium solver with a clip prior, from their
+    grid-search start, as one-view sinograms of at most
     `detector._BLOCK_ROWS` rows under their channels' calibration.  Every
     detector pass, the rescue's too, works in `work` (a fresh Workspace
     when None).
@@ -172,6 +174,7 @@ def mle_decompose(t_sino: np.ndarray, air_totals: np.ndarray, drf,
     shape = t_sino.shape[:-1]
     air = np.broadcast_to(np.asarray(air_totals, dtype=float), shape).reshape(-1)
     t_sino = t_sino.reshape(-1, t_sino.shape[-1])
+    empty = empty_rows(t_sino)
     p0 = _grid_search(t_sino, drf, cfg.grid_points)
     p = p0.copy()
     params = ProxParams(sigma=cfg.sigma)
@@ -179,15 +182,16 @@ def mle_decompose(t_sino: np.ndarray, air_totals: np.ndarray, drf,
     steps = []
     for _ in range(cfg.n_iter):
         new = detector_agent_apply(p, t_sino, air, drf, params, p_prime=p,
-                                   on_nonfinite="hold", work=work)
+                                   on_nonfinite="hold", work=work, empty=empty)
         steps.append(float(np.max(np.abs(new - p), initial=0.0)))
         p = new
         # a pass is a fixed map of p: once it leaves p unchanged, later passes would too
         if steps[-1] <= _STOP_CM:
             break
-    flagged = _flagged_rows(p, t_sino, drf.domain)
-    for lo in range(0, flagged.size, detector._BLOCK_ROWS):
-        rows = flagged[lo:lo + detector._BLOCK_ROWS]
+    flagged = _flagged_rows(p, empty, drf.domain)
+    diverged = flagged[~empty[flagged]]   # every pass held the empty rows at their start
+    for lo in range(0, diverged.size, detector._BLOCK_ROWS):
+        rows = diverged[lo:lo + detector._BLOCK_ROWS]
         # moderate prox strength here: the refinement sigma is deliberately huge
         # and would let the rescue's detector steps overshoot the clip prior
         sub_mace = MaceConfig(prior=clip_prior(drf.domain), rho=0.8, n_iter=25, sigma=1.0,
@@ -209,6 +213,20 @@ def same_mle_at_cap(steps, n_iter: int) -> bool:
     return n_iter == k or (n_iter > k and steps[-1] <= _STOP_CM)
 
 
+def _fill_empty_rows(p: np.ndarray, empty: np.ndarray) -> np.ndarray:
+    """A copy of the sinogram `p` (view, channel, material) whose rows marked
+    in `empty` (view, channel) are interpolated linearly across their view's
+    channels from the nearest unmarked rows, the nearest one's value beyond
+    the last.  A view with every row marked keeps its values."""
+    p = np.array(p, dtype=float)
+    chans = np.arange(p.shape[1])
+    for v in np.nonzero(np.any(empty, axis=1) & ~np.all(empty, axis=1))[0]:
+        gap, kept = chans[empty[v]], chans[~empty[v]]
+        for m in range(p.shape[2]):
+            p[v, gap, m] = np.interp(gap, kept, p[v, kept, m])
+    return p
+
+
 def run_mace(t_sino: np.ndarray, air_totals: np.ndarray, drf, cfg: MaceConfig,
              work: Workspace = None) -> SolveResult:
     """Consensus-equilibrium decomposition of a transmission sinogram.
@@ -216,8 +234,11 @@ def run_mace(t_sino: np.ndarray, air_totals: np.ndarray, drf, cfg: MaceConfig,
     `t_sino` is (view, channel, bin) and `air_totals` (view, channel); the
     result is (view, channel, material).  `cfg.init` may be an MleConfig
     (default: MleConfig(n_iter=15)), or an explicit starting sinogram.
-    Every detector pass, the MLE start's too, works in `work` (a fresh
-    Workspace when None).
+    Whatever the start, a row with no counts in any bin starts from its
+    view's nearest rows with counts (`_fill_empty_rows`): the detector agent
+    holds such a row at its tether, so only the prior moves it.  Every
+    detector pass, the MLE start's too, works in `work` (a fresh Workspace
+    when None).
     """
     t_sino = np.asarray(t_sino, dtype=float)
     if t_sino.ndim != 3:
@@ -233,14 +254,17 @@ def run_mace(t_sino: np.ndarray, air_totals: np.ndarray, drf, cfg: MaceConfig,
         p_init = np.asarray(init, dtype=float)
         if p_init.shape != (*t_sino.shape[:2], drf.n_materials):
             raise ToolkitError("mace: init sinogram shape mismatch")
-    t_rows, air_rows = t_sino.reshape(-1, t_sino.shape[2]), air.reshape(-1)
+    empty = empty_rows(t_sino)
+    if np.any(empty):
+        p_init = _fill_empty_rows(p_init, empty)
+    t_rows, air_rows, empty = t_sino.reshape(-1, t_sino.shape[2]), air.reshape(-1), empty.ravel()
     params = ProxParams(sigma=cfg.sigma, n_sub=cfg.n_sub)
     p_prime = p_init.reshape(-1, drf.n_materials)
 
     def f_agent(q):   # linearized at its previous output
         nonlocal p_prime
         p_prime = detector_agent_apply(q.reshape(p_prime.shape), t_rows, air_rows, drf, params,
-                                       p_prime=p_prime, work=work)
+                                       p_prime=p_prime, work=work, empty=empty)
         return p_prime.reshape(q.shape)
 
     result = mann_iterate(p_init, f_agent, lambda q: apply_prior(cfg.prior, q), cfg.rho,

@@ -259,20 +259,36 @@ def test_mle_matches_grid_polish_oracle_rowwise(default_spectrum, basis_material
 
 
 def test_divergent_rows_are_clipped_back(noiseless_drf):
-    # all-zero transmission drives the likelihood minimum far outside the domain
-    t = np.zeros((3, 8))
+    # a transmission of 1e-12 in every bin puts the likelihood minimum far
+    # outside the domain: the refinement carries these rows past twice the
+    # domain, the only rule that flags a finite row with counts
+    t = np.full((3, 8), 1.0e-12)
     res = mle_decompose(t, np.full(3, 1.0e4), noiseless_drf, MleConfig(n_iter=30))
     assert res.flagged_rows.size == 3
     assert np.all(np.isfinite(res.p))
-    # the clip-prior rescue settles near the calibration boundary
+    # the clip-prior rescue brings them back near the calibration boundary
     lo, up = noiseless_drf.domain.lower, noiseless_drf.domain.upper
     assert np.all(res.p >= lo - 0.5) and np.all(res.p <= up + 0.5)
 
 
+def test_rows_without_counts_keep_their_grid_search_start(noiseless_drf):
+    # no finite likelihood minimum: every pass holds these rows at their tether,
+    # the grid point where the attenuation alone is least
+    t = np.zeros((3, 8))
+    res = mle_decompose(t, np.full(3, 1.0e4), noiseless_drf, MleConfig(n_iter=30))
+    assert res.steps == [0.0]
+    assert res.flagged_rows.tolist() == [0, 1, 2]
+    assert np.array_equal(res.p, np.tile(noiseless_drf.domain.upper, (3, 1)))
+    t[1] = 1.0e-12   # beside a row that runs off the domain and is rescued
+    mixed = mle_decompose(t, np.full(3, 1.0e4), noiseless_drf, MleConfig(n_iter=30))
+    assert mixed.flagged_rows.tolist() == [0, 1, 2]
+    assert np.array_equal(mixed.p[[0, 2]], res.p[[0, 2]])
+
+
 @pytest.mark.parametrize("slope", [1.0, 2.9])
 def test_rows_without_counts_are_flagged_whatever_the_slope(noiseless_drf, slope):
-    # without the no-count rule, five passes leave these rows unflagged inside
-    # twice the domain: at [75.86, 1.83] cm (slope 1) and [40.05, 5.10] cm (2.9)
+    # the detector agent holds these rows at their grid-search start, inside
+    # the domain, so only the no-count rule flags them
     drf = DrfPolynomial(theta=noiseless_drf.theta * slope, order=noiseless_drf.order,
                         n_materials=2, domain=noiseless_drf.domain,
                         basis_scale=noiseless_drf.basis_scale)
@@ -291,7 +307,7 @@ def test_rescue_in_chunks_gives_the_single_chunk_result(noiseless_drf, monkeypat
     rng = np.random.default_rng(21)
     p_true = rng.uniform([1.0, 0.1], [30.0, 4.0], size=(10 * 4, 2))
     t = np.exp(-drf.eval_sino(p_true))
-    t[rng.choice(t.shape[0], size=12, replace=False)] = 0.0
+    t[rng.choice(t.shape[0], size=12, replace=False)] = 1.0e-12   # rows that run off the domain
     air = np.full(t.shape[0], 1.0e4)
     one = mle_decompose(t, air, drf, MleConfig(n_iter=30))
     monkeypatch.setattr(detector, "_BLOCK_ROWS", 5)   # chunks of 5, 5 and 2 flagged rows
@@ -351,12 +367,12 @@ def test_steps_record_the_largest_move_of_each_pass(noiseless_study, noiseless_d
 
 
 def test_early_stop_keeps_the_divergent_row_rescue(noiseless_drf, monkeypatch):
-    t = np.zeros((3, 8))
+    t = np.full((3, 8), 1.0e-12)
     air = np.full(3, 1.0e4)
     res = mle_decompose(t, air, noiseless_drf, MleConfig(n_iter=30))
     monkeypatch.setattr(solver, "_STOP_CM", 0.0)
     every = mle_decompose(t, air, noiseless_drf, MleConfig(n_iter=30))
-    assert res.steps == [0.0]  # rows without counts keep their tether, so the first pass stops
+    assert len(res.steps) == 30  # rows running off the domain keep moving
     assert np.array_equal(res.flagged_rows, every.flagged_rows)
     assert res.flagged_rows.size == 3
     assert np.array_equal(res.p, every.p)
@@ -456,7 +472,7 @@ def test_mle_on_a_view_channel_cube_equals_the_row_call_bit_for_bit(default_spec
     rng = np.random.default_rng(12)
     p_true = rng.uniform([0.3, 0.05], [25, 2], size=(12, 2))
     t = noiseless_rows(default_spectrum, basis_materials, p_true)
-    t[[2, 7]] = 0.0   # two rows for the clip-prior rescue
+    t[[2, 7]] = 1.0e-12   # two rows for the clip-prior rescue
     air = rng.uniform(1.0e4, 3.0e5, size=12)
     rows = mle_decompose(t, air, noiseless_drf, MleConfig(n_iter=20))
     cube = mle_decompose(t.reshape(3, 4, -1), air.reshape(3, 4), noiseless_drf,
@@ -470,8 +486,9 @@ def test_mle_on_a_view_channel_cube_equals_the_row_call_bit_for_bit(default_spec
 @pytest.mark.parametrize("sigma", [0.08, 1.0])
 def test_mace_fills_rows_without_counts_from_their_neighbours(default_spectrum, basis_materials,
                                                              sigma):
-    # four neighbouring readings of one view hold no counts in any bin; the
-    # detector agent leaves them at their tether, so the prior inpaints them
+    # four neighbouring readings of one view hold no counts in any bin; they
+    # start from the view's nearest rows with counts, and the detector agent
+    # leaves them at their tether, so only the prior moves them
     v, c, air = 12, 16, 2.0e4
     drf = calibrate_drf(default_spectrum, basis_materials, default_design(),
                         ScanGeometry(mode="parallel", n_views=1, n_channels=c, spacing=0.5),
@@ -482,7 +499,7 @@ def test_mace_fills_rows_without_counts_from_their_neighbours(default_spectrum, 
                           air / default_spectrum.total_fluence)
     t = (sample_poisson(lam, seed=31) / air).reshape(v, c, -1)
     t[6, 6:10] = 0.0
-    cfg = MaceConfig(prior=GaussianPrior([[1.5, 1.2], [1.5, 1.2]]), n_iter=6, sigma=sigma,
+    cfg = MaceConfig(prior=GaussianPrior([[1.5, 1.2], [1.5, 1.2]]), n_iter=5, sigma=sigma,
                      init=MleConfig(n_iter=3))
     res = run_mace(t, np.full((v, c), air), drf, cfg)
     assert res.mle_init.flagged_rows.tolist() == [6 * c + ch for ch in range(6, 10)]
