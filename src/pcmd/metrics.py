@@ -34,8 +34,8 @@ class RoiSpec:
 
 def _mask(grid, circle: RoiCircle) -> np.ndarray:
     xs, ys = grid.pixel_centers()
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    m = (gx - circle.center[0]) ** 2 + (gy - circle.center[1]) ** 2 <= circle.radius**2
+    cx, cy = circle.center
+    m = (xs - cx)[:, None] ** 2 + (ys - cy)[None, :] ** 2 <= circle.radius**2
     if not np.any(m):
         raise ToolkitError(f"roi {circle.label!r}: no pixel centers fall inside the circle")
     return m

@@ -7,11 +7,14 @@ and every array file, labelled on write and checked on read against `AXES`,
 which also fixes the shape each array has in memory.  Each `cmd_*` holds only
 its computation.  Manifests record SHA-256 of inputs and outputs, by file
 name within the stage's directory, plus a hash of the config sections a stage
-consumes, so `pipeline`, a loop over `STAGES`, skips a stage whose manifest
-still matches.
+consumes.  A method is current when the manifest, under the same config hash,
+names each of its files with a matching digest; `pipeline`, a loop over
+`STAGES`, skips a stage whose methods are all current and keeps the images of
+a current method when it reconstructs the others.
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -40,40 +43,42 @@ class StageSpec(NamedTuple):
     sections: tuple  # config sections its manifest hashes
     inputs: tuple    # file-name templates, expanded by `_files`
     outputs: tuple
-    run: object      # (cfg, out_dir) -> written paths
+    run: object      # (cfg, out_dir, keep) -> written paths; keep: current methods
     none_found: str = ""  # the error when no method has its {m} inputs
 
 
 # Every stage, in pipeline order.  The `run` lambdas look the commands up when
 # called, so a command wrapped after import (the benchmark's traced runs) is the
-# one `pipeline` calls.  The MLE reads only `mle` and `calibration`, but its
-# entry still lists `mace` and `prior`, so a prior edit reruns it; narrowing it
-# (ROADMAP O1) moves the skip and pass counts the benchmark's tests pin.
+# one `pipeline` calls.  Only `reconstruct` keeps the outputs of its current
+# methods: the other stages write one set of files for every method.  The MLE
+# reads only `mle` and `calibration`, but its entry still lists `mace` and
+# `prior`, so a prior edit reruns it; narrowing it (ROADMAP O1) moves the skip
+# and pass counts the benchmark's tests pin.
 _DECOMPOSE_INPUTS = ("transmission.pcmd", "air_totals.pcmd", "calibration.pcmdcal")
 STAGES = {
     "simulate": StageSpec(
         ("geometry", "spectrum", "materials", "phantom", "dose"), (),
         ("transmission.pcmd", "air_totals.pcmd", "pathlengths_true.pcmd"),
-        lambda cfg, out: cmd_simulate(cfg, out)),
+        lambda cfg, out, keep: cmd_simulate(cfg, out)),
     "calibrate": StageSpec(
         ("geometry", "spectrum", "materials", "calibration"), (), ("calibration.pcmdcal",),
-        lambda cfg, out: cmd_calibrate(cfg, out)),
+        lambda cfg, out, keep: cmd_calibrate(cfg, out)),
     "decompose_mle": StageSpec(
         ("mle", "mace", "prior", "calibration"), _DECOMPOSE_INPUTS,
         ("pathlengths_mle.pcmd", "decompose_mle.log.jsonl"),
-        lambda cfg, out: cmd_decompose(cfg, "mle", out)),
+        lambda cfg, out, keep: cmd_decompose(cfg, "mle", out)),
     "decompose_mace": StageSpec(
         ("mle", "mace", "prior", "calibration"), _DECOMPOSE_INPUTS,
         ("pathlengths_mace.pcmd", "decompose_mace.log.jsonl"),
-        lambda cfg, out: cmd_decompose(cfg, "mace", out)),
+        lambda cfg, out, keep: cmd_decompose(cfg, "mace", out)),
     "reconstruct": StageSpec(
         ("geometry", "grid", "recon", "materials"), ("pathlengths_{m}.pcmd",),
         ("image_{m}_{mat}.pcmd", "mono{kev:g}_{m}.pcmd", "mono{kev:g}_{m}.png"),
-        lambda cfg, out: cmd_reconstruct(cfg, out),
+        lambda cfg, out, keep: cmd_reconstruct(cfg, out, keep=keep),
         "no decomposed sinograms found (run decompose first)"),
     "evaluate": StageSpec(
         ("rois", "cnr", "recon"), ("mono{kev:g}_{m}.pcmd",), ("stats.csv",),
-        lambda cfg, out: cmd_evaluate(cfg, out),
+        lambda cfg, out, keep: cmd_evaluate(cfg, out),
         "no reconstructed images found (run reconstruct first)"),
 }
 
@@ -184,19 +189,36 @@ class Stage:
             raise ConfigError(f"{self.name}: input file {path}: {err.strerror}") from None
         return arr
 
-    def up_to_date(self) -> bool:
-        """Whether the manifest's config hash and every file it names, by file name
-        in this stage's directory, still match; a path as a key reads as stale."""
+    @functools.cached_property
+    def current(self) -> list:
+        """The methods of `methods` whose files the manifest names, by file name in
+        this stage's directory, each with a matching SHA-256, under this stage's
+        config hash; none when the manifest is missing, unreadable or malformed.
+        Computed once per `Stage`; each file is hashed at most once, and a method's
+        check stops at its first file that does not match."""
         try:
             with open(self.manifest_path) as fh:
-                m = json.load(fh)
-            files = {**m["inputs"], **m["outputs"]}
-            return m["config_hash"] == self.config_hash and all(
-                os.path.basename(name) == name
-                and _sha256(os.path.join(self.out_dir, name)) == digest
-                for name, digest in files.items())
-        except (OSError, ValueError, LookupError, TypeError):  # missing, unreadable or malformed
-            return False
+                manifest = json.load(fh)
+            named = {**manifest["inputs"], **manifest["outputs"]}
+            if manifest["config_hash"] != self.config_hash:
+                return []
+        except (OSError, ValueError, LookupError, TypeError):
+            return []
+
+        @functools.cache
+        def matches(path):
+            name = os.path.basename(path)
+            try:
+                return name in named and _sha256(path) == named[name]
+            except OSError:  # missing, a directory, unreadable
+                return False
+        templates = self.spec.inputs + self.spec.outputs
+        return [m for m in self.methods
+                if all(map(matches, _files(templates, self.cfg, self.out_dir, [m])))]
+
+    def up_to_date(self) -> bool:
+        """Whether some method has its inputs and every such method is `current`."""
+        return bool(self.methods) and self.current == self.methods
 
     def finish(self, outputs) -> list:
         """Write the manifest; returns `outputs`, the written paths."""
@@ -296,20 +318,25 @@ def cmd_decompose(cfg: PipelineConfig, method: str, out_dir=None) -> list:
     return stage.finish([path, log_path])
 
 
-def cmd_reconstruct(cfg: PipelineConfig, out_dir=None, methods=None) -> list:
-    """FBP material images and the virtual mono-energy image, plus PNG previews."""
+def cmd_reconstruct(cfg: PipelineConfig, out_dir=None, methods=None, keep=()) -> list:
+    """FBP material images and the virtual mono-energy image, plus PNG previews.
+    The outputs of the methods in `keep`, which the caller found `current` and
+    which leave some method to compute, stay as they are and stay in the
+    manifest; `pipeline` passes them, a stage command keeps none."""
     stage = Stage("reconstruct", cfg, out_dir, methods)
     stage.require_inputs()
     opts = cfg.values["recon"]
     geometry = cfg.geometry()
     materials = cfg.materials()
-    # every material of every method in one FBP call, then one image per method;
-    # called through its module, where the benchmark's traced runs wrap it
+    todo = [m for m in stage.methods if m not in keep]
+    # every material of every method to compute in one FBP call, then one image per
+    # method; called through its module, where the benchmark's traced runs wrap it
     columns = np.concatenate([stage.read(path).reshape(geometry.n_rays, -1)
-                              for path in stage.inputs], axis=1)
+                              for path in _files(stage.spec.inputs, cfg, stage.out_dir, todo)],
+                             axis=1)
     image = recon.fbp_reconstruct(columns, geometry, cfg.grid(), hann=opts["hann"])
     written = []
-    for method, values in zip(stage.methods, np.split(image, len(stage.methods), axis=2)):
+    for method, values in zip(todo, np.split(image, len(todo), axis=2)):
         *images, mono_path, png_path = stage.outputs(method)
         for j, path in enumerate(images):
             stage.write(path, values[:, :, j])
@@ -317,7 +344,9 @@ def cmd_reconstruct(cfg: PipelineConfig, out_dir=None, methods=None) -> list:
         stage.write(mono_path, mono)
         write_png_preview(png_path, mono, opts["window_center"], opts["window_width"])
         written += [*images, mono_path, png_path]
-    return stage.finish(written)
+    kept = [p for m in stage.methods if m in keep for p in stage.outputs(m)]
+    stage.finish(written + kept)
+    return written
 
 
 def cmd_evaluate(cfg: PipelineConfig, out_dir=None, methods=None) -> list:
@@ -345,12 +374,14 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir=None, methods=None) -> list:
 
 
 def cmd_pipeline(cfg: PipelineConfig, out_dir=None, force: bool = False) -> list:
-    """Run every stage of `STAGES` in order, skipping those whose manifests are current."""
+    """Run every stage of `STAGES` in order, skipping those that are up to date;
+    `reconstruct` keeps the outputs of its current methods.  `force` recomputes
+    every stage and every method."""
     written = []
     for name, spec in STAGES.items():
         stage = Stage(name, cfg, out_dir)
         if not force and stage.up_to_date():
             print(f"pipeline: {name} up to date, skipping")
             continue
-        written.extend(spec.run(cfg, stage.out_dir))
+        written.extend(spec.run(cfg, stage.out_dir, [] if force else stage.current))
     return written

@@ -732,6 +732,135 @@ def test_a_malformed_mle_log_under_a_current_manifest_means_a_computed_start(
         (out / "pathlengths_mace.pcmd").read_bytes()
 
 
+# --- pipeline reconstructs only the methods that are not current ---
+
+MLE_IMAGES = ["image_mle_polyethylene.pcmd", "image_mle_pvc.pcmd", "mono70_mle.pcmd",
+              "mono70_mle.png"]
+
+
+def edited_prior(tmp_path, std=4.0):
+    """A copy of the tiny config, writing to `tmp_path`, with `prior.std` edited."""
+    cfg = tiny_config(tmp_path)
+    cfg["prior"]["std"] = [std, std]
+    return write_config(tmp_path, cfg)
+
+
+@pytest.fixture
+def fbp_columns(monkeypatch):
+    """The sinogram columns of every `fbp_reconstruct` call, as they arrive."""
+    from pcmd import recon
+    calls = []
+    fbp = recon.fbp_reconstruct
+
+    def recording(sino, *args, **kwargs):
+        calls.append(np.array(sino))
+        return fbp(sino, *args, **kwargs)
+    monkeypatch.setattr(recon, "fbp_reconstruct", recording)
+    return calls
+
+
+def columns_of(out, *methods):
+    return np.concatenate([read_array(out / f"pathlengths_{m}.pcmd")[0].reshape(45 * 48, -1)
+                           for m in methods], axis=1)
+
+
+def assert_same_outputs(a, b):
+    names = sorted(p.name for p in a.iterdir() if p.suffix in (".pcmd", ".png", ".csv"))
+    assert names == sorted(p.name for p in b.iterdir() if p.suffix in (".pcmd", ".png", ".csv"))
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_a_prior_edit_reconstructs_only_the_mace_images(pipeline_dir, tmp_path, capsys,
+                                                        fbp_columns):
+    out, _ = pipeline_dir
+    edit, forced = copy_outputs(out, tmp_path), tmp_path / "forced"
+    config_path = edited_prior(tmp_path)
+    before = {name: ((edit / name).read_bytes(), (edit / name).stat().st_mtime_ns)
+              for name in MLE_IMAGES}
+    assert main(["pipeline", "--config", config_path]) == 0
+    assert capsys.readouterr().out.count("up to date, skipping") == 2   # simulate, calibrate
+    assert {name: ((edit / name).read_bytes(), (edit / name).stat().st_mtime_ns)
+            for name in MLE_IMAGES} == before
+    assert len(fbp_columns) == 1 and np.array_equal(fbp_columns[0], columns_of(edit, "mace"))
+    assert (edit / "mono70_mace.pcmd").read_bytes() != (out / "mono70_mace.pcmd").read_bytes()
+    manifest = json.loads((edit / "manifest_reconstruct.json").read_text())
+    assert set(MLE_IMAGES) <= set(manifest["outputs"])   # kept files stay on record
+    assert Stage("reconstruct", PipelineConfig.from_file(config_path), str(edit)).up_to_date()
+
+    forced.mkdir()
+    copy_outputs(out, forced)
+    assert main(["pipeline", "--config", config_path, "--out", str(forced), "--force"]) == 0
+    assert_same_outputs(edit, forced)
+
+
+@pytest.mark.parametrize("name, change", [
+    ("image_mle_pvc.pcmd", "edited"), ("mono70_mle.pcmd", "edited"),
+    ("mono70_mle.png", "deleted"), ("image_mle_polyethylene.pcmd", "deleted")])
+def test_a_kept_image_that_changed_on_disk_is_recomputed(pipeline_dir, tmp_path, capsys,
+                                                         fbp_columns, name, change):
+    out, config_path = pipeline_dir
+    copy_outputs(out, tmp_path)
+    if change == "deleted":
+        (tmp_path / name).unlink()
+    else:
+        (tmp_path / name).write_bytes((tmp_path / name).read_bytes()[:-8] + bytes(8))
+    mace_mtime = (tmp_path / "mono70_mace.pcmd").stat().st_mtime_ns
+    assert main(["pipeline", "--config", config_path, "--out", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out
+    assert printed.count("up to date, skipping") == 5 and "reconstruct up to date" not in printed
+    assert len(fbp_columns) == 1 and np.array_equal(fbp_columns[0], columns_of(out, "mle"))
+    assert (tmp_path / "mono70_mace.pcmd").stat().st_mtime_ns == mace_mtime
+    assert_same_outputs(tmp_path, out)
+
+
+@pytest.mark.parametrize("method", [None, "mle"])
+def test_reconstruct_recomputes_every_method_even_when_current(pipeline_dir, tmp_path,
+                                                               fbp_columns, method):
+    out, config_path = pipeline_dir
+    copy_outputs(out, tmp_path)
+    cfg = PipelineConfig.from_file(config_path)
+    assert Stage("reconstruct", cfg, str(tmp_path)).current == ["mle", "mace"]
+    argv = ["reconstruct", "--config", config_path, "--out", str(tmp_path)]
+    assert main(argv + (["--method", method] if method else [])) == 0
+    methods = [method] if method else ["mle", "mace"]
+    assert len(fbp_columns) == 1 and np.array_equal(fbp_columns[0], columns_of(out, *methods))
+    assert_same_outputs(tmp_path, out)
+
+
+def test_pipeline_reruns_a_stage_whose_manifest_lacks_a_method(pipeline_dir, tmp_path, capsys):
+    """A `--method` stage command records one method; `pipeline` then reruns its
+    stage for the other, and its results match a forced run."""
+    out, _ = pipeline_dir
+    copy_outputs(out, tmp_path)
+    forced = tmp_path / "forced"
+    forced.mkdir()
+    copy_outputs(out, forced)
+    config_path = edited_prior(tmp_path)
+    for argv in (["decompose", "--method", "mace"], ["reconstruct", "--method", "mle"]):
+        assert main([*argv, "--config", config_path]) == 0
+    assert main(["pipeline", "--config", config_path]) == 0
+    printed = capsys.readouterr().out
+    assert "reconstruct up to date" not in printed and "evaluate up to date" not in printed
+    assert (tmp_path / "mono70_mace.pcmd").read_bytes() != (out / "mono70_mace.pcmd").read_bytes()
+    assert main(["pipeline", "--config", config_path, "--out", str(forced), "--force"]) == 0
+    assert_same_outputs(tmp_path, forced)
+
+
+def test_pipeline_reruns_an_evaluation_of_one_method(pipeline_dir, tmp_path, capsys):
+    out, config_path = pipeline_dir
+    copy_outputs(out, tmp_path)
+    argv = ["--config", config_path, "--out", str(tmp_path)]
+    assert main(["evaluate", "--method", "mle", *argv]) == 0
+    assert "mono70_mace" not in (tmp_path / "stats.csv").read_text()
+    cfg = PipelineConfig.from_file(config_path)
+    assert Stage("evaluate", cfg, str(tmp_path)).current == ["mle"]
+    assert main(["pipeline", *argv]) == 0
+    printed = capsys.readouterr().out
+    assert printed.count("up to date, skipping") == 5 and "evaluate up to date" not in printed
+    assert (tmp_path / "stats.csv").read_bytes() == (out / "stats.csv").read_bytes()
+
+
 UNUSABLE_PATHS = ["--out is a file", "--out under a file", "output_dir is a file",
                   "--config is a directory", "--config is not UTF-8",
                   "an output is a directory", "a manifest is a directory"]

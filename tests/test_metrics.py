@@ -3,7 +3,7 @@ import pytest
 
 from pcmd.errors import ToolkitError
 from pcmd.geometry import ImageGrid
-from pcmd.metrics import RoiCircle, RoiSpec, cnr, roi_stats
+from pcmd.metrics import RoiCircle, RoiSpec, _mask, cnr, roi_stats
 
 GRID = ImageGrid(n_x=64, n_y=64, pixel_size=0.25)
 
@@ -95,3 +95,14 @@ def test_roi_validation():
     with pytest.raises(ToolkitError, match="not defined"):
         spec.get("b")
 
+
+
+def test_mask_matches_a_meshgrid_reference_on_a_non_square_grid():
+    grid = ImageGrid(n_x=7, n_y=5, pixel_size=0.5, origin=(0.3, -0.2))
+    cx, cy, r = 0.9, -0.45, 0.8
+    xs, ys = grid.pixel_centers()
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    reference = (gx - cx) ** 2 + (gy - cy) ** 2 <= r**2
+    mask = _mask(grid, RoiCircle("c", (cx, cy), r))
+    assert mask.shape == (7, 5) and 1 < np.count_nonzero(mask) < 35
+    assert np.array_equal(mask, reference)
