@@ -17,6 +17,8 @@ import numpy as np
 
 from .arrayio import array_from_bytes, array_to_bytes
 from .errors import ConfigError, NumericError, PhotonStarvationError, ToolkitError
+# expected_counts and sample_poisson are module globals that the benchmark's
+# traced runs patch here (ROADMAP O4).
 from .simulate import expected_counts, sample_poisson
 from .workspace import Workspace
 

@@ -7,6 +7,11 @@ unknown keys and fills in defaults; a short list of cross-key rules
 follows.  Validation happens before any computation and reports
 path-qualified messages like "phantom.disks[2].radius: must be > 0".
 Builder methods turn the validated values into toolkit objects.
+
+Validation needs only `errors`, `geometry` and `materials`.  Each builder
+imports its product's module when called, so a process compiles only the
+modules its command uses: `import pcmd.config` loads no solver, calibration,
+simulation, phantom, spectrum, prior or metrics code.
 """
 
 import json
@@ -16,15 +21,9 @@ import os
 
 import numpy as np
 
-from .calibration import CalibrationDesign, CalibrationDomain, default_design
 from .errors import ConfigError
 from .geometry import ImageGrid, ScanGeometry
 from .materials import equivalent_fractions, list_materials, load_material
-from .metrics import RoiCircle, RoiSpec
-from .phantom import Disk, Phantom
-from .priors import GaussianPrior, clip_prior, compose_priors, rotation_matrix
-from .solver import MaceConfig, MleConfig
-from .spectrum import filtered_kramers
 
 REQUIRED = object()  # default of a key that must be given
 SEED_MAX = 2**64 - 1  # simulate hashes (seed, purpose, stream index) into each Philox key
@@ -116,14 +115,20 @@ SIZE = number(integer=True, ge=1, le=SIZE_MAX)
 POINT = list_of(NUMBER, length=2)
 SEED = number(integer=True, ge=0, le=SEED_MAX)
 KEV = number(integer=True, ge=20, le=150)  # whole keV inside the attenuation tables
-STD_PAIR = list_of(POSITIVE, length=2)
+# A radius in cm: far above any scanner, and its square stays a finite float.
+RADIUS = number(gt=0, le=1e6)
+# A Gaussian prior's std in detector samples, at most the longest axis a config
+# allows: its kernel spans 8 stds, so a larger one only asks for a kernel too
+# large to build.
+STD = number(gt=0, le=SIZE_MAX)
+STD_PAIR = list_of(STD, length=2)
 POISSON_RATE_MAX = 1e18  # numpy's Poisson sampler refuses rates near 2^63
 AIR_COUNTS = number(gt=0, le=POISSON_RATE_MAX)
 
 
 def _std(value, path):
     """A Gaussian prior's std for one material: isotropic, or [along-views, along-channels]."""
-    return (STD_PAIR if isinstance(value, list) else POSITIVE)(value, path)
+    return (STD_PAIR if isinstance(value, list) else STD)(value, path)
 
 
 def _prior(value, path):
@@ -169,7 +174,7 @@ SCHEMA = {
     "dose": ({"air_counts_total": (AIR_COUNTS, 2.0e4)}, {}),
     "phantom": ({"disks": (list_of({
         "center": (POINT, REQUIRED),
-        "radius": (POSITIVE, REQUIRED),
+        "radius": (RADIUS, REQUIRED),
         "fractions": (list_of(NUMBER), None),
         "water_density": (NUMBER, None),
         "water_density_excess": (NUMBER, None),
@@ -200,7 +205,7 @@ SCHEMA = {
         "window_width": (POSITIVE, 20.0),
     }, {}),
     "rois": (list_of({"label": (string(), REQUIRED), "center": (POINT, REQUIRED),
-                      "radius": (POSITIVE, REQUIRED)}), []),
+                      "radius": (RADIUS, REQUIRED)}), []),
     "cnr": ({"target": (string(), REQUIRED), "background": (string(), REQUIRED)}, None),
 }
 
@@ -331,14 +336,18 @@ class PipelineConfig:
         g = self.values["grid"]
         return ImageGrid(n_x=g["n_x"], n_y=g["n_y"], pixel_size=g["pixel_cm"])
 
-    def spectrum(self):
+    def spectrum(self) -> "SourceSpectrum":
+        from .spectrum import filtered_kramers
+
         return filtered_kramers(**self.values["spectrum"])
 
     def dose_scale(self, spectrum=None) -> float:
         spectrum = spectrum or self.spectrum()
         return self.values["dose"]["air_counts_total"] / spectrum.total_fluence
 
-    def phantom(self) -> Phantom:
+    def phantom(self) -> "Phantom":
+        from .phantom import Disk, Phantom
+
         basis = self.materials()
         water_frac = equivalent_fractions(load_material("water"), basis)
         disks = []
@@ -351,17 +360,23 @@ class PipelineConfig:
             disks.append(Disk(center=d["center"], radius=d["radius"], fractions=frac))
         return Phantom(disks=tuple(disks), n_materials=len(basis))
 
-    def calibration_domain(self) -> CalibrationDomain:
+    def calibration_domain(self) -> "CalibrationDomain":
+        from .calibration import CalibrationDomain
+
         lower, upper = np.array(self.values["calibration"]["domain"], dtype=float).T
         return CalibrationDomain(lower=lower, upper=upper)
 
-    def calibration_design(self) -> CalibrationDesign:
+    def calibration_design(self) -> "CalibrationDesign":
+        from .calibration import default_design
+
         cal = self.values["calibration"]
         return default_design(self.calibration_domain(), points_per_axis=cal["points_per_axis"],
                               repeats=cal["repeats"])
 
     def prior(self, spec=None, domain=None):
         """Prior agent for a validated `prior` section (default: this config's)."""
+        from .priors import GaussianPrior, clip_prior, compose_priors, rotation_matrix
+
         spec = spec if spec is not None else self.values["prior"]
         kind = spec["kind"]
         if kind == "clip":
@@ -373,18 +388,24 @@ class PipelineConfig:
             return GaussianPrior(std)
         return GaussianPrior(std, rotation_matrix(math.radians(spec["rotation_deg"])))
 
-    def mle_config(self, n_iter=None) -> MleConfig:
+    def mle_config(self, n_iter=None) -> "MleConfig":
+        from .solver import MleConfig
+
         m = self.values["mle"]
         return MleConfig(grid_points=tuple(m["grid_points"]),
                          n_iter=n_iter if n_iter is not None else m["n_iter"], sigma=m["sigma"])
 
-    def mace_config(self, domain=None) -> MaceConfig:
+    def mace_config(self, domain=None) -> "MaceConfig":
+        from .solver import MaceConfig
+
         m = self.values["mace"]
         return MaceConfig(prior=self.prior(domain=domain), rho=m["rho"], n_iter=m["n_iter"],
                           sigma=m["sigma"], n_sub=m["n_sub"],
                           init=self.mle_config(n_iter=m["mle_init_iters"]))
 
-    def rois(self) -> RoiSpec:
+    def rois(self) -> "RoiSpec":
+        from .metrics import RoiCircle, RoiSpec
+
         return RoiSpec(circles=tuple(RoiCircle(label=r["label"], center=tuple(r["center"]),
                                                radius=r["radius"])
                                      for r in self.values["rois"]))

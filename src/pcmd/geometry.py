@@ -1,4 +1,4 @@
-"""2D scan geometry and exact image-space projection.
+"""2D scan geometry, image grids and fan-to-parallel rebinning.
 
 Conventions: world coordinates in cm, isocenter at the origin.  A view at
 angle theta=0 sends rays along +y; the detector coordinate axis is then +x.
@@ -117,85 +117,6 @@ class ImageGrid:
         xs = self.origin[0] + (np.arange(self.n_x) - (self.n_x - 1) / 2.0) * h
         ys = self.origin[1] + (np.arange(self.n_y) - (self.n_y - 1) / 2.0) * h
         return xs, ys
-
-    def edges(self):
-        h = self.pixel_size
-        ex = self.origin[0] + (np.arange(self.n_x + 1) - self.n_x / 2.0) * h
-        ey = self.origin[1] + (np.arange(self.n_y + 1) - self.n_y / 2.0) * h
-        return ex, ey
-
-
-def _traverse(points, dirs, grid, values):
-    """Exact ray/pixel intersection lengths for a batch of rays.
-
-    Implements the classic parametric grid traversal: candidate parameters at
-    every pixel-edge crossing, clipped to the grid bounding box, with segment
-    lengths attributed to the pixel containing each segment midpoint.
-    `values` has shape (n_x, n_y, L); returns (R, L).
-    """
-    ex, ey = grid.edges()
-    r = points.shape[0]
-    big = 1e30
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tx = (ex[None, :] - points[:, 0:1]) / dirs[:, 0:1]
-        ty = (ey[None, :] - points[:, 1:2]) / dirs[:, 1:2]
-    tx = np.where(np.isfinite(tx), tx, big)
-    ty = np.where(np.isfinite(ty), ty, big)
-
-    # entry/exit via slab method, handling axis-parallel rays
-    def slab(lo, hi, p, d):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = (lo - p) / d
-            t2 = (hi - p) / d
-        near = np.minimum(t1, t2)
-        far = np.maximum(t1, t2)
-        parallel = d == 0
-        inside = (p >= lo) & (p <= hi)
-        near = np.where(parallel, np.where(inside, -big, big), near)
-        far = np.where(parallel, np.where(inside, big, -big), far)
-        return near, far
-
-    nx1, fx1 = slab(ex[0], ex[-1], points[:, 0], dirs[:, 0])
-    ny1, fy1 = slab(ey[0], ey[-1], points[:, 1], dirs[:, 1])
-    t_in = np.maximum(nx1, ny1)
-    t_out = np.minimum(fx1, fy1)
-
-    alphas = np.concatenate([tx, ty, t_in[:, None], t_out[:, None]], axis=1)
-    alphas = np.clip(alphas, t_in[:, None], t_out[:, None])
-    alphas.sort(axis=1)
-    seg = np.diff(alphas, axis=1)                      # (R, S)
-    mid = 0.5 * (alphas[:, :-1] + alphas[:, 1:])
-    mx = points[:, 0:1] + mid * dirs[:, 0:1]
-    my = points[:, 1:2] + mid * dirs[:, 1:2]
-    ix = np.floor((mx - ex[0]) / grid.pixel_size).astype(np.int64)
-    iy = np.floor((my - ey[0]) / grid.pixel_size).astype(np.int64)
-    valid = (seg > 0) & (ix >= 0) & (ix < grid.n_x) & (iy >= 0) & (iy < grid.n_y)
-    valid &= t_out[:, None] > t_in[:, None]
-    ix = np.clip(ix, 0, grid.n_x - 1)
-    iy = np.clip(iy, 0, grid.n_y - 1)
-    w = np.where(valid, seg, 0.0)
-    vals = values[ix.ravel(), iy.ravel()].reshape(r, seg.shape[1], -1)
-    return np.einsum("rs,rsl->rl", w, vals)
-
-
-def project_image(values: np.ndarray, geometry: ScanGeometry, grid: ImageGrid) -> np.ndarray:
-    """Forward-project an image through the system matrix in distance units.
-
-    `values` is (n_x, n_y) or (n_x, n_y, L); the result is (M,) or (M, L)
-    with entries sum_n A[m, n] * x[n, l], where A[m, n] is the exact
-    intersection length (cm) of ray m with pixel n.
-    """
-    squeeze = values.ndim == 2
-    if squeeze:
-        values = values[:, :, None]
-    if values.shape[:2] != (grid.n_x, grid.n_y):
-        raise ToolkitError("project_image: image shape does not match grid")
-    out = np.empty((geometry.n_rays, values.shape[2]))
-    c = geometry.n_channels
-    for v in range(geometry.n_views):
-        pts, dirs = geometry.rays_for_view(v)
-        out[v * c:(v + 1) * c] = _traverse(pts, dirs, grid, values)
-    return out[:, 0] if squeeze else out
 
 
 def rebin_fan_to_parallel(sino: np.ndarray, geometry: ScanGeometry):

@@ -60,16 +60,6 @@ class Phantom:
             out += chord[:, None] * d.fractions[None, :]
         return out
 
-    def rasterize(self, grid) -> np.ndarray:
-        """Pixel-center rasterization onto an ImageGrid, (n_x, n_y, L)."""
-        xs, ys = grid.pixel_centers()
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        img = np.zeros((grid.n_x, grid.n_y, self.n_materials))
-        for d in self.disks:
-            inside = (gx - d.center[0]) ** 2 + (gy - d.center[1]) ** 2 <= d.radius**2
-            img[inside] += d.fractions
-        return img
-
 
 def low_contrast_phantom(background_radius: float = 10.0,
                          insert_densities=(1.01, 1.005, 1.003),

@@ -11,6 +11,12 @@ consumes.  A method is current when the manifest, under the same config hash,
 names each of its files with a matching digest; `pipeline`, a loop over
 `STAGES`, skips a stage whose methods are all current and keeps the images of
 a current method when it reconstructs the others.
+
+A module loads where it is first needed: `cmd_simulate` imports `simulate`,
+`cmd_calibrate` and `cmd_decompose` import `calibration`, and the config
+builders import the module of what they build.  A process compiles only the
+modules its command runs; a `pipeline` that skips every stage loads no
+simulation, calibration, phantom or spectrum code.
 """
 
 import dataclasses
@@ -23,15 +29,17 @@ from typing import NamedTuple
 
 import numpy as np
 
+# The arrayio, metrics, recon and solver names below stay module globals only
+# because the benchmark's traced runs patch them here, so `recon`, `metrics` and
+# `solver` load even in a run that skips their stages (ROADMAP O4 replaces the
+# patching with a run trace).
 from . import recon
 from .arrayio import read_array, write_array, write_png_preview
-from .calibration import calibrate_drf, load_calibration, save_calibration
 from .config import PipelineConfig
 from .detector import empty_rows
 from .errors import ConfigError, ToolkitError
 from .metrics import cnr, roi_stats
 from .recon import synthesize_mono
-from .simulate import scan_phantom
 from .solver import mle_decompose, run_mace, same_mle_at_cap
 
 METHODS = ("mle", "mace")
@@ -236,6 +244,8 @@ class Stage:
 
 def cmd_simulate(cfg: PipelineConfig, out_dir=None) -> list:
     """Simulate the scan; writes transmission, air totals, and true pathlengths."""
+    from .simulate import scan_phantom
+
     stage = Stage("simulate", cfg, out_dir)
     spectrum = cfg.spectrum()
     arrays = scan_phantom(cfg.phantom(), cfg.geometry(), spectrum, cfg.materials(),
@@ -248,6 +258,8 @@ def cmd_simulate(cfg: PipelineConfig, out_dir=None) -> list:
 
 def cmd_calibrate(cfg: PipelineConfig, out_dir=None) -> list:
     """Run the slab protocol and fit the detector response; prints fit residual."""
+    from .calibration import calibrate_drf, save_calibration
+
     stage = Stage("calibrate", cfg, out_dir)
     cal = cfg.values["calibration"]
     drf = calibrate_drf(cfg.spectrum(), cfg.materials(), cfg.calibration_design(),
@@ -279,6 +291,8 @@ def _mle_start(cfg: PipelineConfig, out: str, n_iter: int):
 
 def cmd_decompose(cfg: PipelineConfig, method: str, out_dir=None) -> list:
     """Decompose the transmission sinogram into material pathlengths."""
+    from .calibration import load_calibration
+
     if method not in METHODS:
         raise ConfigError(f"decompose: method must be one of {METHODS}, got {method!r}")
     stage = Stage(f"decompose_{method}", cfg, out_dir)

@@ -10,6 +10,8 @@ modified Hounsfield convention (air 0, water 1000).
 import numpy as np
 
 from .errors import ToolkitError
+# rebin_fan_to_parallel is a module global that the benchmark's traced runs
+# patch here (ROADMAP O4).
 from .geometry import FAN, PARALLEL, ImageGrid, rebin_fan_to_parallel
 from .materials import load_material
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import detector
+# detector_agent_apply and apply_prior are module globals that the benchmark's
+# traced runs patch here (ROADMAP O4).
 from .detector import ProxParams, _exp_neg, detector_agent_apply, empty_rows
 from .errors import NumericError, ToolkitError
 from .priors import apply_prior, clip_prior

@@ -228,6 +228,34 @@ def test_configs_a_builder_would_refuse_exit_2(tmp_path, capsys, section, values
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("keys, path", [
+    (("rois", 0, "radius"), "rois[0].radius"),
+    (("phantom", "disks", 0, "radius"), "phantom.disks[0].radius"),
+])
+def test_a_huge_radius_exits_2_naming_the_key(tmp_path, capsys, keys, path):
+    cfg = tiny_config(tmp_path / "out")
+    parent_of(cfg, keys)[keys[-1]] = 1e300  # its square is beyond float range
+    assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}:")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("prior, path", [
+    ({"kind": "gaussian", "std": [1e300, 1e300]}, "prior.std[0]"),
+    ({"kind": "gaussian", "std": [2.0, [1.0, 1e300]]}, "prior.std[1][1]"),
+    ({"kind": "decorrelated-gaussian", "std": [2.0, 1e300]}, "prior.std[1]"),
+    ({"kind": "compose", "parts": [{"kind": "clip"}, {"kind": "gaussian", "std": [1e300, 2.0]}]},
+     "prior.parts[1].std[0]"),
+])
+def test_a_huge_prior_std_exits_2_naming_it(tmp_path, capsys, prior, path):
+    # a std is in detector samples; the Gaussian kernel of 1e300 cannot be built
+    cfg = tiny_config(tmp_path / "out")
+    cfg["prior"] = prior
+    assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}:")
+    assert not (tmp_path / "out").exists()
+
+
 def test_zero_width_calibration_axis_exits_2_before_the_fit(tmp_path, capsys):
     cfg = tiny_config(tmp_path / "out")
     cfg["calibration"]["domain"] = [[0.0, 40.0], [5.0, 5.0]]
@@ -353,17 +381,57 @@ def test_bad_json_reports_file(tmp_path):
 
 # --- CLI end to end ---
 
-def test_importing_the_cli_loads_no_numeric_backend():
-    # --threads caps the BLAS threads through the environment, which only
-    # reaches a backend that loads after the flag is read
+def fresh_interpreter(probe, *args):
+    """What `python -c probe *args` prints, run with this checkout's pcmd."""
     import pcmd
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(pcmd.__file__)))
-    probe = "import sys, pcmd.cli; print('numpy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", probe, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def modules_after(code, *args):
+    """The printed output of `code` in a fresh interpreter, and the pcmd modules it loaded."""
+    printed = fresh_interpreter(code + "\nprint(*sorted(m for m in sys.modules "
+                                       "if m.startswith('pcmd.')))", *args)
+    *lines, loaded = printed.splitlines()
+    return "\n".join(lines), set(loaded.split())
+
+
+def run_cli_after(*argv):
+    """`pcmd *argv` in a fresh interpreter: what it printed and the pcmd modules it loaded."""
+    return modules_after("import sys; from pcmd.cli import main; assert main(sys.argv[1:]) == 0",
+                         *argv)
+
+
+def test_importing_the_cli_loads_no_numeric_backend():
+    # --threads caps the BLAS threads through the environment, which only
+    # reaches a backend that loads after the flag is read
+    probe = "import sys, pcmd.cli; print('numpy' in sys.modules)"
+    assert fresh_interpreter(probe).strip() == "False"
+
+
+def test_importing_the_config_loads_only_what_validation_needs():
+    _, loaded = modules_after("import sys, pcmd.config")
+    assert "pcmd.config" in loaded
+    assert not loaded & {"pcmd.solver", "pcmd.calibration", "pcmd.simulate", "pcmd.phantom",
+                         "pcmd.spectrum", "pcmd.priors", "pcmd.metrics"}
+
+
+def test_an_up_to_date_pipeline_loads_no_simulation_or_calibration(pipeline_dir, tmp_path):
+    out, config_path = pipeline_dir
+    printed, loaded = run_cli_after("pipeline", "--config", config_path,
+                                    "--out", str(copy_outputs(out, tmp_path)))
+    assert printed.count("up to date, skipping") == 6
+    assert "pcmd.pipeline" in loaded
+    assert not loaded & {"pcmd.calibration", "pcmd.simulate", "pcmd.phantom", "pcmd.spectrum"}
+
+
+def test_simulate_loads_no_calibration(tmp_path):
+    path = write_config(tmp_path, tiny_config(tmp_path / "out"))
+    _, loaded = run_cli_after("simulate", "--config", path)
+    assert "pcmd.simulate" in loaded and "pcmd.calibration" not in loaded
 
 
 def test_cli_exit_codes(tmp_path):
@@ -398,6 +466,14 @@ def test_threads_flag_is_accepted(tmp_path):
     cfg = tiny_config(tmp_path / "out")
     path = write_config(tmp_path, cfg)
     assert main(["simulate", "--config", path, "--threads", "1"]) == 0
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_threads_flag_must_be_positive(tmp_path, capsys, value):
+    path = write_config(tmp_path, tiny_config(tmp_path / "out"))
+    assert main(["simulate", "--config", path, "--threads", value]) == 2
+    assert capsys.readouterr().err.startswith("config error: --threads:")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from helpers import grid_edges, project_image, rasterize
 from pcmd.errors import ToolkitError
-from pcmd.geometry import ScanGeometry, project_image, rebin_fan_to_parallel
+from pcmd.geometry import ScanGeometry, rebin_fan_to_parallel
 from pcmd.phantom import Disk, Phantom
 
 
@@ -53,7 +54,7 @@ def test_length_conservation_against_independent_slab_oracle(small_grid):
     pts, dirs = geo.all_rays()
     ones = np.ones((small_grid.n_x, small_grid.n_y))
     p = project_image(ones, geo, small_grid)
-    ex, ey = small_grid.edges()
+    ex, ey = grid_edges(small_grid)
     for m in range(0, geo.n_rays, 13):
         pt, d = pts[m], dirs[m]
         ts = []
@@ -72,7 +73,7 @@ def test_single_pixel_matches_rectangle_clip_oracle(small_grid):
     img = np.zeros((small_grid.n_x, small_grid.n_y))
     ix, iy = 20, 41
     img[ix, iy] = 1.0
-    ex, ey = small_grid.edges()
+    ex, ey = grid_edges(small_grid)
     # spacing incommensurate with the pixel pitch: no ray sits exactly on a
     # pixel edge, where closed-rectangle and half-open-cell conventions differ
     geo = ScanGeometry(mode="parallel", n_views=16, n_channels=32, spacing=0.79)
@@ -114,7 +115,7 @@ def test_analytic_disk_vs_rasterized_projection(small_geometry, small_grid):
     r = 6.0
     ph = Phantom(disks=(Disk(center=(1.2, -0.8), radius=r, fractions=np.array([1.0])),),
                  n_materials=1)
-    raster = ph.rasterize(small_grid)[:, :, 0]
+    raster = rasterize(ph, small_grid)[:, :, 0]
     p_raster = project_image(raster, small_geometry, small_grid)
     pts, dirs = small_geometry.all_rays()
     p_exact = ph.pathlengths(pts, dirs)[:, 0]

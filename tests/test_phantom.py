@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import rasterize
 from pcmd.config import PipelineConfig
 from pcmd.errors import ToolkitError
 from pcmd.phantom import Disk, Phantom, low_contrast_phantom
@@ -81,7 +82,7 @@ def test_low_contrast_phantom_layout():
 def test_rasterize_matches_membership(small_grid):
     ph = Phantom(disks=(Disk(center=(0.0, 0.0), radius=3.0, fractions=np.array([2.0])),),
                  n_materials=1)
-    img = ph.rasterize(small_grid)
+    img = rasterize(ph, small_grid)
     xs, ys = small_grid.pixel_centers()
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     inside = gx**2 + gy**2 <= 9.0

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from pcmd.errors import ToolkitError
-from pcmd.geometry import ImageGrid, ScanGeometry, project_image
+from pcmd.geometry import ImageGrid, ScanGeometry
 from pcmd.materials import equivalent_fractions, load_material
 from pcmd.phantom import Disk, Phantom
 from pcmd.recon import fbp_reconstruct, synthesize_mono
 
-from helpers import reference_fbp
+from helpers import project_image, reference_fbp
 
 
 @pytest.fixture(scope="module")
