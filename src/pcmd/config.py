@@ -112,11 +112,11 @@ NUMBER = number()
 POSITIVE = number(gt=0)
 COUNT = number(integer=True, ge=1)
 SIZE = number(integer=True, ge=1, le=SIZE_MAX)
-POINT = list_of(NUMBER, length=2)
 SEED = number(integer=True, ge=0, le=SEED_MAX)
 KEV = number(integer=True, ge=20, le=150)  # whole keV inside the attenuation tables
-# A radius in cm: far above any scanner, and its square stays a finite float.
+# A radius or coordinate in cm: far above any scanner, and its square stays a finite float.
 RADIUS = number(gt=0, le=1e6)
+POINT = list_of(number(ge=-1e6, le=1e6), length=2)
 # A Gaussian prior's std in detector samples, at most the longest axis a config
 # allows: its kernel spans 8 stds, so a larger one only asks for a kernel too
 # large to build.

@@ -2,17 +2,18 @@
 
 A prior agent is any callable p -> p mapping a pathlength sinogram, a
 (view, channel, material) array, to a better-behaved one of the same shape;
-`apply_prior` checks that the sinogram is 3-D and calls it.  Shipped agents:
-separable Gaussian filtering over the (view, channel) plane per material,
-optionally in a decorrelated (rotated) material space, clipping to the
-calibration domain, and left-to-right compositions.  Learned denoisers enter
-the same way, on the sinogram as an image with one plane per material.
+`apply_prior` calls it on a 3-D sinogram and checks the shape it returns.
+Shipped agents: separable Gaussian filtering over the (view, channel) plane
+per material, optionally in a decorrelated (rotated) material space, clipping
+to the calibration domain, and left-to-right compositions.  Learned denoisers
+enter the same way, on the sinogram as an image with one plane per material.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ToolkitError
 
@@ -39,10 +40,13 @@ class GaussianPrior:
         object.__setattr__(self, "std", tuple(self.std))
         if not self.std:
             raise ToolkitError("prior: gaussian variants need per-material stds")
-        for s in self.std:
-            pair = (s, s) if np.isscalar(s) else tuple(s)
-            if len(pair) != 2 or pair[0] <= 0 or pair[1] <= 0:
-                raise ToolkitError("prior: stds must be positive")
+        pairs = [(s, s) if np.isscalar(s) else tuple(s) for s in self.std]
+        if any(len(pair) != 2 or not all(math.isfinite(x) and x > 0 for x in pair)
+               for pair in pairs):
+            raise ToolkitError("prior: stds must be finite and positive")
+        # Each material's (along-view, along-channel) kernels, built once, not per application.
+        object.__setattr__(self, "_kernels",
+                           tuple((gaussian_kernel(sv), gaussian_kernel(sc)) for sv, sc in pairs))
         if self.rotation is not None:
             r = np.asarray(self.rotation, dtype=float)
             if r.ndim != 2 or r.shape[0] != r.shape[1]:
@@ -57,9 +61,8 @@ class GaussianPrior:
         if self.rotation is not None:
             p = p @ self.rotation.T
         out = np.empty_like(p)
-        for l, s in enumerate(self.std):
-            sv, sc = _std_pair(s)
-            out[:, :, l] = _filter_axis(_filter_axis(p[:, :, l], sv, 0), sc, 1)
+        for l, (kv, kc) in enumerate(self._kernels):
+            out[:, :, l] = _filter_axis(_filter_axis(p[:, :, l], kv, 0), kc, 1)
         if self.rotation is not None:
             out = out @ self.rotation
         return out
@@ -91,26 +94,18 @@ def gaussian_kernel(std: float) -> np.ndarray:
     """Sampled Gaussian truncated at 4*std, normalized to unit sum."""
     radius = int(math.ceil(4.0 * std))
     x = np.arange(-radius, radius + 1, dtype=float)
-    k = np.exp(-0.5 * (x / std) ** 2)
+    with np.errstate(over="ignore"):  # a std far below one sample keeps only the centre tap
+        k = np.exp(-0.5 * (x / std) ** 2)
     return k / k.sum()
 
 
-def _filter_axis(plane: np.ndarray, std: float, axis: int) -> np.ndarray:
-    k = gaussian_kernel(std)
-    radius = (k.size - 1) // 2
+def _filter_axis(plane: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+    """Filter `plane` along `axis` by one windowed product, with a symmetric boundary."""
     if plane.shape[axis] < 2:
         return plane.copy()
-    moved = np.moveaxis(plane, axis, 0)
-    pad = np.pad(moved, [(radius, radius)] + [(0, 0)] * (moved.ndim - 1), mode="symmetric")
-    out = np.zeros_like(moved)
-    n = moved.shape[0]
-    for i, w in enumerate(k):
-        out += w * pad[i:i + n]
-    return np.moveaxis(out, 0, axis)
-
-
-def _std_pair(s):
-    return (float(s), float(s)) if np.isscalar(s) else (float(s[0]), float(s[1]))
+    pad = [(kernel.size // 2,) * 2 if a == axis else (0, 0) for a in range(plane.ndim)]
+    window = sliding_window_view(np.pad(plane, pad, mode="symmetric"), kernel.size, axis=axis)
+    return window @ kernel
 
 
 def apply_prior(prior, p: np.ndarray) -> np.ndarray:
@@ -118,4 +113,7 @@ def apply_prior(prior, p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 3:
         raise ToolkitError(f"prior: sinogram must be (view, channel, material), got {p.shape}")
-    return prior(p)
+    out = prior(p)
+    if np.shape(out) != p.shape:
+        raise ToolkitError(f"prior: returned shape {np.shape(out)} for sinogram shape {p.shape}")
+    return out

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -236,6 +237,21 @@ def test_a_huge_radius_exits_2_naming_the_key(tmp_path, capsys, keys, path):
     cfg = tiny_config(tmp_path / "out")
     parent_of(cfg, keys)[keys[-1]] = 1e300  # its square is beyond float range
     assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}:")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("keys, value, path", [
+    (("phantom", "disks", 0, "center"), [1e200, 0.0], "phantom.disks[0].center[0]"),
+    (("rois", 0, "center"), [1e300, 0.0], "rois[0].center[0]"),
+    (("rois", 1, "center"), [0.0, -2e6], "rois[1].center[1]"),
+])
+def test_a_huge_centre_exits_2_naming_the_coordinate(tmp_path, capsys, keys, value, path):
+    cfg = tiny_config(tmp_path / "out")
+    parent_of(cfg, keys)[keys[-1]] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic overflows
+        assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {path}:")
     assert not (tmp_path / "out").exists()
 

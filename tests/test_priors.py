@@ -31,19 +31,23 @@ def test_gaussian_kernel_truncated_at_four_sigma():
     assert np.array_equal(k, k[::-1])
 
 
-def test_impulse_matches_dense_convolution_oracle():
-    std = 2.0
-    p = np.zeros(SHAPE + (1,))
-    p[7, 9] = 1.0
+@pytest.mark.parametrize("shape, impulse, std", [
+    (SHAPE, (7, 9), 2.0),
+    (SHAPE, (7, 9), (3.0, 1.0)),     # anisotropic: a different kernel per axis
+    (SHAPE, (2, 16), (7.0, 5.0)),    # radii 28 and 20 exceed both axes: the boundary reflects twice
+    ((1, 18), (0, 9), 2.0),          # one view: filtered along channels only
+], ids=["isotropic", "anisotropic", "radius-beyond-axes", "one-view"])
+def test_impulse_matches_dense_convolution_oracle(shape, impulse, std):
+    p = np.zeros(shape + (1,))
+    p[impulse] = 1.0
     got = apply_prior(GaussianPrior([std]), p)[:, :, 0]
-    k = gaussian_kernel(std)
-    r = (k.size - 1) // 2
-    k2 = np.outer(k, k)
-    padded = np.pad(p[:, :, 0], r, mode="symmetric")
-    dense = np.empty(SHAPE)
-    for i in range(SHAPE[0]):
-        for j in range(SHAPE[1]):
-            dense[i, j] = np.sum(padded[i:i + k.size, j:j + k.size] * k2)
+    kv, kc = (gaussian_kernel(s) for s in np.broadcast_to(std, 2))
+    k2 = np.outer(kv, kc)
+    padded = np.pad(p[:, :, 0], [(kv.size // 2,) * 2, (kc.size // 2,) * 2], mode="symmetric")
+    dense = np.empty(shape)
+    for i in range(shape[0]):
+        for j in range(shape[1]):
+            dense[i, j] = np.sum(padded[i:i + kv.size, j:j + kc.size] * k2)
     assert np.abs(got - dense).max() < 1e-12
 
 
@@ -160,6 +164,22 @@ def test_shape_mismatch_raises():  # a 2-D (rows, material) sinogram
     for prior in (GaussianPrior([1.0, 1.0]), clip_prior(DEFAULT_DOMAIN), lambda q: q):
         with pytest.raises(ToolkitError, match="view, channel, material"):
             apply_prior(prior, random_sino(11).reshape(-1, 2))
+
+
+def test_a_prior_that_changes_the_shape_is_rejected():
+    p = random_sino(13)
+    for prior in (lambda q: q[:, :, :1], lambda q: q.sum(axis=2), lambda q: 0.5):
+        with pytest.raises(ToolkitError, match=r"returned shape .* sinogram shape \(24, 18, 2\)"):
+            apply_prior(prior, p)
+        with pytest.raises(ToolkitError, match="returned shape"):  # each part is checked
+            apply_prior(compose_priors([prior, clip_prior(DEFAULT_DOMAIN)]), p)
+
+
+@pytest.mark.parametrize("std", [[np.nan, 1.0], [np.inf, 1.0], [(1.0, np.nan), 1.0],
+                                 [2.0, (-np.inf, 1.0)]])
+def test_non_finite_stds_are_rejected_at_construction(std):
+    with pytest.raises(ToolkitError, match="finite"):
+        GaussianPrior(std)
 
 
 def test_spec_validation():

@@ -519,6 +519,17 @@ def test_run_mace_hands_a_bare_callable_prior_the_cube(default_spectrum, basis_m
     assert shapes == [(2, 3, 2)] * 3 and res.p.shape == (2, 3, 2)
 
 
+@pytest.mark.parametrize("prior", [lambda p: p[:, :, :1], lambda p: p.sum(axis=2)],
+                         ids=["one-plane", "summed-planes"])
+def test_run_mace_rejects_a_prior_that_changes_the_shape(default_spectrum, basis_materials,
+                                                         noiseless_drf, prior):
+    p_true = np.tile([10.0, 1.0], (2, 3, 1))
+    t = noiseless_rows(default_spectrum, basis_materials, p_true.reshape(6, 2))
+    cfg = MaceConfig(prior=prior, n_iter=3, init=p_true)
+    with pytest.raises(ToolkitError, match=r"prior: returned shape .* sinogram shape \(2, 3, 2\)"):
+        run_mace(t.reshape(2, 3, -1), np.full((2, 3), 1.0e4), noiseless_drf, cfg)
+
+
 def test_run_mace_rejects_transmission_rows(default_spectrum, basis_materials, noiseless_drf):
     t = noiseless_rows(default_spectrum, basis_materials, np.tile([10.0, 1.0], (6, 1)))
     cfg = MaceConfig(prior=lambda p: p, n_iter=2)
