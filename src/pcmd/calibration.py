@@ -67,31 +67,6 @@ class CalibrationDomain:
 DEFAULT_DOMAIN = CalibrationDomain(lower=np.zeros(2), upper=np.array([40.0, 5.0]))
 
 
-@dataclass(frozen=True)
-class CalibrationDesign:
-    """Slab pathlength grid: points (S, L) in cm, plus repeat count per point."""
-
-    pathlength_points: np.ndarray = field(repr=False)
-    repeats_per_point: int = 100
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.pathlength_points, dtype=float))
-        if self.repeats_per_point < 1:
-            raise ToolkitError("calibration design: repeats must be >= 1")
-        object.__setattr__(self, "pathlength_points", pts)
-
-    @property
-    def n_points(self) -> int:
-        return self.pathlength_points.shape[0]
-
-
-def default_design(domain: CalibrationDomain = DEFAULT_DOMAIN, points_per_axis=(9, 9),
-                   repeats: int = 100) -> CalibrationDesign:
-    """Regular grid over the domain, including 0 and the per-material maxima."""
-    return CalibrationDesign(pathlength_points=domain.grid(points_per_axis),
-                             repeats_per_point=repeats)
-
-
 @functools.lru_cache(maxsize=16)
 def _lift(order: int, scale: tuple) -> np.ndarray:
     """The (n_coef, (1 + L) n_coef) matrix that maps coefficient sets to the
@@ -216,23 +191,17 @@ class DrfPolynomial:
                          out=None if out is None else out.reshape(-1, lift.shape[1]))
         return flat.reshape(coef.shape[:-1] + (1 + self.n_materials, coef.shape[-1]))
 
-    def _at_points(self, p, channel: int, grad: bool) -> np.ndarray:
-        """Response at points (..., L) for `channel`: (..., K), or with `grad` (..., K, L)."""
-        p = np.asarray(p, dtype=float)
-        coef = self._coef[0 if self.n_sets == 1 else channel]                # (K, n_coef)
-        if grad:
-            coef = self._with_derivatives(coef)[:, 1:].reshape(-1, coef.shape[1])
-        tab = self._tables(p.reshape(-1, self.n_materials).T[None], Workspace())[0]
-        tail = (self.n_bins, self.n_materials) if grad else (self.n_bins,)
-        return (coef @ tab).T.reshape(p.shape[:-1] + tail)
-
     def eval(self, p, channel: int = 0) -> np.ndarray:
         """phi(p) for one detector channel; p is (..., L), result (..., K)."""
-        return self._at_points(p, channel, False)
+        p = np.asarray(p, dtype=float)
+        (phi,) = self.select([channel]).eval_sets(p.reshape(-1, self.n_materials))
+        return phi.T.reshape(p.shape[:-1] + (self.n_bins,))
 
     def grad(self, p, channel: int = 0) -> np.ndarray:
         """Exact Jacobian d phi / dp, shape (..., K, L)."""
-        return self._at_points(p, channel, True)
+        p = np.asarray(p, dtype=float)
+        jac = self.select([channel]).eval_jac(p.reshape(-1, self.n_materials))[1]
+        return jac.reshape(p.shape[:-1] + (self.n_bins, self.n_materials))
 
     def eval_sets(self, p):
         """phi at points p (N, L) under each coefficient set in turn, as
@@ -356,54 +325,45 @@ def fit_drf(points: np.ndarray, phi_hat: np.ndarray, order: int = 4,
                          basis_scale=scale, bin_edges=bin_edges, fit_residual=worst)
 
 
-@dataclass(frozen=True)
-class SlabScans:
-    """Averaged slab-scan measurements ready for measure_drf/fit_drf."""
-
-    points: np.ndarray = field(repr=False)       # (C, S, L) effective pathlengths
-    mean_counts: np.ndarray = field(repr=False)  # (C, S, K)
-    air_total: float = 0.0
-
-
-def slab_scan_protocol(spectrum, materials, design: CalibrationDesign, geometry,
-                       air_counts_total: float = 1.0e6, noise: bool = True,
-                       seed: int = 0) -> SlabScans:
+def slab_scan_protocol(spectrum, materials, points, geometry, repeats: int = 100,
+                       air_counts_total: float = 1.0e6, noise: bool = True, seed: int = 0):
     """Simulate the slab calibration protocol for every detector channel.
 
     Slabs sit perpendicular to the iso-ray, so the channel at fan angle gamma
-    sees an effective pathlength p_s / cos(gamma).  Each design point is
-    scanned `repeats_per_point` times and averaged; the average of R
+    sees an effective pathlength p_s / cos(gamma).  Each slab point of
+    `points` (S, L) is scanned `repeats` times and averaged; the average of R
     independent Poisson(lam) draws is sampled as Poisson(R * lam) / R, which
     has the identical distribution.  Each channel draws from its own
-    calibration stream.
+    calibration stream.  Returns the effective pathlengths (C, S, L) and the
+    mean counts (C, S, K).
     """
+    if repeats < 1:
+        raise ToolkitError("slab scan: repeats must be >= 1")
+    pts = np.atleast_2d(np.asarray(points, dtype=float))  # (S, L)
     dose = air_counts_total / spectrum.total_fluence
     gamma = geometry.fan_angles()
-    n_chan = geometry.n_channels
-    pts = design.pathlength_points                       # (S, L)
+    n_chan, n_pts = geometry.n_channels, pts.shape[0]
     eff = pts[None, :, :] / np.cos(gamma)[:, None, None]  # (C, S, L)
     lam = expected_counts(spectrum, materials, eff.reshape(-1, pts.shape[1]), dose)
-    lam = lam.reshape(n_chan, design.n_points, -1)
-    if noise:
-        rep = design.repeats_per_point
-        total = sample_poisson((rep * lam).reshape(n_chan * design.n_points, -1), seed,
-                               "calibration", rows_per_stream=design.n_points)
-        mean = total.reshape(lam.shape).astype(float) / rep
-    else:
-        mean = lam
-    return SlabScans(points=eff, mean_counts=mean, air_total=air_counts_total)
+    lam = lam.reshape(n_chan, n_pts, -1)
+    if not noise:
+        return eff, lam
+    total = sample_poisson((repeats * lam).reshape(n_chan * n_pts, -1), seed,
+                           "calibration", rows_per_stream=n_pts)
+    return eff, total.reshape(lam.shape).astype(float) / repeats
 
 
-def calibrate_drf(spectrum, materials, design: CalibrationDesign, geometry,
-                  order: int = 4, domain: CalibrationDomain = DEFAULT_DOMAIN,
-                  air_counts_total: float = 1.0e6, noise: bool = True,
+def calibrate_drf(spectrum, materials, geometry, order: int = 4,
+                  domain: CalibrationDomain = DEFAULT_DOMAIN, points_per_axis=(9, 9),
+                  repeats: int = 100, air_counts_total: float = 1.0e6, noise: bool = True,
                   seed: int = 0) -> DrfPolynomial:
-    """Full calibration: slab scans -> empirical DRF -> per-channel fit."""
-    scans = slab_scan_protocol(spectrum, materials, design, geometry,
-                               air_counts_total=air_counts_total, noise=noise, seed=seed)
-    phi_hat = measure_drf(scans.mean_counts, scans.air_total)
-    return fit_drf(scans.points, phi_hat, order=order, domain=domain,
-                   bin_edges=spectrum.bin_edges)
+    """Full calibration: slab scans of `domain.grid(points_per_axis)` ->
+    empirical DRF -> per-channel fit over the same `domain`."""
+    points, mean_counts = slab_scan_protocol(
+        spectrum, materials, domain.grid(points_per_axis), geometry, repeats=repeats,
+        air_counts_total=air_counts_total, noise=noise, seed=seed)
+    return fit_drf(points, measure_drf(mean_counts, air_counts_total), order=order,
+                   domain=domain, bin_edges=spectrum.bin_edges)
 
 
 # --- calibration container: structured-text header + binary coefficients ---

@@ -264,6 +264,10 @@ def _check_rules(v):
         if lo > up or (lo == up and cal["order"] > 0):  # a polynomial needs a spread to fit
             raise ConfigError(f"calibration.domain[{j}]: lower bound must be below upper bound, "
                               f"got [{lo}, {up}]")
+    for j, n_points in enumerate(cal["points_per_axis"]):
+        if n_points <= cal["order"]:  # fewer leave the tensor-product fit rank-deficient
+            raise ConfigError(f"calibration.points_per_axis[{j}]: must be at least "
+                              f"calibration.order + 1 = {cal['order'] + 1}, got {n_points}")
 
     labels = [r["label"] for r in v["rois"]]
     g = v["grid"]
@@ -365,13 +369,6 @@ class PipelineConfig:
 
         lower, upper = np.array(self.values["calibration"]["domain"], dtype=float).T
         return CalibrationDomain(lower=lower, upper=upper)
-
-    def calibration_design(self) -> "CalibrationDesign":
-        from .calibration import default_design
-
-        cal = self.values["calibration"]
-        return default_design(self.calibration_domain(), points_per_axis=cal["points_per_axis"],
-                              repeats=cal["repeats"])
 
     def prior(self, spec=None, domain=None):
         """Prior agent for a validated `prior` section (default: this config's)."""

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ToolkitError
-from .materials import equivalent_fractions, load_material
 
 
 @dataclass(frozen=True)
@@ -60,23 +59,3 @@ class Phantom:
             out += chord[:, None] * d.fractions[None, :]
         return out
 
-
-def low_contrast_phantom(background_radius: float = 10.0,
-                         insert_densities=(1.01, 1.005, 1.003),
-                         insert_radii=(1.5, 1.2, 1.0),
-                         insert_offset: float = 5.0) -> Phantom:
-    """Water background disk with slightly-denser water inserts.
-
-    Inserts are placed on a ring of radius `insert_offset`; each insert disk
-    carries only the density EXCESS so that stacked disks sum to the intended
-    density.
-    """
-    basis = [load_material(n) for n in ("polyethylene", "pvc")]
-    water_frac = equivalent_fractions(load_material("water"), basis)
-    disks = [Disk(center=(0.0, 0.0), radius=background_radius, fractions=water_frac)]
-    n = len(insert_densities)
-    for i, (dens, rad) in enumerate(zip(insert_densities, insert_radii)):
-        ang = 2.0 * np.pi * i / n
-        c = (insert_offset * np.cos(ang), insert_offset * np.sin(ang))
-        disks.append(Disk(center=c, radius=rad, fractions=(dens - 1.0) * water_frac))
-    return Phantom(disks=tuple(disks), n_materials=2)

@@ -262,10 +262,10 @@ def cmd_calibrate(cfg: PipelineConfig, out_dir=None) -> list:
 
     stage = Stage("calibrate", cfg, out_dir)
     cal = cfg.values["calibration"]
-    drf = calibrate_drf(cfg.spectrum(), cfg.materials(), cfg.calibration_design(),
-                        cfg.geometry(), order=cal["order"], domain=cfg.calibration_domain(),
-                        air_counts_total=cal["air_counts_total"], noise=cal["noise"],
-                        seed=cfg.cal_seed)
+    drf = calibrate_drf(cfg.spectrum(), cfg.materials(), cfg.geometry(), order=cal["order"],
+                        domain=cfg.calibration_domain(), points_per_axis=cal["points_per_axis"],
+                        repeats=cal["repeats"], air_counts_total=cal["air_counts_total"],
+                        noise=cal["noise"], seed=cfg.cal_seed)
     written = stage.outputs()
     save_calibration(written[0], drf)
     print(f"calibrate: max fit residual {drf.fit_residual:.3e} over "
@@ -304,6 +304,11 @@ def cmd_decompose(cfg: PipelineConfig, method: str, out_dir=None) -> list:
     if (drf.n_channels, drf.n_bins, drf.n_materials) not in (want, (1, *want[1:])):
         raise ConfigError(f"decompose: calibration has (channels, bins, materials) "
                           f"{(drf.n_channels, drf.n_bins, drf.n_materials)}, the config {want}")
+    edges = cfg.spectrum().bin_edges
+    if drf.bin_edges is not None and not np.array_equal(drf.bin_edges, edges):
+        raise ConfigError(f"decompose: calibration {cal_path} was fitted for bin edges "
+                          f"{drf.bin_edges.tolist()} keV, the config's spectrum has "
+                          f"{edges.tolist()} keV; run calibrate")
     t0 = time.perf_counter()
     if method == "mle":
         result = mle_decompose(t_sino, air, drf, cfg.mle_config())

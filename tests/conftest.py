@@ -1,6 +1,6 @@
 import pytest
 
-from pcmd.calibration import calibrate_drf, default_design
+from pcmd.calibration import calibrate_drf
 from pcmd.geometry import ImageGrid, ScanGeometry
 from pcmd.materials import load_material
 from pcmd.spectrum import filtered_kramers
@@ -34,5 +34,5 @@ def single_channel_geometry():
 @pytest.fixture(scope="session")
 def noiseless_drf(default_spectrum, basis_materials, single_channel_geometry):
     """Default order-4 calibration fitted to noiseless slab scans (one channel)."""
-    return calibrate_drf(default_spectrum, basis_materials, default_design(),
-                         single_channel_geometry, noise=False)
+    return calibrate_drf(default_spectrum, basis_materials, single_channel_geometry,
+                         noise=False)

@@ -1,18 +1,20 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line with the measured values at its pinned tolerance."""
 
+import os
 import time
 
 import numpy as np
 import pytest
 
 from helpers import grid_polish_minimizer, prox_objective
-from pcmd.calibration import calibrate_drf, default_design
+from pcmd.calibration import calibrate_drf
+from pcmd.config import PipelineConfig
 from pcmd.detector import ProxParams, detector_agent_apply, prox_partial_update, surrogate_at
 from pcmd.geometry import ImageGrid, ScanGeometry
 from pcmd.materials import load_material
 from pcmd.metrics import RoiCircle, RoiSpec, cnr, roi_stats
-from pcmd.phantom import Disk, Phantom, low_contrast_phantom
+from pcmd.phantom import Disk, Phantom
 from pcmd.priors import GaussianPrior
 from pcmd.recon import fbp_reconstruct, synthesize_mono
 from pcmd.simulate import expected_counts, sample_poisson, scan_phantom
@@ -23,6 +25,7 @@ SEED = 2024
 AIR_COUNTS = 3.0e5
 MACE_SIGMA = 0.08
 PRIOR_STD = 3.0
+SHIPPED = os.path.join(os.path.dirname(__file__), "..", "configs", "low_contrast.json")
 
 
 def report(criterion: str, ok: bool, detail: str):
@@ -36,7 +39,7 @@ def desk():
     spectrum = filtered_kramers()
     geometry = ScanGeometry(mode="parallel", n_views=360, n_channels=256, spacing=0.1)
     grid = ImageGrid(n_x=256, n_y=256, pixel_size=0.1)
-    drf = calibrate_drf(spectrum, materials, default_design(),
+    drf = calibrate_drf(spectrum, materials,
                         ScanGeometry(mode="parallel", n_views=1, n_channels=1, spacing=0.1),
                         noise=False)
     return materials, spectrum, geometry, grid, drf
@@ -46,7 +49,7 @@ def desk():
 def cnr_experiment(desk):
     """Full noisy low-contrast experiment shared by criteria 1 and 2."""
     materials, spectrum, geometry, grid, drf = desk
-    phantom = low_contrast_phantom()
+    phantom = PipelineConfig.from_file(SHIPPED).phantom()
     t0 = time.perf_counter()
     t, air, _ = scan_phantom(phantom, geometry, spectrum, materials,
                              AIR_COUNTS / spectrum.total_fluence, noise=True, seed=SEED)
@@ -92,7 +95,7 @@ def test_criterion_2_noise_reduction_pattern(cnr_experiment):
 
 def test_criterion_3_mle_consistency(desk):
     materials, spectrum, geometry, grid, drf = desk
-    phantom = low_contrast_phantom()
+    phantom = PipelineConfig.from_file(SHIPPED).phantom()
     t0 = time.perf_counter()
     t, air, _ = scan_phantom(phantom, geometry, spectrum, materials,
                              AIR_COUNTS / spectrum.total_fluence, noise=False)
@@ -226,7 +229,7 @@ def test_criterion_8_fbp_fidelity():
 
 def test_criterion_9_throughput_note(desk):
     materials, spectrum, geometry, _, drf = desk
-    phantom = low_contrast_phantom()
+    phantom = PipelineConfig.from_file(SHIPPED).phantom()
     t, air, _ = scan_phantom(phantom, geometry, spectrum, materials,
                              AIR_COUNTS / spectrum.total_fluence, noise=True, seed=1)
     pts, dirs = geometry.all_rays()

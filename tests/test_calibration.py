@@ -5,9 +5,9 @@ import pytest
 
 from helpers import exact_phi, traced_peak
 from pcmd import calibration
-from pcmd.calibration import (DEFAULT_DOMAIN, CalibrationDesign, CalibrationDomain, DrfPolynomial,
-                              calibrate_drf, default_design, fit_drf, load_calibration,
-                              measure_drf, save_calibration, slab_scan_protocol)
+from pcmd.calibration import (DEFAULT_DOMAIN, CalibrationDomain, DrfPolynomial, calibrate_drf,
+                              fit_drf, load_calibration, measure_drf, save_calibration,
+                              slab_scan_protocol)
 from pcmd.errors import NumericError, PhotonStarvationError, ToolkitError
 from pcmd.geometry import ScanGeometry
 from pcmd.workspace import Workspace
@@ -36,17 +36,35 @@ def test_measure_drf_zero_counts_names_the_pair():
 def test_domain_grid_includes_the_bounds_with_the_last_material_fastest():
     pts = CalibrationDomain(lower=[0.0, 1.0], upper=[40.0, 5.0]).grid((3, 2))
     assert np.array_equal(pts, [[0, 1], [0, 5], [20, 1], [20, 5], [40, 1], [40, 5]])
-    assert np.array_equal(default_design(points_per_axis=(3, 2)).pathlength_points,
-                          DEFAULT_DOMAIN.grid((3, 2)))
+
+
+def test_calibration_scans_the_grid_of_the_domain_it_fits(default_spectrum, basis_materials):
+    geo = ScanGeometry(mode="fan", n_views=1, n_channels=3, spacing=4.0, sid=20.0, sdd=40.0)
+    domain = CalibrationDomain(lower=[1.0, 0.5], upper=[30.0, 4.0])
+    drf = calibrate_drf(default_spectrum, basis_materials, geo, order=3, domain=domain,
+                        points_per_axis=(6, 5), repeats=7, seed=4)
+    points, counts = slab_scan_protocol(default_spectrum, basis_materials, domain.grid((6, 5)),
+                                        geo, repeats=7, seed=4)
+    refit = fit_drf(points, measure_drf(counts, 1.0e6), order=3, domain=domain)
+    assert drf.domain is domain
+    assert np.array_equal(drf.theta, refit.theta)
+    assert np.array_equal(drf.bin_edges, default_spectrum.bin_edges)
+
+
+def test_slab_scans_need_at_least_one_repeat(default_spectrum, basis_materials,
+                                             single_channel_geometry):
+    with pytest.raises(ToolkitError, match="repeats"):
+        slab_scan_protocol(default_spectrum, basis_materials, DEFAULT_DOMAIN.grid((3, 3)),
+                           single_channel_geometry, repeats=0)
 
 
 def test_measured_samples_match_direct_recomputation(default_spectrum, basis_materials,
                                                      single_channel_geometry):
-    design = default_design(points_per_axis=(5, 5))
-    scans = slab_scan_protocol(default_spectrum, basis_materials, design,
-                               single_channel_geometry, noise=False)
-    phi_hat = measure_drf(scans.mean_counts, scans.air_total)
-    oracle = exact_phi(default_spectrum, basis_materials, scans.points[0])
+    points, counts = slab_scan_protocol(default_spectrum, basis_materials,
+                                        DEFAULT_DOMAIN.grid((5, 5)), single_channel_geometry,
+                                        noise=False)
+    phi_hat = measure_drf(counts, 1.0e6)
+    oracle = exact_phi(default_spectrum, basis_materials, points[0])
     assert np.abs(phi_hat[0] - oracle).max() < 1e-12
 
 
@@ -126,8 +144,8 @@ def test_gradient_matches_central_differences(noiseless_drf):
 
 def test_sinogram_jacobian_matches_central_differences(default_spectrum, basis_materials):
     geo = ScanGeometry(mode="fan", n_views=1, n_channels=5, spacing=4.0, sid=20.0, sdd=40.0)
-    drf = calibrate_drf(default_spectrum, basis_materials,
-                        default_design(points_per_axis=(6, 6)), geo, noise=False)
+    drf = calibrate_drf(default_spectrum, basis_materials, geo, points_per_axis=(6, 6),
+                        noise=False)
     rng = np.random.default_rng(11)
     p = rng.uniform([0.5, 0.1], [39.5, 4.9], size=(40 * 5, 2))  # rows (view, channel)
     g = drf.grad_sino(p)
@@ -337,31 +355,30 @@ def test_slab_effective_pathlength_center_and_60_degrees():
                        sid=5.0, sdd=sdd)
     gamma = geo.fan_angles()
     assert np.allclose(gamma, [-np.pi / 3, 0.0, np.pi / 3], atol=1e-12)
-    design = CalibrationDesign(pathlength_points=np.array([[4.0, 1.0]]), repeats_per_point=1)
     from pcmd.spectrum import filtered_kramers
     from pcmd.materials import load_material
 
-    scans = slab_scan_protocol(filtered_kramers(),
-                               [load_material("polyethylene"), load_material("pvc")],
-                               design, geo, noise=False)
-    assert np.allclose(scans.points[1, 0], [4.0, 1.0], atol=1e-14)       # center channel
-    assert np.allclose(scans.points[2, 0], [8.0, 2.0], atol=1e-12)       # 1/cos(60deg) = 2
-    assert np.allclose(scans.points[0, 0], scans.points[2, 0], atol=1e-12)
+    points, _ = slab_scan_protocol(filtered_kramers(),
+                                   [load_material("polyethylene"), load_material("pvc")],
+                                   np.array([[4.0, 1.0]]), geo, repeats=1, noise=False)
+    assert np.allclose(points[1, 0], [4.0, 1.0], atol=1e-14)       # center channel
+    assert np.allclose(points[2, 0], [8.0, 2.0], atol=1e-12)       # 1/cos(60deg) = 2
+    assert np.allclose(points[0, 0], points[2, 0], atol=1e-12)
 
 
 def test_noisy_slab_protocol_within_three_sigma(default_spectrum, basis_materials,
                                                 single_channel_geometry):
-    design = default_design(repeats=100)
-    noiseless = slab_scan_protocol(default_spectrum, basis_materials, design,
-                                   single_channel_geometry, air_counts_total=1.0e6,
-                                   noise=False)
-    noisy = slab_scan_protocol(default_spectrum, basis_materials, design,
-                               single_channel_geometry, air_counts_total=1.0e6,
-                               noise=True, seed=31)
-    phi_ref = measure_drf(noiseless.mean_counts, noiseless.air_total)
-    phi_hat = measure_drf(noisy.mean_counts, noisy.air_total)
+    points, repeats = DEFAULT_DOMAIN.grid((9, 9)), 100
+    _, noiseless = slab_scan_protocol(default_spectrum, basis_materials, points,
+                                      single_channel_geometry, repeats=repeats,
+                                      air_counts_total=1.0e6, noise=False)
+    _, noisy = slab_scan_protocol(default_spectrum, basis_materials, points,
+                                  single_channel_geometry, repeats=repeats,
+                                  air_counts_total=1.0e6, noise=True, seed=31)
+    phi_ref = measure_drf(noiseless, 1.0e6)
+    phi_hat = measure_drf(noisy, 1.0e6)
     # delta method: var(-log(mean)) ~ 1 / (total counts over repeats)
-    sigma = 1.0 / np.sqrt(design.repeats_per_point * noiseless.mean_counts)
+    sigma = 1.0 / np.sqrt(repeats * noiseless)
     z = ((phi_hat - phi_ref) / sigma).ravel()
     n = z.size  # 81 points x 8 bins; all n within 3 sigma holds only 0.9973^n ~ 17% of the time
     assert abs(np.mean(z ** 2) - 1.0) <= 4.0 * np.sqrt(2.0 / n)  # variance
@@ -371,16 +388,16 @@ def test_noisy_slab_protocol_within_three_sigma(default_spectrum, basis_material
 
 def test_parallel_channels_share_coefficients(default_spectrum, basis_materials):
     geo = ScanGeometry(mode="parallel", n_views=1, n_channels=3, spacing=0.1)
-    drf = calibrate_drf(default_spectrum, basis_materials,
-                        default_design(points_per_axis=(6, 6)), geo, noise=False)
+    drf = calibrate_drf(default_spectrum, basis_materials, geo, points_per_axis=(6, 6),
+                        noise=False)
     assert drf.n_channels == 3
     assert np.abs(drf.theta - drf.theta[0]).max() < 1e-12
 
 
 def test_fan_channels_differ_then_match_after_cos_correction(default_spectrum, basis_materials):
     geo = ScanGeometry(mode="fan", n_views=1, n_channels=5, spacing=4.0, sid=20.0, sdd=40.0)
-    drf = calibrate_drf(default_spectrum, basis_materials,
-                        default_design(points_per_axis=(6, 6)), geo, noise=False)
+    drf = calibrate_drf(default_spectrum, basis_materials, geo, points_per_axis=(6, 6),
+                        noise=False)
     # off-center channel coefficients differ from the center's
     assert np.abs(drf.theta[0] - drf.theta[2]).max() > 1e-6
 

@@ -281,6 +281,20 @@ def test_zero_width_calibration_axis_exits_2_before_the_fit(tmp_path, capsys):
     assert PipelineConfig(cfg).calibration_domain().span[1] == 0.0
 
 
+@pytest.mark.parametrize("order, points, axis", [(9, [9, 9], 0), (4, [3, 9], 0), (4, [9, 3], 1),
+                                                 (4, [3, 3], 0)])
+def test_a_grid_too_coarse_for_the_order_exits_2_before_any_stage(tmp_path, capsys, order,
+                                                                  points, axis):
+    # the tensor-product fit of order P needs P + 1 points on every axis
+    cfg = tiny_config(tmp_path / "out")
+    cfg["calibration"].update(order=order, points_per_axis=points)
+    assert main(["pipeline", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: calibration.points_per_axis[{axis}]:")
+    assert "calibration.order" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("roi", [{"center": [50.0, 50.0]}, {"radius": 0.05}])
 def test_a_roi_holding_no_pixel_centre_exits_2_before_any_stage(tmp_path, capsys, roi):
     cfg = tiny_config(tmp_path / "out")
@@ -299,7 +313,7 @@ def test_bounds_that_build_are_accepted(tmp_path):
     built = PipelineConfig(cfg)
     assert (built.geometry().sdd, built.geometry().n_views) == (100.0, 2**16)
     assert built.spectrum().n_bins == 130
-    assert built.calibration_design().repeats_per_point == 10**9
+    assert built.values["calibration"]["repeats"] == 10**9
 
 
 def test_decorrelated_prior_accepts_std_pairs():
@@ -385,7 +399,7 @@ def test_one_hostile_edit_is_rejected_by_path_or_builds(keys, data):
     assert how == "missing" or not (isinstance(value, float) and not math.isfinite(value))
     spectrum = cfg.spectrum()
     cfg.geometry(), cfg.grid(), cfg.dose_scale(spectrum), cfg.phantom()
-    cfg.calibration_design(), cfg.mle_config(), cfg.mace_config(), cfg.rois()
+    cfg.calibration_domain(), cfg.mle_config(), cfg.mace_config(), cfg.rois()
 
 
 def test_bad_json_reports_file(tmp_path):
@@ -457,11 +471,11 @@ def test_cli_exit_codes(tmp_path):
     assert main(["simulate", "--config", bad]) == 2
     assert not (tmp_path / "out").exists()  # validation precedes any output
     assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 2
-    # numeric failure: order-4 fit with too few calibration points
+    # numeric failure: slab scans so starved that a mean count is zero
     cfg = tiny_config(tmp_path / "out2")
-    cfg["calibration"]["points_per_axis"] = [3, 3]
-    few = write_config(tmp_path, cfg)
-    assert main(["calibrate", "--config", few]) == 3
+    cfg["calibration"].update(noise=True, air_counts_total=1.0)
+    starved = write_config(tmp_path, cfg)
+    assert main(["calibrate", "--config", starved]) == 3
 
 
 def test_full_pipeline_is_deterministic_given_seeds(tmp_path):
@@ -1040,6 +1054,23 @@ def test_decompose_rejects_mismatched_calibration(tmp_path):
     path6.write_text(json.dumps(cfg6))
     assert main(["calibrate", "--config", str(path6)]) == 0
     assert main(["decompose", "--config", path, "--method", "mle"]) == 2
+
+
+def test_decompose_rejects_a_calibration_fitted_for_other_bin_edges(tmp_path, capsys):
+    cfg = tiny_config(tmp_path / "out")
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", path]) == 0
+    assert main(["calibrate", "--config", path]) == 0  # 40, 50, ..., 120 keV
+    cfg["spectrum"]["kvp"] = 100.0                     # 40, 47.5, ..., 100 keV
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", path]) == 0
+    capsys.readouterr()
+    assert main(["decompose", "--config", path, "--method", "mle"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: decompose: calibration ")
+    assert "calibration.pcmdcal" in err and "run calibrate" in err
+    assert "120.0]" in err and "47.5" in err
+    assert not (tmp_path / "out" / "pathlengths_mle.pcmd").exists()
 
 
 def test_reconstruct_without_decompose_fails_cleanly(tmp_path):

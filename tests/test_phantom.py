@@ -1,10 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 
 from helpers import rasterize
 from pcmd.config import PipelineConfig
 from pcmd.errors import ToolkitError
-from pcmd.phantom import Disk, Phantom, low_contrast_phantom
+from pcmd.phantom import Disk, Phantom
 
 
 def test_chord_length_matches_closed_form():
@@ -72,7 +74,8 @@ def test_density_scaling_fractions_may_exceed_one():
 
 
 def test_low_contrast_phantom_layout():
-    ph = low_contrast_phantom()
+    shipped = os.path.join(os.path.dirname(__file__), "..", "configs", "low_contrast.json")
+    ph = PipelineConfig.from_file(shipped).phantom()
     assert len(ph.disks) == 4
     # insert disks carry only the density excess
     for disk, dens in zip(ph.disks[1:], (1.01, 1.005, 1.003)):

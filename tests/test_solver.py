@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import grid_polish_minimizer, prox_objective, traced_peak
-from pcmd.calibration import DrfPolynomial, calibrate_drf, default_design
+from pcmd.calibration import DrfPolynomial, calibrate_drf
 from pcmd.errors import NumericError, ToolkitError
 from pcmd.geometry import ScanGeometry
 from pcmd.priors import GaussianPrior
@@ -194,8 +194,7 @@ def test_grid_search_memory_does_not_grow_with_the_set_count(noiseless_drf):
 def noisy_cal_study(default_spectrum, basis_materials):
     """A four-channel calibration fitted to noisy slab scans, and 700 noisy rows per channel."""
     geometry = ScanGeometry(mode="parallel", n_views=1, n_channels=4, spacing=0.5)
-    drf = calibrate_drf(default_spectrum, basis_materials, default_design(), geometry,
-                        noise=True, seed=3)
+    drf = calibrate_drf(default_spectrum, basis_materials, geometry, noise=True, seed=3)
     p = np.random.default_rng(23).uniform([0.0, 0.0], [30.0, 4.0], size=(700 * 4, 2))
     lam = expected_counts(default_spectrum, basis_materials, p,
                           2.0e4 / default_spectrum.total_fluence)
@@ -490,7 +489,7 @@ def test_mace_fills_rows_without_counts_from_their_neighbours(default_spectrum, 
     # start from the view's nearest rows with counts, and the detector agent
     # leaves them at their tether, so only the prior moves them
     v, c, air = 12, 16, 2.0e4
-    drf = calibrate_drf(default_spectrum, basis_materials, default_design(),
+    drf = calibrate_drf(default_spectrum, basis_materials,
                         ScanGeometry(mode="parallel", n_views=1, n_channels=c, spacing=0.5),
                         noise=True, seed=3)
     views, chans = np.meshgrid(np.arange(v), np.arange(c), indexing="ij")

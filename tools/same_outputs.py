@@ -9,9 +9,12 @@ array file (`.pcmd` arrays, `.pcmdcal` coefficients) whose bytes differ, the
 largest absolute and relative difference of its values is printed.  It
 still matches when every value a lies within X + R * max(|a|, |b|) of the
 other side's b, with X from `--atol` and R from `--rtol` (0 when not given),
-and NaN matches only NaN.  A relative tolerance means the same for every
-file, HU-scaled `mono70_*.pcmd` images and pathlengths alike.  `stats.csv`
-and PNGs always match byte for byte.
+and NaN matches only NaN.  A relative tolerance scales with each value,
+so it suits HU-scaled `mono70_*.pcmd` images and pathlengths alike, but
+alone it flags rounding-level moves of values near zero (a pathlength of
+3.0e-8 cm that moves by 8.8e-15 fails `--rtol 1e-7`); an output gate names
+both, e.g. `--atol 1e-12 --rtol 1e-7`.  `stats.csv` and PNGs always match
+byte for byte.
 Exit status: 0 when every file matches, 1 when any differs or is on one
 side only.
 """
