@@ -58,8 +58,11 @@ class CalibrationDomain:
     def grid(self, points_per_axis) -> np.ndarray:
         """Regular grid over the domain, bounds included, as points (G, L); the
         last material varies fastest."""
-        axes = [np.linspace(lo, up, n) for lo, up, n in
-                zip(self.lower, self.upper, points_per_axis)]
+        counts = list(points_per_axis)
+        if len(counts) != self.n_materials or any(n < 1 for n in counts):
+            raise ToolkitError(f"calibration domain: grid needs {self.n_materials} point counts "
+                               f"(one per material, each >= 1), got {len(counts)}: {counts}")
+        axes = [np.linspace(lo, up, n) for lo, up, n in zip(self.lower, self.upper, counts)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 

@@ -1,7 +1,8 @@
 """Command-line driver.
 
 Subcommands: simulate | calibrate | decompose | reconstruct | evaluate |
-pipeline.  Exit codes: 0 success, 2 configuration error, 3 numeric failure.
+pipeline.  Exit codes: 0 success, 2 configuration error, 3 numeric failure
+or out of memory.
 Heavy modules are imported after --threads is applied so the thread caps
 reach the numeric backends.  Each command then loads only the modules it
 runs: `pcmd.config` validates with `errors`, `geometry` and `materials`,
@@ -86,6 +87,9 @@ def main(argv=None) -> int:
         return 2
     except ToolkitError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print(f"error: pcmd {args.command}: out of memory", file=sys.stderr)
         return 3
     return 0
 

@@ -14,8 +14,6 @@ its working memory does not grow with the sinogram, and allocated once for
 every block and pass of a solve.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import NumericError, ToolkitError
@@ -51,59 +49,19 @@ def empty_rows(t: np.ndarray) -> np.ndarray:
     return ~np.any(t, axis=-1)
 
 
-@dataclass(frozen=True)
-class ProxParams:
-    """Proximal-map parameters: strength sigma and partial updates."""
-
-    sigma: float = 1.0
-    n_sub: int = 1
-
-    def __post_init__(self):
-        if not self.sigma > 0:
-            raise ToolkitError("prox params: sigma must be positive")
-        if self.n_sub < 1:
-            raise ToolkitError("prox params: need at least one partial update")
-
-
-@dataclass(frozen=True)
-class SurrogateQuadratic:
-    """Separable quadratic upper bound b.(z-z_ref) + (z-z_ref).C/2.(z-z_ref).
-
-    Valid (majorizing) for z >= z_min componentwise; value 0 and gradient b
-    at z_ref by construction.
-    """
-
-    b: np.ndarray = field(repr=False)
-    c: np.ndarray = field(repr=False)  # diagonal curvature entries
-    z_ref: np.ndarray = field(repr=False)
-    z_min: np.ndarray = field(repr=False)
-
-
 def _surrogate_terms(z_ref: np.ndarray, t: np.ndarray, epsilon: float, out=(None, None)):
-    """Gradient b and curvature c of the surrogate of exp(-z) + t*z at z_ref.
+    """Gradient b and curvature c of the surrogate of g(z) = exp(-z) + t*z at z_ref:
+    b*(z - z_ref) + c/2*(z - z_ref)^2 majorizes g(z) - g(z_ref) for z >= z_min.
 
     c = 2*(exp(-z_min) - exp(-z_ref)*(1 + z_ref - z_min)) / (z_ref - z_min)^2
-    with z_min = z_ref - epsilon; factoring out exp(-z_ref) and using expm1
-    avoids the catastrophic cancellation of the literal form.  `out` names
+    with z_min = z_ref - epsilon, so c -> exp(-z_ref) as epsilon -> 0 and the
+    update is an approximate Newton step; factoring out exp(-z_ref) and using
+    expm1 avoids the catastrophic cancellation of the literal form.  `out` names
     arrays for b (z_ref itself may take it) and c, or None for new ones.
     """
     e = _exp_neg(z_ref, out=out[1])
     b = np.subtract(t, e, out=out[0])
     return b, np.multiply(e, 2.0 * (np.expm1(epsilon) - epsilon) / epsilon**2, out=e)
-
-
-def surrogate_at(z_ref: np.ndarray, t: np.ndarray, epsilon: float = EPSILON) -> SurrogateQuadratic:
-    """Optimal quadratic surrogate of g(z) = exp(-z) + t*z at z_ref.
-
-    The curvature matches the bound's value at z_min = z_ref - epsilon, which
-    makes the minimization an approximate Newton step (c -> exp(-z_ref) as
-    epsilon -> 0) while preserving majorization on [z_min, inf).
-    """
-    if not epsilon > 0:
-        raise ToolkitError("surrogate: epsilon must be positive")
-    z_ref = np.asarray(z_ref, dtype=float)
-    b, c = _surrogate_terms(z_ref, np.asarray(t, dtype=float), epsilon)
-    return SurrogateQuadratic(b=b, c=c, z_ref=z_ref, z_min=z_ref - epsilon)
 
 
 def _solve_batched(h: np.ndarray, rhs: np.ndarray, work: Workspace) -> np.ndarray:
@@ -131,43 +89,48 @@ def _solve_batched(h: np.ndarray, rhs: np.ndarray, work: Workspace) -> np.ndarra
 
 
 def detector_agent_apply(p: np.ndarray, t_sino: np.ndarray, air_totals: np.ndarray,
-                         drf, params: ProxParams, p_prime: np.ndarray = None,
+                         drf, sigma: float, n_sub: int = 1, p_prime: np.ndarray = None,
                          on_nonfinite: str = "raise", work: Workspace = None,
                          empty: np.ndarray = None) -> np.ndarray:
     """Partial-update proximal map applied independently to every row.
 
-    `p` (M, L) is the proximal tether; the response is linearized at
-    `p_prime` (defaults to `p` itself) and refreshed after each of the
-    `params.n_sub` updates.  Rows are row-major (view, channel) under `drf`
-    and fully decoupled: each depends only on its own inputs and channel.
-    They are processed in blocks of whole views of at most `_BLOCK_ROWS`
-    rows (one view when a view is longer), each block running all its
-    updates in the arrays of `work`.  A solver passes one Workspace to all
-    its passes; without one, the call allocates its own.  A row with no
-    counts in any bin has no finite likelihood minimum, so it returns its
-    tether unchanged: there the map is the identity, and in MACE the prior
-    fills the row in.  `empty` is the mask of such rows, `empty_rows(t_sino)`
-    when None; a solver computes it once for all its passes.  With
-    on_nonfinite="hold", rows whose update goes non-finite keep their
-    previous value instead of raising (callers then flag them downstream).
+    `p` (M, L) is the proximal tether, `sigma` > 0 the prox strength; the
+    response is linearized at `p_prime` (defaults to `p` itself) and refreshed
+    after each of the `n_sub` >= 1 updates.  Rows are row-major (view,
+    channel) under `drf` and fully decoupled: each depends only on its own
+    inputs and channel.  They are processed in blocks of whole views of at
+    most `_BLOCK_ROWS` rows (one view when a view is longer), each block
+    running all its updates in the arrays of `work`.  A solver passes one
+    Workspace to all its passes; without one, the call allocates its own.  A
+    row with no counts in any bin has no finite likelihood minimum, so it
+    returns its tether unchanged: there the map is the identity, and in MACE
+    the prior fills the row in.  `empty` is the mask of such rows,
+    `empty_rows(t_sino)` when None; a solver computes it once for all its
+    passes.  With on_nonfinite="hold", rows whose update goes non-finite keep
+    their previous value instead of raising (callers then flag them
+    downstream).
     """
-    p = np.atleast_2d(np.asarray(p, dtype=float))
-    t_sino = np.atleast_2d(np.asarray(t_sino, dtype=float))
-    air = np.atleast_1d(np.asarray(air_totals, dtype=float))
-    if t_sino.shape[0] != p.shape[0] or air.shape[0] != p.shape[0]:
+    if not sigma > 0:
+        raise ToolkitError("prox params: sigma must be positive")
+    if n_sub < 1:
+        raise ToolkitError("prox params: need at least one partial update")
+    p = np.asarray(p, dtype=float)
+    t_sino = np.asarray(t_sino, dtype=float)
+    air = np.asarray(air_totals, dtype=float)
+    if t_sino.shape[:1] != p.shape[:1] or air.shape != p.shape[:1]:
         raise ToolkitError("detector agent: p, t, and air totals must agree on rows")
-    pp = p if p_prime is None else np.atleast_2d(np.asarray(p_prime, dtype=float))
+    pp = p if p_prime is None else np.asarray(p_prime, dtype=float)
     if pp.shape != p.shape:
         raise ToolkitError(f"detector agent: p_prime is {pp.shape}, p is {p.shape}")
     work = Workspace() if work is None else work
     empty = empty_rows(t_sino) if empty is None else empty
     step = max(1, _BLOCK_ROWS // drf.n_channels) * drf.n_channels   # eval_jac groups rows by channel
-    inv_a2 = 1.0 / (params.sigma**2 * air)  # 1/alpha^2, alpha = sigma*sqrt(air)
+    inv_a2 = 1.0 / (sigma**2 * air)  # 1/alpha^2, alpha = sigma*sqrt(air)
     out = np.empty_like(p)
     for lo in range(0, p.shape[0], step):
         rows = slice(lo, lo + step)
         q, held = pp[rows], empty[rows]
-        for _ in range(params.n_sub):
+        for _ in range(n_sub):
             with work.frame():
                 new = _prox_update(p[rows], t_sino[rows], inv_a2[rows], drf, q, work)
                 if np.any(held):
@@ -204,13 +167,3 @@ def _prox_update(p, t_sino, inv_a2, drf, pp, work):
         with work.frame():
             rhs += np.multiply(inv_a2[:, None], p, out=work.take(p.shape))
         return _solve_batched(h, rhs, work)
-
-
-def prox_partial_update(p: np.ndarray, p_prime: np.ndarray, t: np.ndarray,
-                        air_total: float, drf, params: ProxParams,
-                        channel: int = 0) -> np.ndarray:
-    """Single-row partial-update proximal map (N = params.n_sub updates)."""
-    out = detector_agent_apply(np.asarray(p, dtype=float)[None], np.asarray(t, dtype=float)[None],
-                               np.array([air_total]), drf.select([channel]), params,
-                               p_prime=np.asarray(p_prime, dtype=float)[None])
-    return out[0]

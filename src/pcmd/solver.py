@@ -20,7 +20,7 @@ import numpy as np
 from . import detector
 # detector_agent_apply and apply_prior are module globals that the benchmark's
 # traced runs patch here (ROADMAP O4).
-from .detector import ProxParams, _exp_neg, detector_agent_apply, empty_rows
+from .detector import _exp_neg, detector_agent_apply, empty_rows
 from .errors import NumericError, ToolkitError
 from .priors import apply_prior, clip_prior
 from .workspace import Workspace
@@ -179,11 +179,10 @@ def mle_decompose(t_sino: np.ndarray, air_totals: np.ndarray, drf,
     empty = empty_rows(t_sino)
     p0 = _grid_search(t_sino, drf, cfg.grid_points)
     p = p0.copy()
-    params = ProxParams(sigma=cfg.sigma)
     work = Workspace() if work is None else work
     steps = []
     for _ in range(cfg.n_iter):
-        new = detector_agent_apply(p, t_sino, air, drf, params, p_prime=p,
+        new = detector_agent_apply(p, t_sino, air, drf, cfg.sigma, p_prime=p,
                                    on_nonfinite="hold", work=work, empty=empty)
         steps.append(float(np.max(np.abs(new - p), initial=0.0)))
         p = new
@@ -260,13 +259,13 @@ def run_mace(t_sino: np.ndarray, air_totals: np.ndarray, drf, cfg: MaceConfig,
     if np.any(empty):
         p_init = _fill_empty_rows(p_init, empty)
     t_rows, air_rows, empty = t_sino.reshape(-1, t_sino.shape[2]), air.reshape(-1), empty.ravel()
-    params = ProxParams(sigma=cfg.sigma, n_sub=cfg.n_sub)
     p_prime = p_init.reshape(-1, drf.n_materials)
 
     def f_agent(q):   # linearized at its previous output
         nonlocal p_prime
-        p_prime = detector_agent_apply(q.reshape(p_prime.shape), t_rows, air_rows, drf, params,
-                                       p_prime=p_prime, work=work, empty=empty)
+        p_prime = detector_agent_apply(q.reshape(p_prime.shape), t_rows, air_rows, drf,
+                                       cfg.sigma, cfg.n_sub, p_prime=p_prime, work=work,
+                                       empty=empty)
         return p_prime.reshape(q.shape)
 
     result = mann_iterate(p_init, f_agent, lambda q: apply_prior(cfg.prior, q), cfg.rho,

@@ -37,10 +37,14 @@ def prox_objective(drf, t, air_total, tether, sigma, channel=0):
     """Air-normalized prox objective q -> loss(q)/air + ||q - tether||^2 / (2 sigma^2 air).
 
     `q` is one point (L,), scored as a float, or a stack (G, L), scored per point.
+    The channel is selected once; each score is `drf.eval`'s own body after that.
     """
+    row = drf.select([channel])
+
     def fn(q):
         q = np.asarray(q, dtype=float)
-        phi = drf.eval(q, channel=channel)
+        (phi,) = row.eval_sets(q.reshape(-1, drf.n_materials))
+        phi = phi.T.reshape(q.shape[:-1] + (drf.n_bins,))
         val = (np.sum(np.exp(-phi) + t * phi, axis=-1)
                + np.sum((q - tether) ** 2, axis=-1) / (2.0 * sigma**2 * air_total))
         return float(val) if q.ndim == 1 else val

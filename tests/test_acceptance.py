@@ -10,7 +10,7 @@ import pytest
 from helpers import grid_polish_minimizer, prox_objective
 from pcmd.calibration import calibrate_drf
 from pcmd.config import PipelineConfig
-from pcmd.detector import ProxParams, detector_agent_apply, prox_partial_update, surrogate_at
+from pcmd.detector import EPSILON, _surrogate_terms, detector_agent_apply
 from pcmd.geometry import ImageGrid, ScanGeometry
 from pcmd.materials import load_material
 from pcmd.metrics import RoiCircle, RoiSpec, cnr, roi_stats
@@ -115,18 +115,18 @@ def test_criterion_4_surrogate_majorization_suite():
     n = 10_000
     z_ref = rng.uniform(-2.0, 8.0, n)
     t = rng.uniform(0.0, 1.5, n)
-    s = surrogate_at(z_ref, t)
-    z = s.z_min + rng.exponential(2.0, n)
+    b, c = _surrogate_terms(z_ref, t, EPSILON)
+    z = (z_ref - EPSILON) + rng.exponential(2.0, n)
 
     def g(x):
         return np.exp(-x) + t * x
 
-    gap = (g(z) - g(z_ref)) - (s.b * (z - z_ref) + 0.5 * s.c * (z - z_ref) ** 2)
+    gap = (g(z) - g(z_ref)) - (b * (z - z_ref) + 0.5 * c * (z - z_ref) ** 2)
     worst_gap = gap.max()
-    tangency = np.array_equal(s.b, -np.exp(-z_ref) + t)
+    tangency = np.array_equal(b, -np.exp(-z_ref) + t)
     curv_ok, curv_detail = True, []
     for eps in (1e-2, 1e-3, 1e-4):
-        c = surrogate_at(z_ref, t, eps).c
+        _, c = _surrogate_terms(z_ref, t, eps)
         bound = np.exp(2.0) * eps  # O(eps) with the domain's exp(-z) prefactor
         worst = np.abs(c - np.exp(-z_ref)).max()
         curv_ok &= worst <= bound
@@ -148,11 +148,11 @@ def test_criterion_5_prox_oracle_equivalence(desk):
         t = sample_poisson(lam, seed=trial).astype(float) / air
         tether = p_star + rng.normal(0.0, 0.3, 2)
         sigma = 10 ** rng.uniform(-1.5, 0.5)
-        out = prox_partial_update(tether, tether, t, air, drf,
-                                  ProxParams(sigma=sigma, n_sub=50))
+        out = detector_agent_apply(tether[None], t[None], np.array([air]), drf.select([0]),
+                                   sigma, 50)
         oracle = grid_polish_minimizer(prox_objective(drf, t, air, tether, sigma),
                                        drf.domain)
-        worst = max(worst, float(np.abs(out - oracle).max()))
+        worst = max(worst, float(np.abs(out[0] - oracle).max()))
     ok = worst < 1e-6
     report("5 (prox oracle equivalence)", ok,
            f"100 instances, worst |prox - grid+polish| = {worst:.2e} cm < 1e-6")
@@ -234,12 +234,11 @@ def test_criterion_9_throughput_note(desk):
                              AIR_COUNTS / spectrum.total_fluence, noise=True, seed=1)
     pts, dirs = geometry.all_rays()
     p = phantom.pathlengths(pts, dirs)
-    params = ProxParams(sigma=1.0e3, n_sub=1)
     n_iter = 5
     t0 = time.perf_counter()
     q = p
     for _ in range(n_iter):
-        q = detector_agent_apply(q, t, air, drf, params, p_prime=q)
+        q = detector_agent_apply(q, t, air, drf, 1.0e3, p_prime=q)
     dt = time.perf_counter() - t0
     import os
 

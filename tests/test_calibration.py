@@ -38,6 +38,11 @@ def test_domain_grid_includes_the_bounds_with_the_last_material_fastest():
     assert np.array_equal(pts, [[0, 1], [0, 5], [20, 1], [20, 5], [40, 1], [40, 5]])
 
 
+def test_domain_grid_needs_at_least_one_point_per_axis():
+    with pytest.raises(ToolkitError, match=r"needs 2 point counts.*got 2: \[5, 0\]"):
+        DEFAULT_DOMAIN.grid((5, 0))
+
+
 def test_calibration_scans_the_grid_of_the_domain_it_fits(default_spectrum, basis_materials):
     geo = ScanGeometry(mode="fan", n_views=1, n_channels=3, spacing=4.0, sid=20.0, sdd=40.0)
     domain = CalibrationDomain(lower=[1.0, 0.5], upper=[30.0, 4.0])

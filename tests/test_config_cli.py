@@ -478,6 +478,20 @@ def test_cli_exit_codes(tmp_path):
     assert main(["calibrate", "--config", starved]) == 3
 
 
+def test_out_of_memory_exits_3_naming_the_command(tmp_path, capsys, monkeypatch):
+    from pcmd import pipeline
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(pipeline, "cmd_decompose", exhausted)
+    path = write_config(tmp_path, tiny_config(tmp_path / "out"))
+    assert main(["decompose", "--config", path, "--method", "mle"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: pcmd decompose: out of memory")
+    assert "Traceback" not in err
+
+
 def test_full_pipeline_is_deterministic_given_seeds(tmp_path):
     stats = []
     for run in ("a", "b"):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from helpers import grid_polish_minimizer, prox_objective, traced_peak
 from pcmd import detector
 from pcmd.calibration import CalibrationDomain, DrfPolynomial
-from pcmd.detector import ProxParams, detector_agent_apply, prox_partial_update, surrogate_at
+from pcmd.detector import EPSILON, _surrogate_terms, detector_agent_apply
 from pcmd.errors import NumericError, ToolkitError
 from pcmd.simulate import expected_counts
 from pcmd.workspace import Workspace
@@ -76,23 +76,23 @@ def test_loss_equals_full_nll_up_to_constant(default_spectrum, basis_materials, 
 
 
 def test_surrogate_gradient_vector_zero_case():
-    s = surrogate_at(np.zeros(4), np.ones(4))
-    assert np.array_equal(s.b, np.zeros(4))
+    b, _ = _surrogate_terms(np.zeros(4), np.ones(4), EPSILON)
+    assert np.array_equal(b, np.zeros(4))
 
 
 def test_surrogate_tangency_is_exact():
     rng = np.random.default_rng(2)
     z = rng.uniform(-2, 6, 100)
     t = rng.uniform(0, 2, 100)
-    s = surrogate_at(z, t)
-    assert np.array_equal(s.b, -np.exp(-z) + t)
+    b, _ = _surrogate_terms(z, t, EPSILON)
+    assert np.array_equal(b, -np.exp(-z) + t)
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
 def test_curvature_approaches_second_derivative(eps):
     rng = np.random.default_rng(3)
     z = rng.uniform(-2, 6, 500)
-    c = surrogate_at(z, np.zeros_like(z), eps).c
+    _, c = _surrogate_terms(z, np.zeros_like(z), eps)
     # c = exp(-z) * 2(e^eps - 1 - eps)/eps^2 -> exp(-z) * (1 + eps/3 + O(eps^2))
     assert np.abs(c - np.exp(-z)).max() <= np.exp(2.0) * eps
 
@@ -100,30 +100,30 @@ def test_curvature_approaches_second_derivative(eps):
 @settings(max_examples=200, deadline=None)
 @given(st.floats(-2.0, 8.0), st.floats(0.0, 2.0), st.floats(0.0, 20.0))
 def test_surrogate_majorizes_everywhere_above_zmin(z_ref, t, offset):
-    s = surrogate_at(np.array([z_ref]), np.array([t]))
-    z = s.z_min + offset
+    b, c = _surrogate_terms(np.array([z_ref]), np.array([t]), EPSILON)
+    z = (z_ref - EPSILON) + offset
 
     def g(x):
         return np.exp(-x) + t * x
 
-    gap = (g(z) - g(np.array([z_ref]))) - (s.b * (z - z_ref) + 0.5 * s.c * (z - z_ref) ** 2)
+    gap = (g(z) - g(np.array([z_ref]))) - (b * (z - z_ref) + 0.5 * c * (z - z_ref) ** 2)
     assert gap[0] <= 1e-12
 
 
 def test_prox_collapses_to_identity_for_tiny_sigma(noiseless_drf):
     p = np.array([8.0, 2.0])
     t = np.exp(-noiseless_drf.eval(np.array([10.0, 1.5]), 0))
-    out = prox_partial_update(p, p, t, 1.0e6, noiseless_drf,
-                              ProxParams(sigma=1e-9, n_sub=3))
-    assert np.linalg.norm(out - p) <= 1e-6
+    out = detector_agent_apply(p[None], t[None], np.array([1.0e6]), noiseless_drf.select([0]),
+                               1e-9, 3)
+    assert np.linalg.norm(out[0] - p) <= 1e-6
 
 
 def test_scalar_fixed_point_at_mle():
     drf = scalar_linear_drf()
     t = np.array([np.exp(-2.0)])
-    out = prox_partial_update(np.array([2.0]), np.array([2.0]), t, 1.0e4, drf,
-                              ProxParams(sigma=1.0, n_sub=5))
-    assert out[0] == pytest.approx(2.0, abs=1e-12)
+    out = detector_agent_apply(np.array([[2.0]]), t[None], np.array([1.0e4]), drf.select([0]),
+                               1.0, 5)
+    assert out[0, 0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_monotone_objective_on_affine_response():
@@ -146,7 +146,8 @@ def test_monotone_objective_on_affine_response():
         pp = tether.copy()
         for _ in range(8):
             z_min = drf.eval(pp, 0) - eps
-            pp = prox_partial_update(tether, pp, t, air, drf, ProxParams(sigma=sigma, n_sub=1))
+            pp = detector_agent_apply(tether[None], t[None], np.array([air]), drf.select([0]),
+                                      sigma, p_prime=pp[None])[0]
             cur = obj(pp)
             if np.all(drf.eval(pp, 0) >= z_min):
                 in_region_steps += 1
@@ -164,8 +165,8 @@ def test_single_update_does_not_increase_objective_on_calibrated_drf(noiseless_d
         tether = p_star + rng.normal(0, 0.2, 2)
         sigma = 0.5
         obj = prox_objective(noiseless_drf, t, air, tether, sigma)
-        out = prox_partial_update(tether, tether, t, air, noiseless_drf,
-                                  ProxParams(sigma=sigma, n_sub=1))
+        out = detector_agent_apply(tether[None], t[None], np.array([air]),
+                                   noiseless_drf.select([0]), sigma)[0]
         assert obj(out) <= obj(tether) + 1e-9 * max(1.0, abs(obj(tether)))
 
 
@@ -177,8 +178,8 @@ def test_prox_matches_grid_polish_oracle(noiseless_drf):
         t = np.exp(-noiseless_drf.eval(p_star, 0)) * rng.uniform(0.95, 1.05, 8)
         tether = p_star + rng.normal(0, 0.3, 2)
         sigma = 10 ** rng.uniform(-1.5, 0.5)
-        out = prox_partial_update(tether, tether, t, air, noiseless_drf,
-                                  ProxParams(sigma=sigma, n_sub=50))
+        out = detector_agent_apply(tether[None], t[None], np.array([air]),
+                                   noiseless_drf.select([0]), sigma, 50)[0]
         oracle = grid_polish_minimizer(prox_objective(noiseless_drf, t, air, tether, sigma),
                                        noiseless_drf.domain)
         assert np.abs(out - oracle).max() < 1e-6
@@ -188,9 +189,9 @@ def test_prox_large_sigma_approaches_unpenalized_minimum(noiseless_drf):
     p_star = np.array([14.0, 2.0])
     t = np.exp(-noiseless_drf.eval(p_star, 0))
     tether = p_star + np.array([0.5, -0.3])
-    out = prox_partial_update(tether, tether, t, 3.0e5, noiseless_drf,
-                              ProxParams(sigma=1e4, n_sub=60))
-    assert np.abs(out - p_star).max() < 1e-5  # noiseless t: minimum sits at p_star
+    out = detector_agent_apply(tether[None], t[None], np.array([3.0e5]), noiseless_drf.select([0]),
+                               1e4, 60)
+    assert np.abs(out[0] - p_star).max() < 1e-5  # noiseless t: minimum sits at p_star
 
 
 def test_rows_are_independent_and_permutable(noiseless_drf):
@@ -200,21 +201,10 @@ def test_rows_are_independent_and_permutable(noiseless_drf):
     drf = noiseless_drf.select(np.zeros(m, dtype=int))
     t = np.exp(-drf.eval_sino(p))
     air = np.full(m, 1.0e4)
-    params = ProxParams(sigma=0.7, n_sub=2)
-    out = detector_agent_apply(p, t, air, drf, params)
+    out = detector_agent_apply(p, t, air, drf, 0.7, 2)
     perm = rng.permutation(m)
-    out_perm = detector_agent_apply(p[perm], t[perm], air[perm], drf, params)
+    out_perm = detector_agent_apply(p[perm], t[perm], air[perm], drf, 0.7, 2)
     assert np.array_equal(out[perm], out_perm)
-
-
-def test_single_row_sinogram_equals_row_prox(noiseless_drf):
-    p = np.array([[10.0, 1.0]])
-    drf = noiseless_drf.select([0])
-    t = np.exp(-drf.eval_sino(p))
-    params = ProxParams(sigma=0.5, n_sub=3)
-    full = detector_agent_apply(p, t, np.array([2.0e4]), drf, params)
-    row = prox_partial_update(p[0], p[0], t[0], 2.0e4, noiseless_drf, params)
-    assert np.array_equal(full[0], row)
 
 
 def test_agent_near_identity_at_rowwise_mle(noiseless_drf):
@@ -224,7 +214,7 @@ def test_agent_near_identity_at_rowwise_mle(noiseless_drf):
     drf = noiseless_drf.select(np.zeros(m, dtype=int))
     t = np.exp(-drf.eval_sino(p_true))
     air = np.full(m, 3.0e5)
-    out = detector_agent_apply(p_true, t, air, drf, ProxParams(sigma=1e4, n_sub=1))
+    out = detector_agent_apply(p_true, t, air, drf, 1e4)
     assert np.abs(out - p_true).max() < 1e-6
 
 
@@ -237,15 +227,23 @@ def test_noiseless_rows_recover_truth_with_large_sigma(default_spectrum, basis_m
     t = lam / default_spectrum.total_fluence
     air = np.full(m, 3.0e5)
     p = p_true + rng.normal(0, 0.2, size=(m, 2))  # warm start near truth
-    out = detector_agent_apply(p, t, air, noiseless_drf.select(np.zeros(m, dtype=int)),
-                               ProxParams(sigma=1e3, n_sub=50))
+    out = detector_agent_apply(p, t, air, noiseless_drf.select(np.zeros(m, dtype=int)), 1e3, 50)
     assert np.abs(out - p_true).max() < 1e-4
 
 
 def test_shape_mismatch_raises(noiseless_drf):
     with pytest.raises(Exception, match="rows"):
-        detector_agent_apply(np.zeros((3, 2)), np.zeros((4, 8)), np.ones(3),
-                             noiseless_drf, ProxParams())
+        detector_agent_apply(np.zeros((3, 2)), np.zeros((4, 8)), np.ones(3), noiseless_drf, 1.0)
+
+
+@pytest.mark.parametrize("sigma, n_sub, message", [
+    (0.0, 1, "sigma must be positive"), (-1.0, 1, "sigma must be positive"),
+    (np.nan, 1, "sigma must be positive"), (1.0, 0, "at least one partial update"),
+])
+def test_sigma_and_partial_updates_are_checked(noiseless_drf, sigma, n_sub, message):
+    with pytest.raises(ToolkitError, match=message):
+        detector_agent_apply(np.ones((1, 2)), np.full((1, 8), 0.5), np.ones(1), noiseless_drf,
+                             sigma, n_sub)
 
 
 @pytest.mark.parametrize("rows", [2, 4])
@@ -253,7 +251,7 @@ def test_p_prime_of_another_shape_raises(noiseless_drf, monkeypatch, rows):
     monkeypatch.setattr(detector, "_BLOCK_ROWS", 1)   # a longer p_prime must not be cut to p's rows
     with pytest.raises(ToolkitError, match="p_prime"):
         detector_agent_apply(np.ones((3, 2)), np.full((3, 8), 0.5), np.ones(3),
-                             noiseless_drf, ProxParams(), p_prime=np.ones((rows, 2)))
+                             noiseless_drf, 1.0, p_prime=np.ones((rows, 2)))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value")
@@ -262,8 +260,8 @@ def test_nonfinite_raise_and_hold(noiseless_drf):
     t = np.full((1, 8), 0.5)
     drf = noiseless_drf.select([0])
     with pytest.raises(NumericError, match="non-finite"):
-        detector_agent_apply(p, t, np.ones(1), drf, ProxParams())
-    held = detector_agent_apply(p, t, np.ones(1), drf, ProxParams(), on_nonfinite="hold")
+        detector_agent_apply(p, t, np.ones(1), drf, 1.0)
+    held = detector_agent_apply(p, t, np.ones(1), drf, 1.0, on_nonfinite="hold")
     assert np.array_equal(held, p)
 
 
@@ -276,7 +274,7 @@ def test_exp_clamp_counts_events():
     clamped = np.count_nonzero(np.abs(drf.eval_jac(p)[0]) > detector.Z_CLAMP)
     assert clamped == 1
     before = detector.CLAMP_EVENTS["count"]
-    detector_agent_apply(p, np.full((1, 3), 0.5), np.ones(1), drf, ProxParams(n_sub=1))
+    detector_agent_apply(p, np.full((1, 3), 0.5), np.ones(1), drf, 1.0)
     assert detector.CLAMP_EVENTS["count"] == before + clamped
 
 
@@ -316,8 +314,7 @@ def test_blocks_give_the_unblocked_result(per_channel_rows, monkeypatch, explici
     drf, p, t, air, pp = per_channel_rows
     if explicit:
         drf = drf.select(np.arange(p.shape[0]) % N_CHAN)
-    params = ProxParams(sigma=0.7, n_sub=n_sub)
-    whole = detector_agent_apply(p, t, air, drf, params, p_prime=pp)
+    whole = detector_agent_apply(p, t, air, drf, 0.7, n_sub, p_prime=pp)
     seen = []
     eval_jac = DrfPolynomial.eval_jac
 
@@ -327,7 +324,7 @@ def test_blocks_give_the_unblocked_result(per_channel_rows, monkeypatch, explici
 
     monkeypatch.setattr(DrfPolynomial, "eval_jac", spy)
     monkeypatch.setattr(detector, "_BLOCK_ROWS", 30)
-    blocked = detector_agent_apply(p, t, air, drf, params, p_prime=pp)
+    blocked = detector_agent_apply(p, t, air, drf, 0.7, n_sub, p_prime=pp)
     assert seen == [n for n in sizes for _ in range(n_sub)]   # each block runs every update
     assert np.abs(blocked - whole).max() <= 1e-12
 
@@ -341,7 +338,7 @@ def test_a_bad_row_in_a_later_block_is_reported_by_its_row(per_channel_rows, mon
     p[70, 0] = np.inf
     monkeypatch.setattr(detector, "_BLOCK_ROWS", block_rows)
     with pytest.raises(NumericError, match=r"rows \[70\]$"):
-        detector_agent_apply(p, t, air, drf, ProxParams(), p_prime=pp)
+        detector_agent_apply(p, t, air, drf, 1.0, p_prime=pp)
 
 
 def test_agent_memory_does_not_grow_with_rows(per_channel_rows):
@@ -351,8 +348,7 @@ def test_agent_memory_does_not_grow_with_rows(per_channel_rows):
     def peak(n_rows):
         p = rng.uniform([1.0, 0.1], [30.0, 4.0], size=(n_rows, 2))
         t = np.exp(-drf.eval_sino(p))
-        return traced_peak(detector_agent_apply, p, t, np.full(n_rows, 2.0e4), drf,
-                           ProxParams(n_sub=1))
+        return traced_peak(detector_agent_apply, p, t, np.full(n_rows, 2.0e4), drf, 1.0)
 
     one = peak(detector._BLOCK_ROWS)
     assert peak(4 * detector._BLOCK_ROWS) <= 1.5 * one
@@ -365,7 +361,7 @@ def test_a_pass_runs_in_one_reused_workspace(noiseless_drf):
                         domain=noiseless_drf.domain, basis_scale=noiseless_drf.basis_scale)
     p = np.random.default_rng(33).uniform([1.0, 0.1], [30.0, 4.0], size=(170 * 96, 2))
     t = np.exp(-drf.eval_sino(p))
-    args = (p, t, np.full(p.shape[0], 2.0e4), drf, ProxParams(n_sub=1))
+    args = (p, t, np.full(p.shape[0], 2.0e4), drf, 1.0)
     work = Workspace()
     # all 96 sets' basis table alone is 9.8 MB; 8 at a time it is 0.8 MB
     assert traced_peak(detector_agent_apply, *args, work=work) < 10e6

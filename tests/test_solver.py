@@ -222,7 +222,7 @@ def test_mle_recovers_off_grid_truth(default_spectrum, basis_materials, noiseles
 
 def test_degenerate_single_point_grid_refines_from_that_point(default_spectrum,
                                                               basis_materials, noiseless_drf):
-    from pcmd.detector import ProxParams, detector_agent_apply
+    from pcmd.detector import detector_agent_apply
 
     p_true = np.array([[12.0, 1.2]])
     t = noiseless_rows(default_spectrum, basis_materials, p_true)
@@ -232,9 +232,16 @@ def test_degenerate_single_point_grid_refines_from_that_point(default_spectrum,
     # single-point grid spans the domain bounds -> starts at the lower corner
     p = np.array([[0.0, 0.0]])
     for _ in range(10):
-        p = detector_agent_apply(p, t, air, noiseless_drf.select([0]),
-                                 ProxParams(sigma=1.0e3, n_sub=1), p_prime=p)
+        p = detector_agent_apply(p, t, air, noiseless_drf.select([0]), 1.0e3, p_prime=p)
     assert np.array_equal(res.p, p)
+
+
+@pytest.mark.parametrize("grid_points", [(5,), (5, 5, 5)])
+def test_a_grid_without_one_axis_per_material_raises(default_spectrum, basis_materials,
+                                                     noiseless_drf, grid_points):
+    t = noiseless_rows(default_spectrum, basis_materials, np.full((4, 2), [10.0, 1.0]))
+    with pytest.raises(ToolkitError, match=f"needs 2 point counts.*got {len(grid_points)}"):
+        mle_decompose(t, np.full(4, 3.0e5), noiseless_drf, MleConfig(grid_points=grid_points))
 
 
 def test_mle_matches_grid_polish_oracle_rowwise(default_spectrum, basis_materials,
@@ -320,13 +327,12 @@ def test_rescue_in_chunks_gives_the_single_chunk_result(noiseless_drf, monkeypat
 
 def hand_refinement(t, air, drf, n_iter):
     """The refinement loop without a stop: n_iter held detector passes from the grid."""
-    from pcmd.detector import ProxParams, detector_agent_apply
+    from pcmd.detector import detector_agent_apply
     from pcmd.solver import _grid_search
 
     p = _grid_search(t, drf, MleConfig().grid_points)
     for _ in range(n_iter):
-        p = detector_agent_apply(p, t, air, drf, ProxParams(sigma=1.0e3, n_sub=1),
-                                 p_prime=p, on_nonfinite="hold")
+        p = detector_agent_apply(p, t, air, drf, 1.0e3, p_prime=p, on_nonfinite="hold")
     return p
 
 
