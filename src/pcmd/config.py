@@ -28,6 +28,10 @@ from .materials import equivalent_fractions, list_materials, load_material
 REQUIRED = object()  # default of a key that must be given
 SEED_MAX = 2**64 - 1  # simulate hashes (seed, purpose, stream index) into each Philox key
 SIZE_MAX = 2**16  # views, channels, pixels or points along one axis: far above any shipped value
+# Derived sizes are bounded by the memory their largest array asks for.  One
+# float64 image plane may take 128 MiB: 4096 x 4096 pixels (the shipped grid is 256 x 256).
+PLANE_BYTES_MAX = 2**27
+PIXELS_MAX = PLANE_BYTES_MAX // 8
 _BOUNDS = {"ge": (">=", operator.ge), "gt": (">", operator.gt),
            "le": ("<=", operator.le), "lt": ("<", operator.lt)}
 
@@ -269,8 +273,11 @@ def _check_rules(v):
             raise ConfigError(f"calibration.points_per_axis[{j}]: must be at least "
                               f"calibration.order + 1 = {cal['order'] + 1}, got {n_points}")
 
-    labels = [r["label"] for r in v["rois"]]
     g = v["grid"]
+    if g["n_x"] * g["n_y"] > PIXELS_MAX:
+        raise ConfigError(f"grid.n_x: times grid.n_y must be at most {PIXELS_MAX} pixels (a "
+                          f"{PLANE_BYTES_MAX >> 20} MiB float64 plane), got {g['n_x']} x {g['n_y']}")
+    labels = [r["label"] for r in v["rois"]]
     xs, ys = ImageGrid(n_x=g["n_x"], n_y=g["n_y"], pixel_size=g["pixel_cm"]).pixel_centers()
     for i, roi in enumerate(v["rois"]):
         if roi["label"] in labels[:i]:

@@ -88,6 +88,14 @@ def _solve_batched(h: np.ndarray, rhs: np.ndarray, work: Workspace) -> np.ndarra
         raise NumericError(f"detector prox: singular system ({err})") from None
 
 
+def _check_prox(sigma: float, n_sub: int = 1):
+    """Reject a prox strength that is not positive (NaN included) or no update."""
+    if not sigma > 0:
+        raise ToolkitError("prox params: sigma must be positive")
+    if n_sub < 1:
+        raise ToolkitError("prox params: need at least one partial update")
+
+
 def detector_agent_apply(p: np.ndarray, t_sino: np.ndarray, air_totals: np.ndarray,
                          drf, sigma: float, n_sub: int = 1, p_prime: np.ndarray = None,
                          on_nonfinite: str = "raise", work: Workspace = None,
@@ -110,10 +118,7 @@ def detector_agent_apply(p: np.ndarray, t_sino: np.ndarray, air_totals: np.ndarr
     their previous value instead of raising (callers then flag them
     downstream).
     """
-    if not sigma > 0:
-        raise ToolkitError("prox params: sigma must be positive")
-    if n_sub < 1:
-        raise ToolkitError("prox params: need at least one partial update")
+    _check_prox(sigma, n_sub)
     p = np.asarray(p, dtype=float)
     t_sino = np.asarray(t_sino, dtype=float)
     air = np.asarray(air_totals, dtype=float)

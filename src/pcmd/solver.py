@@ -20,7 +20,7 @@ import numpy as np
 from . import detector
 # detector_agent_apply and apply_prior are module globals that the benchmark's
 # traced runs patch here (ROADMAP O4).
-from .detector import _exp_neg, detector_agent_apply, empty_rows
+from .detector import _check_prox, _exp_neg, detector_agent_apply, empty_rows
 from .errors import NumericError, ToolkitError
 from .priors import apply_prior, clip_prior
 from .workspace import Workspace
@@ -46,6 +46,7 @@ class MleConfig:
             raise ToolkitError("mle config: need at least one refinement iteration")
         if any(g < 1 for g in self.grid_points):
             raise ToolkitError("mle config: grid needs at least one point per material")
+        _check_prox(self.sigma)
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,7 @@ class MaceConfig:
             raise ToolkitError("mace config: rho must lie strictly inside (0, 1)")
         if self.n_iter < 1:
             raise ToolkitError("mace config: need at least one iteration")
+        _check_prox(self.sigma, self.n_sub)
 
 
 @dataclass

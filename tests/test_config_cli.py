@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from helpers import oversized_container
 from pcmd.arrayio import read_array, write_array
 from pcmd.cli import main
-from pcmd.config import PipelineConfig
+from pcmd.config import PIXELS_MAX, PipelineConfig
 from pcmd.errors import ConfigError
 from pcmd.pipeline import STAGES, Stage
 from pcmd.priors import GaussianPrior, apply_prior, rotation_matrix
@@ -305,15 +305,28 @@ def test_a_roi_holding_no_pixel_centre_exits_2_before_any_stage(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+def test_an_image_plane_past_its_memory_budget_exits_2_before_any_stage(tmp_path, capsys):
+    # 2^32 pixels: one plane would take 32 GiB, though each axis is within SIZE_MAX
+    cfg = tiny_config(tmp_path / "out")
+    cfg["grid"].update(n_x=65536, n_y=65536)
+    assert main(["pipeline", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: grid.n_x:") and "grid.n_y" in err
+    assert str(PIXELS_MAX) in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bounds_that_build_are_accepted(tmp_path):
     cfg = tiny_config(tmp_path / "out")
     cfg["geometry"].update(mode="fan", sid_cm=50.0, sdd_cm=100.0, n_views=2**16)
+    cfg["grid"].update(n_x=2**16, n_y=PIXELS_MAX // 2**16)
     cfg["spectrum"].update(kvp=150, e_min=20, n_bins=130, filtration_cm_al=10.0)
     cfg["calibration"].update(repeats=10**9, air_counts_total=1e18)  # noiseless: nothing sampled
     built = PipelineConfig(cfg)
     assert (built.geometry().sdd, built.geometry().n_views) == (100.0, 2**16)
     assert built.spectrum().n_bins == 130
     assert built.values["calibration"]["repeats"] == 10**9
+    assert built.grid().n_x * built.grid().n_y == PIXELS_MAX
 
 
 def test_decorrelated_prior_accepts_std_pairs():

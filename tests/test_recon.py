@@ -5,9 +5,10 @@ from pcmd.errors import ToolkitError
 from pcmd.geometry import ImageGrid, ScanGeometry
 from pcmd.materials import equivalent_fractions, load_material
 from pcmd.phantom import Disk, Phantom
+from pcmd import recon
 from pcmd.recon import fbp_reconstruct, synthesize_mono
 
-from helpers import project_image, reference_fbp
+from helpers import project_image, reference_fbp, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +123,15 @@ ORACLE_CASES = {
     "fan-64ch": (ScanGeometry(mode="fan", n_views=90, n_channels=64, spacing=0.5, sid=30.0,
                               sdd=60.0),
                  ImageGrid(n_x=48, n_y=48, pixel_size=0.3)),
+    # at theta = 0 the first and last columns of pixel centres sit exactly on the
+    # first and last channel, where the off-detector test must keep them
+    "parallel-8ch-edge-aligned": (
+        ScanGeometry(mode="parallel", n_views=40, n_channels=8, spacing=0.5),
+        ImageGrid(n_x=8, n_y=8, pixel_size=0.5)),
+    # 130-pixel rows split the grid into pixel blocks of 126 and 74 rows
+    "parallel-96ch-two-blocks": (
+        ScanGeometry(mode="parallel", n_views=30, n_channels=96, spacing=0.3),
+        ImageGrid(n_x=200, n_y=130, pixel_size=0.15, origin=(0.2, -0.1))),
 }
 
 
@@ -139,7 +149,7 @@ def test_batched_fbp_matches_per_view_interp_oracle(case, hann):
 
 
 @pytest.mark.parametrize("case", ["parallel-7ch-offcentre", "parallel-64ch-uneven-angles",
-                                  "fan-64ch"])
+                                  "fan-64ch", "parallel-96ch-two-blocks"])
 def test_each_column_of_a_batch_equals_its_single_column_call(case):
     geometry, grid = ORACLE_CASES[case]
     sino = _random_columns(geometry, 4, seed=1)
@@ -148,6 +158,18 @@ def test_each_column_of_a_batch_equals_its_single_column_call(case):
         single = fbp_reconstruct(sino[:, m], geometry, grid)
         assert single.shape == (grid.n_x, grid.n_y)
         assert np.array_equal(batch[:, :, m], single)
+
+
+def test_backprojection_memory_beyond_the_image_does_not_grow_with_the_grid():
+    geometry = ScanGeometry(mode="parallel", n_views=60, n_channels=64, spacing=0.4)
+    sino = _random_columns(geometry, 4)
+
+    def beyond_image(n_x):
+        grid = ImageGrid(n_x=n_x, n_y=256, pixel_size=0.1)
+        return traced_peak(fbp_reconstruct, sino, geometry, grid) - 4 * grid.n_x * grid.n_y * 8
+
+    block = 5 * 8 * recon._BLOCK_PIXELS  # channel coordinate, weight, two gathers, index
+    assert beyond_image(512) <= beyond_image(256) + block
 
 
 @pytest.mark.parametrize("shape", [(40 * 7, 2, 2), (40 * 7 - 1,), (40 * 7 + 7, 3)])

@@ -114,6 +114,19 @@ def test_mace_config_validation():
         MaceConfig(prior=GaussianPrior([1.0, 1.0]), n_iter=0)
 
 
+@pytest.mark.parametrize("sigma, n_sub, message", [
+    (0.0, 1, "sigma must be positive"), (-1.0, 1, "sigma must be positive"),
+    (np.nan, 1, "sigma must be positive"), (1.0, 0, "at least one partial update"),
+])
+def test_configs_check_the_detector_agent_settings_when_built(sigma, n_sub, message):
+    # before any solve starts, not when the agent first runs after the MLE start
+    with pytest.raises(ToolkitError, match=message):
+        MaceConfig(prior=GaussianPrior([1.0, 1.0]), sigma=sigma, n_sub=n_sub, init=MleConfig())
+    if n_sub == 1:
+        with pytest.raises(ToolkitError, match=message):
+            MleConfig(sigma=sigma)
+
+
 # --- maximum-likelihood decomposition against the simulator truth ---
 
 def noiseless_rows(spectrum, materials, p_true):
