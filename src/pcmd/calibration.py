@@ -343,11 +343,10 @@ def slab_scan_protocol(spectrum, materials, points, geometry, repeats: int = 100
     if repeats < 1:
         raise ToolkitError("slab scan: repeats must be >= 1")
     pts = np.atleast_2d(np.asarray(points, dtype=float))  # (S, L)
-    dose = air_counts_total / spectrum.total_fluence
     gamma = geometry.fan_angles()
     n_chan, n_pts = geometry.n_channels, pts.shape[0]
     eff = pts[None, :, :] / np.cos(gamma)[:, None, None]  # (C, S, L)
-    lam = expected_counts(spectrum, materials, eff.reshape(-1, pts.shape[1]), dose)
+    lam = expected_counts(spectrum, materials, eff.reshape(-1, pts.shape[1]), air_counts_total)
     lam = lam.reshape(n_chan, n_pts, -1)
     if not noise:
         return eff, lam

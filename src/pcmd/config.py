@@ -28,8 +28,9 @@ from .materials import equivalent_fractions, list_materials, load_material
 REQUIRED = object()  # default of a key that must be given
 SEED_MAX = 2**64 - 1  # simulate hashes (seed, purpose, stream index) into each Philox key
 SIZE_MAX = 2**16  # views, channels, pixels or points along one axis: far above any shipped value
-# Derived sizes are bounded by the memory their largest array asks for.  One
-# float64 image plane may take 128 MiB: 4096 x 4096 pixels (the shipped grid is 256 x 256).
+# Derived sizes are bounded by the memory their largest array asks for: 128 MiB.
+# So one float64 image plane may hold 4096 x 4096 pixels (the shipped grid is
+# 256 x 256), and the MLE search's basis table 2^24 floats (shipped: 41 x 41 x 25).
 PLANE_BYTES_MAX = 2**27
 PIXELS_MAX = PLANE_BYTES_MAX // 8
 _BOUNDS = {"ge": (">=", operator.ge), "gt": (">", operator.gt),
@@ -272,6 +273,11 @@ def _check_rules(v):
         if n_points <= cal["order"]:  # fewer leave the tensor-product fit rank-deficient
             raise ConfigError(f"calibration.points_per_axis[{j}]: must be at least "
                               f"calibration.order + 1 = {cal['order'] + 1}, got {n_points}")
+    table = math.prod(v["mle"]["grid_points"]) * (cal["order"] + 1) ** n
+    if table > PLANE_BYTES_MAX // 8:  # the basis table eval_sets builds over the search grid
+        raise ConfigError(f"mle.grid_points: product times (calibration.order + 1)^{n} must be at "
+                          f"most {PLANE_BYTES_MAX // 8} floats (a {PLANE_BYTES_MAX >> 20} MiB "
+                          f"basis table), got {table}")
 
     g = v["grid"]
     if g["n_x"] * g["n_y"] > PIXELS_MAX:
@@ -351,10 +357,6 @@ class PipelineConfig:
         from .spectrum import filtered_kramers
 
         return filtered_kramers(**self.values["spectrum"])
-
-    def dose_scale(self, spectrum=None) -> float:
-        spectrum = spectrum or self.spectrum()
-        return self.values["dose"]["air_counts_total"] / spectrum.total_fluence
 
     def phantom(self) -> "Phantom":
         from .phantom import Disk, Phantom

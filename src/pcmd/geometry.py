@@ -69,33 +69,26 @@ class ScanGeometry:
             return np.zeros(self.n_channels)
         return np.arctan(self.channel_offsets() / self.sdd)
 
-    def rays_for_view(self, view: int):
-        """All rays of one view as (points (C,2), unit directions (C,2))."""
-        if not 0 <= view < self.n_views:
-            raise ToolkitError(f"view index {view} out of range [0, {self.n_views})")
-        theta = self.angles[view]
-        u = np.array([math.cos(theta), math.sin(theta)])   # detector axis
-        v = np.array([-math.sin(theta), math.cos(theta)])  # ray direction at gamma=0
-        if self.mode == PARALLEL:
-            pts = self.channel_offsets()[:, None] * u[None, :]
-            dirs = np.broadcast_to(v, pts.shape).copy()
-            return pts, dirs
-        gamma = self.fan_angles()
-        src = -self.sid * v
-        dirs = np.cos(gamma)[:, None] * v[None, :] + np.sin(gamma)[:, None] * u[None, :]
-        pts = np.broadcast_to(src, dirs.shape).copy()
-        return pts, dirs
-
     def all_rays(self):
-        """Rays for the full sinogram, row-major (view, channel): (M,2), (M,2)."""
-        pts = np.empty((self.n_rays, 2))
-        dirs = np.empty((self.n_rays, 2))
-        c = self.n_channels
-        for v in range(self.n_views):
-            p, d = self.rays_for_view(v)
-            pts[v * c:(v + 1) * c] = p
-            dirs[v * c:(v + 1) * c] = d
-        return pts, dirs
+        """Rays for the full sinogram, row-major (view, channel): points (M,2), unit
+        directions (M,2).  View theta has detector axis u = (cos, sin) and central
+        ray direction v = (-sin, cos); a fan ray at angle gamma runs along
+        cos(gamma) v + sin(gamma) u from the source at -sid v."""
+        cos, sin = np.cos(self.angles), np.sin(self.angles)
+        u = np.stack([cos, sin], axis=-1)[:, None, :]   # (V, 1, 2)
+        v = np.stack([-sin, cos], axis=-1)[:, None, :]
+        pts = np.empty((self.n_views, self.n_channels, 2))
+        dirs = np.empty_like(pts)
+        if self.mode == PARALLEL:
+            np.multiply(self.channel_offsets()[:, None], u, out=pts)
+            dirs[...] = v
+        else:
+            gamma = self.fan_angles()[:, None]
+            np.multiply(np.sin(gamma), u, out=pts)  # pts holds the u term until the source
+            np.multiply(np.cos(gamma), v, out=dirs)
+            dirs += pts
+            np.multiply(-self.sid, v, out=pts)
+        return pts.reshape(-1, 2), dirs.reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -132,7 +125,9 @@ def rebin_fan_to_parallel(sino: np.ndarray, geometry: ScanGeometry):
     v, c = geometry.n_views, geometry.n_channels
     if v < 2 or c < 2:
         raise ToolkitError("rebin_fan_to_parallel needs at least 2 views and 2 channels")
-    sino = np.asarray(sino, dtype=float).reshape(v, c, -1)
+    sino = np.asarray(sino, dtype=float)
+    columns = sino.shape[1:]
+    sino = sino.reshape(v, c, -1)
     gamma = geometry.fan_angles()
     span = geometry.sid * math.sin(gamma[-1])
     par = ScanGeometry(mode=PARALLEL, n_views=v // 2, n_channels=c,
@@ -156,4 +151,4 @@ def rebin_fan_to_parallel(sino: np.ndarray, geometry: ScanGeometry):
     low = sino[b0, g0] * (1 - wg)[:, None] + sino[b0, g0 + 1] * wg[:, None]
     high = sino[b1, g0] * (1 - wg)[:, None] + sino[b1, g0 + 1] * wg[:, None]
     out = low * (1 - wb)[..., None] + high * wb[..., None]
-    return par, out.reshape(par.n_rays, -1).squeeze()
+    return par, out.reshape(par.n_rays, *columns)

@@ -247,9 +247,8 @@ def cmd_simulate(cfg: PipelineConfig, out_dir=None) -> list:
     from .simulate import scan_phantom
 
     stage = Stage("simulate", cfg, out_dir)
-    spectrum = cfg.spectrum()
-    arrays = scan_phantom(cfg.phantom(), cfg.geometry(), spectrum, cfg.materials(),
-                          cfg.dose_scale(spectrum), noise=cfg.noise, seed=cfg.seed)
+    arrays = scan_phantom(cfg.phantom(), cfg.geometry(), cfg.spectrum(), cfg.materials(),
+                          cfg.values["dose"]["air_counts_total"], noise=cfg.noise, seed=cfg.seed)
     written = stage.outputs()
     for path, arr in zip(written, arrays):  # transmission, air totals, true pathlengths
         stage.write(path, arr)

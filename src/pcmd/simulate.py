@@ -17,21 +17,21 @@ from .materials import mu_matrix
 _ROW_CHUNK = 4096  # rows of the one (rows, n_energies) attenuation buffer
 
 
-def expected_counts(spectrum, materials, pathlengths: np.ndarray, dose_scale: float = 1.0) -> np.ndarray:
+def expected_counts(spectrum, materials, pathlengths: np.ndarray,
+                    air_counts_total: float) -> np.ndarray:
     """Expected photon counts per energy bin for given material pathlengths.
 
-    lambda_k = dose_scale * sum_{E in bin k} fluence(E) * exp(-sum_l mu_l(E) p_l).
-    `pathlengths` is (L,) or (M, L); the result is (K,) or (M, K).
+    lambda_k = A / F * sum_{E in bin k} fluence(E) * exp(-sum_l mu_l(E) p_l),
+    with A = `air_counts_total`, the expected count of a ray through air
+    summed over all bins, and F the spectrum's total fluence.
+    `pathlengths` is (M, L); the result is (M, K).
     """
     p = np.asarray(pathlengths, dtype=float)
-    squeeze = p.ndim == 1
-    p = np.atleast_2d(p)
+    if p.ndim != 2 or p.shape[1] != len(materials):
+        raise ToolkitError(f"expected_counts: pathlengths must be (M, {len(materials)}) for "
+                           f"{len(materials)} materials, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
         raise ToolkitError("expected_counts: pathlengths must be finite")
-    if p.shape[1] != len(materials):
-        raise ToolkitError(
-            f"expected_counts: got {p.shape[1]} pathlength components for {len(materials)} materials"
-        )
     mu = mu_matrix(materials, spectrum.energies)          # (L, nE)
     wbin = spectrum.binned_fluence_matrix()               # (nE, K)
     out = np.empty((p.shape[0], wbin.shape[1]))
@@ -42,13 +42,8 @@ def expected_counts(spectrum, materials, pathlengths: np.ndarray, dose_scale: fl
         np.negative(att, out=att)
         np.exp(att, out=att)
         np.matmul(att, wbin, out=out[lo:hi])
-    out *= dose_scale
-    return out[0] if squeeze else out
-
-
-def air_counts(spectrum, dose_scale: float = 1.0) -> float:
-    """Total expected air count (all bins, zero pathlength)."""
-    return dose_scale * spectrum.total_fluence
+    out *= air_counts_total / spectrum.total_fluence
+    return out
 
 
 PURPOSE = {"scan": 0, "calibration": 1}  # first word of every stream's spawn key
@@ -87,7 +82,7 @@ def sample_poisson(lam: np.ndarray, seed: int, purpose: str = "scan",
     return out[0] if squeeze else out
 
 
-def scan_phantom(phantom, geometry, spectrum, materials, dose_scale: float,
+def scan_phantom(phantom, geometry, spectrum, materials, air_counts_total: float,
                  noise: bool = True, seed: int = 0):
     """Simulate a full scan: transmission (M, K), air totals (M,) and pathlengths (M, L).
 
@@ -99,8 +94,8 @@ def scan_phantom(phantom, geometry, spectrum, materials, dose_scale: float,
     """
     pts, dirs = geometry.all_rays()
     p = phantom.pathlengths(pts, dirs)
-    lam = expected_counts(spectrum, materials, p, dose_scale)
+    lam = expected_counts(spectrum, materials, p, air_counts_total)
     counts = (sample_poisson(lam, seed, "scan", rows_per_stream=geometry.n_channels)
               .astype(float) if noise else lam)
-    air = np.full(geometry.n_rays, air_counts(spectrum, dose_scale))
+    air = np.full(geometry.n_rays, air_counts_total, dtype=float)
     return counts / air[:, None], air, p

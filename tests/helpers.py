@@ -29,7 +29,7 @@ def exact_phi(spectrum, materials, points):
     """Direct-summation oracle for the detector response (no polynomial)."""
     from pcmd.simulate import expected_counts
 
-    lam = expected_counts(spectrum, materials, np.atleast_2d(points), 1.0)
+    lam = expected_counts(spectrum, materials, np.atleast_2d(points), spectrum.total_fluence)
     return -np.log(lam / spectrum.total_fluence)
 
 
@@ -177,9 +177,10 @@ def project_image(values, geometry, grid):
         raise ToolkitError("project_image: image shape does not match grid")
     out = np.empty((geometry.n_rays, values.shape[2]))
     c = geometry.n_channels
+    pts, dirs = geometry.all_rays()
     for v in range(geometry.n_views):
-        pts, dirs = geometry.rays_for_view(v)
-        out[v * c:(v + 1) * c] = _traverse(pts, dirs, grid, values)
+        view = slice(v * c, (v + 1) * c)
+        out[view] = _traverse(pts[view], dirs[view], grid, values)
     return out[:, 0] if squeeze else out
 
 

@@ -52,7 +52,7 @@ def cnr_experiment(desk):
     phantom = PipelineConfig.from_file(SHIPPED).phantom()
     t0 = time.perf_counter()
     t, air, _ = scan_phantom(phantom, geometry, spectrum, materials,
-                             AIR_COUNTS / spectrum.total_fluence, noise=True, seed=SEED)
+                             AIR_COUNTS, noise=True, seed=SEED)
     mle = mle_decompose(t, air, drf, MleConfig(n_iter=100))
     sino = (geometry.n_views, geometry.n_channels)
     mace = run_mace(t.reshape(*sino, -1), air.reshape(sino), drf,
@@ -98,7 +98,7 @@ def test_criterion_3_mle_consistency(desk):
     phantom = PipelineConfig.from_file(SHIPPED).phantom()
     t0 = time.perf_counter()
     t, air, _ = scan_phantom(phantom, geometry, spectrum, materials,
-                             AIR_COUNTS / spectrum.total_fluence, noise=False)
+                             AIR_COUNTS, noise=False)
     pts, dirs = geometry.all_rays()
     p_true = phantom.pathlengths(pts, dirs)
     res = mle_decompose(t, air, drf, MleConfig(n_iter=100))
@@ -144,7 +144,7 @@ def test_criterion_5_prox_oracle_equivalence(desk):
     for trial in range(100):
         p_star = rng.uniform([1.0, 0.1], [30.0, 4.0])
         air = 2.0e4
-        lam = expected_counts(spectrum, materials, p_star, air / spectrum.total_fluence)
+        lam = expected_counts(spectrum, materials, p_star[None], air)[0]
         t = sample_poisson(lam, seed=trial).astype(float) / air
         tether = p_star + rng.normal(0.0, 0.3, 2)
         sigma = 10 ** rng.uniform(-1.5, 0.5)
@@ -188,7 +188,7 @@ def test_criterion_7_calibration_fidelity(desk):
     g0 = np.linspace(0.0, 40.0, 81)
     g1 = np.linspace(0.0, 5.0, 81)
     pts = np.stack(np.meshgrid(g0, g1, indexing="ij"), axis=-1).reshape(-1, 2)
-    lam = expected_counts(spectrum, materials, pts, 1.0)
+    lam = expected_counts(spectrum, materials, pts, spectrum.total_fluence)
     exact = -np.log(lam / spectrum.total_fluence)
     resid = float(np.abs(drf.eval(pts, channel=0) - exact).max())
 
@@ -231,7 +231,7 @@ def test_criterion_9_throughput_note(desk):
     materials, spectrum, geometry, _, drf = desk
     phantom = PipelineConfig.from_file(SHIPPED).phantom()
     t, air, _ = scan_phantom(phantom, geometry, spectrum, materials,
-                             AIR_COUNTS / spectrum.total_fluence, noise=True, seed=1)
+                             AIR_COUNTS, noise=True, seed=1)
     pts, dirs = geometry.all_rays()
     p = phantom.pathlengths(pts, dirs)
     n_iter = 5

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from helpers import oversized_container
 from pcmd.arrayio import read_array, write_array
 from pcmd.cli import main
-from pcmd.config import PIXELS_MAX, PipelineConfig
+from pcmd.config import PIXELS_MAX, PLANE_BYTES_MAX, PipelineConfig
 from pcmd.errors import ConfigError
 from pcmd.pipeline import STAGES, Stage
 from pcmd.priors import GaussianPrior, apply_prior, rotation_matrix
@@ -316,17 +316,31 @@ def test_an_image_plane_past_its_memory_budget_exits_2_before_any_stage(tmp_path
     assert not (tmp_path / "out").exists()
 
 
+def test_a_search_grid_past_its_memory_budget_exits_2_before_any_stage(tmp_path, capsys):
+    # 4096^2 grid points x 25 basis terms: a 3.4 GB table, though each axis is within SIZE_MAX
+    cfg = tiny_config(tmp_path / "out")
+    cfg["mle"]["grid_points"] = [4096, 4096]
+    assert main(["pipeline", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: mle.grid_points:") and "calibration.order" in err
+    assert str(PLANE_BYTES_MAX // 8) in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bounds_that_build_are_accepted(tmp_path):
     cfg = tiny_config(tmp_path / "out")
     cfg["geometry"].update(mode="fan", sid_cm=50.0, sdd_cm=100.0, n_views=2**16)
     cfg["grid"].update(n_x=2**16, n_y=PIXELS_MAX // 2**16)
     cfg["spectrum"].update(kvp=150, e_min=20, n_bins=130, filtration_cm_al=10.0)
-    cfg["calibration"].update(repeats=10**9, air_counts_total=1e18)  # noiseless: nothing sampled
+    cfg["calibration"].update(repeats=10**9, air_counts_total=1e18,  # noiseless: nothing sampled
+                              order=3)
+    cfg["mle"]["grid_points"] = [1024, 1024]  # x 4^2 basis terms: 2^24 floats
     built = PipelineConfig(cfg)
     assert (built.geometry().sdd, built.geometry().n_views) == (100.0, 2**16)
     assert built.spectrum().n_bins == 130
     assert built.values["calibration"]["repeats"] == 10**9
     assert built.grid().n_x * built.grid().n_y == PIXELS_MAX
+    assert math.prod(built.mle_config().grid_points) * 4**2 == PLANE_BYTES_MAX // 8
 
 
 def test_decorrelated_prior_accepts_std_pairs():
@@ -410,8 +424,7 @@ def test_one_hostile_edit_is_rejected_by_path_or_builds(keys, data):
     # an unknown key and a non-finite number are never valid
     assert how != "unknown sibling"
     assert how == "missing" or not (isinstance(value, float) and not math.isfinite(value))
-    spectrum = cfg.spectrum()
-    cfg.geometry(), cfg.grid(), cfg.dose_scale(spectrum), cfg.phantom()
+    cfg.spectrum(), cfg.geometry(), cfg.grid(), cfg.phantom()
     cfg.calibration_domain(), cfg.mle_config(), cfg.mace_config(), cfg.rois()
 
 

@@ -59,9 +59,8 @@ def test_loss_equals_full_nll_up_to_constant(default_spectrum, basis_materials, 
     # points matches the difference of the exact Poisson NLL
     rng = np.random.default_rng(4)
     air = 5.0e4
-    dose = air / default_spectrum.total_fluence
     p_star = np.array([12.0, 1.0])
-    lam_star = expected_counts(default_spectrum, basis_materials, p_star, dose)
+    lam_star = expected_counts(default_spectrum, basis_materials, p_star[None], air)[0]
     counts = np.round(lam_star)
     t = counts / air
 
@@ -223,7 +222,8 @@ def test_noiseless_rows_recover_truth_with_large_sigma(default_spectrum, basis_m
     rng = np.random.default_rng(14)
     m = 50
     p_true = rng.uniform([0.5, 0.05], [25, 2], size=(m, 2))
-    lam = expected_counts(default_spectrum, basis_materials, p_true, 1.0)
+    lam = expected_counts(default_spectrum, basis_materials, p_true,
+                          default_spectrum.total_fluence)
     t = lam / default_spectrum.total_fluence
     air = np.full(m, 3.0e5)
     p = p_true + rng.normal(0, 0.2, size=(m, 2))  # warm start near truth

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ def make_fan(n_views=8, n_channels=9, spacing=1.0, sid=20.0, sdd=40.0):
 
 def test_parallel_center_ray_points_up():
     geo = ScanGeometry(mode="parallel", n_views=4, n_channels=5, spacing=0.5)
-    pts, dirs = geo.rays_for_view(0)
+    pts, dirs = geo.all_rays()
     pt, d = pts[2], dirs[2]
     assert np.allclose(pt, [0.0, 0.0], atol=1e-15)
     assert np.allclose(d, [0.0, 1.0], atol=1e-15)
@@ -22,7 +24,7 @@ def test_parallel_center_ray_points_up():
 
 def test_fan_center_ray_through_source_and_isocenter():
     geo = make_fan()
-    pts, dirs = geo.rays_for_view(0)
+    pts, dirs = geo.all_rays()
     pt, d = pts[4], dirs[4]
     assert np.allclose(pt, [0.0, -20.0], atol=1e-15)
     assert np.allclose(d, [0.0, 1.0], atol=1e-15)
@@ -36,16 +38,35 @@ def test_fan_offcenter_angle_is_atan_offset_over_sdd():
     offsets = geo.channel_offsets()
     gamma = geo.fan_angles()
     assert np.allclose(gamma, np.arctan(offsets / geo.sdd), atol=1e-15)
-    _, dirs = geo.rays_for_view(0)
+    _, dirs = geo.all_rays()
     expected = np.array([np.sin(gamma[7]), np.cos(gamma[7])])
     assert np.allclose(dirs[7], expected, atol=1e-14)
 
 
-def test_index_range_errors():
-    geo = ScanGeometry(mode="parallel", n_views=4, n_channels=5, spacing=0.5)
-    for view in (-1, 4):
-        with pytest.raises(ToolkitError, match="view index"):
-            geo.rays_for_view(view)
+@pytest.mark.parametrize("geo", [
+    ScanGeometry(mode="parallel", n_views=90, n_channels=96, spacing=0.13),
+    make_fan(n_views=360, n_channels=96, spacing=0.3, sid=50.0, sdd=100.0),
+], ids=["parallel", "fan"])
+def test_all_rays_match_the_closed_form(geo):
+    # view theta, fan angle gamma = atan(s / sdd) (0 in parallel mode) at channel offset s
+    pts, dirs = geo.all_rays()
+    assert pts.shape == dirs.shape == (geo.n_rays, 2)
+    c = geo.n_channels
+    for view in (0, geo.n_views // 2, geo.n_views - 1):
+        theta = (math.pi if geo.mode == "parallel" else 2.0 * math.pi) * view / geo.n_views
+        for ch in (0, (c - 1) // 2, c // 2, c - 1):
+            s = (ch - (c - 1) / 2.0) * geo.spacing
+            if geo.mode == "parallel":
+                pt = [s * math.cos(theta), s * math.sin(theta)]
+                gamma = 0.0
+            else:
+                pt = [geo.sid * math.sin(theta), -geo.sid * math.cos(theta)]
+                gamma = math.atan(s / geo.sdd)
+            d = [math.sin(gamma) * math.cos(theta) - math.cos(gamma) * math.sin(theta),
+                 math.cos(gamma) * math.cos(theta) + math.sin(gamma) * math.sin(theta)]
+            m = view * c + ch
+            assert np.abs(pts[m] - pt).max() <= 1e-15 * max(1.0, np.abs(pt).max())
+            assert np.abs(dirs[m] - d).max() <= 1e-15
 
 
 def test_length_conservation_against_independent_slab_oracle(small_grid):
@@ -150,6 +171,17 @@ def test_geometry_validation():
         ScanGeometry(mode="fan", n_views=4, n_channels=4, spacing=0.1, sid=50.0, sdd=40.0)
     with pytest.raises(ToolkitError, match="spacing"):
         ScanGeometry(mode="parallel", n_views=4, n_channels=4, spacing=0.0)
+
+
+@pytest.mark.parametrize("columns", [(), (1,), (3,)])
+def test_fan_rebinning_keeps_the_column_shape(columns):
+    fan = make_fan()
+    sino = np.random.default_rng(5).uniform(size=(fan.n_rays, *columns))
+    par, out = rebin_fan_to_parallel(sino, fan)
+    assert out.shape == (par.n_rays, *columns)
+    if columns:  # each column is rebinned on its own
+        for j in range(columns[0]):
+            assert np.array_equal(out[:, j], rebin_fan_to_parallel(sino[:, j], fan)[1])
 
 
 @pytest.mark.parametrize("views, channels", [(1, 8), (8, 1)])

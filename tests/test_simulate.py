@@ -7,8 +7,7 @@ from pcmd import simulate
 from pcmd.errors import ToolkitError
 from pcmd.materials import equivalent_fractions, load_material
 from pcmd.phantom import Disk, Phantom
-from pcmd.simulate import (PURPOSE, air_counts, expected_counts, sample_poisson, scan_phantom,
-                           stream)
+from pcmd.simulate import PURPOSE, expected_counts, sample_poisson, scan_phantom, stream
 from pcmd.spectrum import SourceSpectrum
 
 
@@ -19,9 +18,11 @@ def water_disk(basis_materials, radius):
 
 
 def test_zero_pathlength_gives_binned_fluence(default_spectrum, basis_materials):
-    lam = expected_counts(default_spectrum, basis_materials, np.zeros(2), dose_scale=3.5)
-    expect = 3.5 * default_spectrum.binned_fluence_matrix().sum(axis=0)
-    assert np.allclose(lam, expect, rtol=1e-14)
+    sp = default_spectrum
+    lam = expected_counts(sp, basis_materials, np.zeros((3, 2)), 3.0e5)
+    expect = 3.0e5 / sp.total_fluence * sp.binned_fluence_matrix().sum(axis=0)
+    assert np.allclose(lam, expect[None, :], rtol=1e-14)
+    assert np.allclose(lam.sum(axis=1), 3.0e5, rtol=1e-14)  # each row sums to the air total
 
 
 def test_monochromatic_bin_is_beer_lambert():
@@ -34,7 +35,7 @@ def test_monochromatic_bin_is_beer_lambert():
                         bin_edges=np.array([40.0, 65.0, 120.0]))
     water = load_material("water")
     t = 7.3
-    lam = expected_counts(sp, [water], np.array([t]), dose_scale=1.0)
+    lam = expected_counts(sp, [water], np.array([[t]]), sp.total_fluence)[0]
     assert np.allclose(lam, [2.0 * np.exp(-water.mu_at(50.0) * t),
                              1.0 * np.exp(-water.mu_at(80.0) * t)], rtol=1e-14)
 
@@ -42,7 +43,8 @@ def test_monochromatic_bin_is_beer_lambert():
 def test_expected_counts_matches_direct_summation_oracle(default_spectrum, basis_materials):
     # PE 10 cm + PVC 1 cm against an independent quadrature over the same tables
     p = np.array([10.0, 1.0])
-    lam = expected_counts(default_spectrum, basis_materials, p, dose_scale=2.0)
+    lam = expected_counts(default_spectrum, basis_materials, p[None],
+                          2.0 * default_spectrum.total_fluence)[0]
     e = default_spectrum.energies
     mu_pe = basis_materials[0].mu_at(e)
     mu_pvc = basis_materials[1].mu_at(e)
@@ -55,11 +57,11 @@ def test_expected_counts_matches_direct_summation_oracle(default_spectrum, basis
 def test_expected_counts_monotone_decreasing(default_spectrum, basis_materials):
     rng = np.random.default_rng(1)
     base = rng.uniform([0, 0], [30, 4], size=(50, 2))
-    lam0 = expected_counts(default_spectrum, basis_materials, base)
+    lam0 = expected_counts(default_spectrum, basis_materials, base, 1.0e6)
     for l in range(2):
         step = np.zeros(2)
         step[l] = 0.37
-        lam1 = expected_counts(default_spectrum, basis_materials, base + step)
+        lam1 = expected_counts(default_spectrum, basis_materials, base + step, 1.0e6)
         assert np.all(lam1 < lam0)
 
 
@@ -68,18 +70,20 @@ def test_expected_counts_holds_one_chunk_buffer(default_spectrum, basis_material
     p = np.random.default_rng(9).uniform(0.0, [30.0, 4.0], size=(rows, 2))
     out_bytes = rows * default_spectrum.n_bins * 8
     chunk_bytes = simulate._ROW_CHUNK * default_spectrum.energies.size * 8
-    peak = traced_peak(expected_counts, default_spectrum, basis_materials, p, 2.0)
+    peak = traced_peak(expected_counts, default_spectrum, basis_materials, p, 2.0e4)
     assert peak <= out_bytes + 1.25 * chunk_bytes
 
 
 def test_mismatched_material_count_raises(default_spectrum, basis_materials):
-    with pytest.raises(ToolkitError, match="materials"):
-        expected_counts(default_spectrum, basis_materials, np.zeros(3))
+    # pathlengths are (M, L): one column per material, and no single-row shorthand
+    for shape in [(1, 3), (2,), (1, 1, 2)]:
+        with pytest.raises(ToolkitError, match="materials"):
+            expected_counts(default_spectrum, basis_materials, np.zeros(shape), 1.0)
 
 
 def test_nonfinite_pathlength_raises(default_spectrum, basis_materials):
     with pytest.raises(ToolkitError, match="finite"):
-        expected_counts(default_spectrum, basis_materials, np.array([np.nan, 0.0]))
+        expected_counts(default_spectrum, basis_materials, np.array([[np.nan, 0.0]]), 1.0)
 
 
 def test_poisson_zero_rate_is_zero():
@@ -165,7 +169,7 @@ def test_empty_phantom_noiseless_rows_sum_to_one(default_spectrum, basis_materia
                                                  small_geometry):
     ph = Phantom(disks=(), n_materials=2)
     t, _, _ = scan_phantom(ph, small_geometry, default_spectrum, basis_materials,
-                           dose_scale=5.0, noise=False)
+                           air_counts_total=5.0e4, noise=False)
     assert np.abs(t.sum(axis=1) - 1.0).max() < 1e-12
     sp = default_spectrum
     air_fractions = sp.binned_fluence_matrix().sum(0) / sp.total_fluence
@@ -175,11 +179,11 @@ def test_empty_phantom_noiseless_rows_sum_to_one(default_spectrum, basis_materia
 def test_noise_off_counts_equal_expectation(default_spectrum, basis_materials, small_geometry):
     ph = Phantom(disks=(water_disk(basis_materials, 5.0),), n_materials=2)
     t, air, p = scan_phantom(ph, small_geometry, default_spectrum, basis_materials,
-                             dose_scale=7.0, noise=False)
+                             air_counts_total=7.0e4, noise=False)
     pts, dirs = small_geometry.all_rays()
     assert np.array_equal(p, ph.pathlengths(pts, dirs))
-    lam = expected_counts(default_spectrum, basis_materials, p, 7.0)
-    assert np.all(air == air_counts(default_spectrum, 7.0))
+    lam = expected_counts(default_spectrum, basis_materials, p, 7.0e4)
+    assert air.dtype == float and np.all(air == 7.0e4)  # the configured total, exactly
     assert np.array_equal(t, lam / air[:, None])
 
 

@@ -130,7 +130,7 @@ def test_configs_check_the_detector_agent_settings_when_built(sigma, n_sub, mess
 # --- maximum-likelihood decomposition against the simulator truth ---
 
 def noiseless_rows(spectrum, materials, p_true):
-    lam = expected_counts(spectrum, materials, p_true, 1.0)
+    lam = expected_counts(spectrum, materials, p_true, spectrum.total_fluence)
     return lam / spectrum.total_fluence
 
 
@@ -209,8 +209,7 @@ def noisy_cal_study(default_spectrum, basis_materials):
     geometry = ScanGeometry(mode="parallel", n_views=1, n_channels=4, spacing=0.5)
     drf = calibrate_drf(default_spectrum, basis_materials, geometry, noise=True, seed=3)
     p = np.random.default_rng(23).uniform([0.0, 0.0], [30.0, 4.0], size=(700 * 4, 2))
-    lam = expected_counts(default_spectrum, basis_materials, p,
-                          2.0e4 / default_spectrum.total_fluence)
+    lam = expected_counts(default_spectrum, basis_materials, p, 2.0e4)
     return drf, sample_poisson(lam, seed=24) / 2.0e4
 
 
@@ -262,8 +261,7 @@ def test_mle_matches_grid_polish_oracle_rowwise(default_spectrum, basis_material
     rng = np.random.default_rng(6)
     m = 10
     p_star = rng.uniform([2, 0.2], [25, 2], size=(m, 2))
-    lam = expected_counts(default_spectrum, basis_materials, p_star,
-                          2.0e4 / default_spectrum.total_fluence)
+    lam = expected_counts(default_spectrum, basis_materials, p_star, 2.0e4)
     from pcmd.simulate import sample_poisson
 
     counts = sample_poisson(lam, seed=99).astype(float)
@@ -471,8 +469,7 @@ def test_run_mace_gaussian_prior_smooths_noisy_rows(default_spectrum, basis_mate
     m = v * c
     p_true = np.tile([[15.0, 1.0]], (m, 1))
     air = 1.0e4
-    lam = expected_counts(default_spectrum, basis_materials, p_true,
-                          air / default_spectrum.total_fluence)
+    lam = expected_counts(default_spectrum, basis_materials, p_true, air)
     from pcmd.simulate import sample_poisson
 
     t = sample_poisson(lam, seed=3).astype(float) / air
@@ -513,8 +510,7 @@ def test_mace_fills_rows_without_counts_from_their_neighbours(default_spectrum, 
                         noise=True, seed=3)
     views, chans = np.meshgrid(np.arange(v), np.arange(c), indexing="ij")
     p_true = np.stack([18.0 + 0.1 * chans + 0.05 * views, 1.1 + 0.01 * views], axis=-1)
-    lam = expected_counts(default_spectrum, basis_materials, p_true.reshape(-1, 2),
-                          air / default_spectrum.total_fluence)
+    lam = expected_counts(default_spectrum, basis_materials, p_true.reshape(-1, 2), air)
     t = (sample_poisson(lam, seed=31) / air).reshape(v, c, -1)
     t[6, 6:10] = 0.0
     cfg = MaceConfig(prior=GaussianPrior([[1.5, 1.2], [1.5, 1.2]]), n_iter=5, sigma=sigma,
