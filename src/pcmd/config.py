@@ -30,7 +30,9 @@ SEED_MAX = 2**64 - 1  # simulate hashes (seed, purpose, stream index) into each 
 SIZE_MAX = 2**16  # views, channels, pixels or points along one axis: far above any shipped value
 # Derived sizes are bounded by the memory their largest array asks for: 128 MiB.
 # So one float64 image plane may hold 4096 x 4096 pixels (the shipped grid is
-# 256 x 256), and the MLE search's basis table 2^24 floats (shipped: 41 x 41 x 25).
+# 256 x 256), and each other derived array 2^24 floats: the MLE search's table
+# (shipped: 41 x 41 x 25), a sinogram (360 x 256 x 8) and the slab scan
+# (256 x 81 x 8).
 PLANE_BYTES_MAX = 2**27
 PIXELS_MAX = PLANE_BYTES_MAX // 8
 _BOUNDS = {"ge": (">=", operator.ge), "gt": (">", operator.gt),
@@ -273,11 +275,24 @@ def _check_rules(v):
         if n_points <= cal["order"]:  # fewer leave the tensor-product fit rank-deficient
             raise ConfigError(f"calibration.points_per_axis[{j}]: must be at least "
                               f"calibration.order + 1 = {cal['order'] + 1}, got {n_points}")
-    table = math.prod(v["mle"]["grid_points"]) * (cal["order"] + 1) ** n
-    if table > PLANE_BYTES_MAX // 8:  # the basis table eval_sets builds over the search grid
-        raise ConfigError(f"mle.grid_points: product times (calibration.order + 1)^{n} must be at "
-                          f"most {PLANE_BYTES_MAX // 8} floats (a {PLANE_BYTES_MAX >> 20} MiB "
-                          f"basis table), got {table}")
+    # Each derived size is the floats of the largest array it sets: (the key its
+    # message starts with, the keys multiplied with it, the array, the floats).
+    # A search-grid point takes (order + 1)^L floats in the basis table
+    # eval_sets builds and bins + 1 in the loss table _grid_search holds.
+    rows, bins = geo["n_views"] * geo["n_channels"], spec["n_bins"]
+    derived = [
+        ("geometry.n_views", "times geometry.n_channels times max(spectrum.n_bins, the number "
+         "of materials)", "transmission or pathlength sinogram", rows * max(bins, n)),
+        ("calibration.points_per_axis", "product times geometry.n_channels times spectrum.n_bins",
+         "slab scan", math.prod(cal["points_per_axis"]) * geo["n_channels"] * bins),
+        ("mle.grid_points", f"product times max((calibration.order + 1)^{n}, spectrum.n_bins + 1)",
+         "search table", math.prod(v["mle"]["grid_points"]) * max((cal["order"] + 1) ** n,
+                                                                   bins + 1)),
+    ]
+    for key, times, array, floats in derived:
+        if floats > PLANE_BYTES_MAX // 8:
+            raise ConfigError(f"{key}: {times} must be at most {PLANE_BYTES_MAX // 8} floats (a "
+                              f"{PLANE_BYTES_MAX >> 20} MiB {array}), got {floats}")
 
     g = v["grid"]
     if g["n_x"] * g["n_y"] > PIXELS_MAX:

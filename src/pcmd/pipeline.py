@@ -291,6 +291,7 @@ def _mle_start(cfg: PipelineConfig, out: str, n_iter: int):
 def cmd_decompose(cfg: PipelineConfig, method: str, out_dir=None) -> list:
     """Decompose the transmission sinogram into material pathlengths."""
     from .calibration import load_calibration
+    from .spectrum import bin_edges
 
     if method not in METHODS:
         raise ConfigError(f"decompose: method must be one of {METHODS}, got {method!r}")
@@ -303,7 +304,8 @@ def cmd_decompose(cfg: PipelineConfig, method: str, out_dir=None) -> list:
     if (drf.n_channels, drf.n_bins, drf.n_materials) not in (want, (1, *want[1:])):
         raise ConfigError(f"decompose: calibration has (channels, bins, materials) "
                           f"{(drf.n_channels, drf.n_bins, drf.n_materials)}, the config {want}")
-    edges = cfg.spectrum().bin_edges
+    spectrum = cfg.values["spectrum"]  # the edges alone, without building the spectrum
+    edges = bin_edges(spectrum["kvp"], spectrum["e_min"], spectrum["n_bins"])
     if drf.bin_edges is not None and not np.array_equal(drf.bin_edges, edges):
         raise ConfigError(f"decompose: calibration {cal_path} was fitted for bin edges "
                           f"{drf.bin_edges.tolist()} keV, the config's spectrum has "

@@ -83,6 +83,11 @@ class SourceSpectrum:
         return float(self.binned_fluence_matrix().sum())
 
 
+def bin_edges(kvp: float, e_min: float, n_bins: int) -> np.ndarray:
+    """The n_bins + 1 edges (keV) of equal-width bins over [e_min, kvp]."""
+    return np.linspace(float(e_min), float(kvp), n_bins + 1)
+
+
 def filtered_kramers(kvp: float = 120.0, e_min: float = 40.0, n_bins: int = 8,
                      filtration_cm_al: float = 0.3, k_lines: bool = True) -> SourceSpectrum:
     """Build the default analytic tungsten-like spectrum.
@@ -90,7 +95,7 @@ def filtered_kramers(kvp: float = 120.0, e_min: float = 40.0, n_bins: int = 8,
     Kramers continuum (kvp - E)/E attenuated by `filtration_cm_al` of
     aluminum, sampled at 1 keV from `e_min` to `kvp`, with optional
     K-emission lines (relative bumps at 59 and 67 keV).  Bins are
-    `n_bins` equal-width intervals over [e_min, kvp].
+    `n_bins` equal-width intervals over [e_min, kvp] (`bin_edges`).
     """
     if not (0 < e_min < kvp):
         raise ToolkitError("spectrum: require 0 < e_min < kvp")
@@ -102,5 +107,5 @@ def filtered_kramers(kvp: float = 120.0, e_min: float = 40.0, n_bins: int = 8,
             idx = np.nonzero(np.isclose(energies, line_kev))[0]
             if idx.size:
                 w[idx[0]] *= 1.0 + boost
-    edges = np.linspace(float(e_min), float(kvp), n_bins + 1)
-    return SourceSpectrum(energies=energies, fluence=w, kvp=float(kvp), bin_edges=edges)
+    return SourceSpectrum(energies=energies, fluence=w, kvp=float(kvp),
+                          bin_edges=bin_edges(kvp, e_min, n_bins))

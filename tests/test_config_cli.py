@@ -19,6 +19,7 @@ from pcmd.config import PIXELS_MAX, PLANE_BYTES_MAX, PipelineConfig
 from pcmd.errors import ConfigError
 from pcmd.pipeline import STAGES, Stage
 from pcmd.priors import GaussianPrior, apply_prior, rotation_matrix
+from pcmd.spectrum import bin_edges
 
 SHIPPED = os.path.join(os.path.dirname(__file__), "..", "configs", "low_contrast.json")
 with open(SHIPPED) as _fh:
@@ -327,20 +328,85 @@ def test_a_search_grid_past_its_memory_budget_exits_2_before_any_stage(tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+def _three_materials(cfg):
+    """`cfg` with a third material, two bins, and a per-material entry for each."""
+    cfg["materials"].append("water")
+    cfg["spectrum"]["n_bins"] = 2
+    cfg["calibration"].update(points_per_axis=[5, 5, 5], domain=[[0.0, 40.0], [0.0, 5.0],
+                                                                   [0.0, 5.0]])
+    cfg["mle"]["grid_points"] = [5, 5, 5]
+    cfg["prior"]["std"] = [2.0, 2.0, 2.0]
+
+
+# Each derived size one step past 2^24 floats, with the keys its message names.
+PAST_BOUND = {
+    # 2^16 x 33 rows x 8 bins
+    "sinogram": ({"geometry": {"n_views": 2**16, "n_channels": 33}}, None,
+                 "geometry.n_views", ["geometry.n_channels", "spectrum.n_bins", "materials"]),
+    # 2^16 x 86 rows x 3 materials; 2 bins alone would fit
+    "sinogram-materials": ({"geometry": {"n_views": 2**16, "n_channels": 86}}, _three_materials,
+                           "geometry.n_views", ["geometry.n_channels", "materials"]),
+    # 4096 channels x 33 x 16 slabs x 8 bins
+    "slab-scan": ({"geometry": {"n_channels": 4096},
+                   "calibration": {"points_per_axis": [33, 16]}}, None,
+                  "calibration.points_per_axis", ["geometry.n_channels", "spectrum.n_bins"]),
+    # 4096^2 points x 9 loss-table rows (8 bins + 1), where order 0 has one basis term
+    "search-loss-table": ({"calibration": {"order": 0}, "mle": {"grid_points": [4096, 4096]}},
+                          None, "mle.grid_points", ["calibration.order", "spectrum.n_bins"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAST_BOUND))
+def test_a_derived_size_past_its_memory_budget_exits_2_before_any_stage(tmp_path, capsys, case):
+    edits, edit, key, names = PAST_BOUND[case]
+    cfg = tiny_config(tmp_path / "out")
+    if edit is not None:
+        edit(cfg)
+    for section, values in edits.items():
+        cfg[section].update(values)
+    with pytest.raises(ConfigError):  # so that main, below, cannot go on to build the arrays
+        PipelineConfig(cfg)
+    assert main(["pipeline", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}:")
+    assert all(name in err for name in names), err
+    assert str(PLANE_BYTES_MAX // 8) in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bounds_that_build_are_accepted(tmp_path):
     cfg = tiny_config(tmp_path / "out")
-    cfg["geometry"].update(mode="fan", sid_cm=50.0, sdd_cm=100.0, n_views=2**16)
+    cfg["geometry"].update(mode="fan", sid_cm=50.0, sdd_cm=100.0, n_views=2**16,
+                           n_channels=32)  # x 8 bins: a 2^24-float sinogram
     cfg["grid"].update(n_x=2**16, n_y=PIXELS_MAX // 2**16)
-    cfg["spectrum"].update(kvp=150, e_min=20, n_bins=130, filtration_cm_al=10.0)
     cfg["calibration"].update(repeats=10**9, air_counts_total=1e18,  # noiseless: nothing sampled
                               order=3)
     cfg["mle"]["grid_points"] = [1024, 1024]  # x 4^2 basis terms: 2^24 floats
     built = PipelineConfig(cfg)
     assert (built.geometry().sdd, built.geometry().n_views) == (100.0, 2**16)
-    assert built.spectrum().n_bins == 130
+    assert built.geometry().n_rays * 8 == PLANE_BYTES_MAX // 8
     assert built.values["calibration"]["repeats"] == 10**9
     assert built.grid().n_x * built.grid().n_y == PIXELS_MAX
     assert math.prod(built.mle_config().grid_points) * 4**2 == PLANE_BYTES_MAX // 8
+
+    # 130 bins would take the sinogram above past its bound, so each of these
+    # builds from the tiny config on its own
+    cfg = tiny_config(tmp_path / "out")
+    cfg["spectrum"].update(kvp=150, e_min=20, n_bins=130, filtration_cm_al=10.0)
+    assert PipelineConfig(cfg).spectrum().n_bins == 130
+    cfg = tiny_config(tmp_path / "out")
+    cfg["geometry"]["n_channels"] = 4096
+    cfg["calibration"]["points_per_axis"] = [32, 16]  # x 4096 channels x 8 bins: 2^24 floats
+    assert PipelineConfig(cfg).geometry().n_channels == 4096
+    cfg = tiny_config(tmp_path / "out")
+    cfg["spectrum"]["n_bins"] = 15
+    cfg["calibration"]["order"] = 0
+    cfg["mle"]["grid_points"] = [1024, 1024]  # x 16 loss-table rows (15 bins + 1): 2^24 floats
+    assert PipelineConfig(cfg).mle_config().grid_points == (1024, 1024)
+    cfg = tiny_config(tmp_path / "out")
+    _three_materials(cfg)
+    cfg["geometry"].update(n_views=2**16, n_channels=85)  # x 3 materials: 16,711,680 floats
+    assert len(PipelineConfig(cfg).materials()) == 3
 
 
 def test_decorrelated_prior_accepts_std_pairs():
@@ -1111,6 +1177,30 @@ def test_decompose_rejects_a_calibration_fitted_for_other_bin_edges(tmp_path, ca
     assert "calibration.pcmdcal" in err and "run calibrate" in err
     assert "120.0]" in err and "47.5" in err
     assert not (tmp_path / "out" / "pathlengths_mle.pcmd").exists()
+
+
+@pytest.mark.parametrize("spectrum", [{}, {"kvp": 97, "e_min": 23, "n_bins": 7}],
+                         ids=["shipped", "other"])
+def test_the_bin_edges_are_those_of_the_built_spectrum(spectrum):
+    raw = copy.deepcopy(SHIPPED_RAW)
+    raw["spectrum"].update(spectrum)
+    cfg = PipelineConfig(raw)
+    s = cfg.values["spectrum"]
+    edges = bin_edges(s["kvp"], s["e_min"], s["n_bins"])
+    assert edges.dtype == cfg.spectrum().bin_edges.dtype
+    assert edges.tobytes() == cfg.spectrum().bin_edges.tobytes()
+
+
+def test_decompose_builds_no_spectrum(pipeline_dir, tmp_path, monkeypatch):
+    out, config_path = pipeline_dir
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decompose built the spectrum")
+    monkeypatch.setattr("pcmd.spectrum.filtered_kramers", refuse)
+    before = (out / "pathlengths_mle.pcmd").read_bytes()
+    assert main(["decompose", "--config", config_path, "--method", "mle",
+                 "--out", str(copy_outputs(out, tmp_path))]) == 0
+    assert (tmp_path / "pathlengths_mle.pcmd").read_bytes() == before
 
 
 def test_reconstruct_without_decompose_fails_cleanly(tmp_path):

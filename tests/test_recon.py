@@ -148,16 +148,49 @@ def test_batched_fbp_matches_per_view_interp_oracle(case, hann):
     assert np.array_equal(got == 0, want == 0)  # off the detector is an exact zero
 
 
-@pytest.mark.parametrize("case", ["parallel-7ch-offcentre", "parallel-64ch-uneven-angles",
-                                  "fan-64ch", "parallel-96ch-two-blocks"])
-def test_each_column_of_a_batch_equals_its_single_column_call(case):
+# Columns are backprojected in complex pairs; 3 and 5 columns leave the last
+# pair's imaginary part empty.
+@pytest.mark.parametrize("case, n", [
+    *(pytest.param(case, 4, id=case) for case in [
+        "parallel-7ch-offcentre", "parallel-64ch-uneven-angles", "fan-64ch",
+        "parallel-96ch-two-blocks"]),
+    *(pytest.param(case, n, id=f"{case}-{n}cols") for case, n in [
+        ("parallel-7ch-offcentre", 3), ("fan-64ch", 3), ("parallel-96ch-two-blocks", 5),
+        ("fan-7ch-offcentre", 5)]),
+])
+def test_each_column_of_a_batch_equals_its_single_column_call(case, n):
     geometry, grid = ORACLE_CASES[case]
-    sino = _random_columns(geometry, 4, seed=1)
+    sino = _random_columns(geometry, n, seed=1)
     batch = fbp_reconstruct(sino, geometry, grid)
     for m in range(sino.shape[1]):
         single = fbp_reconstruct(sino[:, m], geometry, grid)
         assert single.shape == (grid.n_x, grid.n_y)
         assert np.array_equal(batch[:, :, m], single)
+
+
+# Two views (a rebinned fan gives half its views): pixels off the detector in
+# both views are exact zeros of the image.
+FEW_VIEW_CASES = {
+    "parallel-2views": (ScanGeometry(mode="parallel", n_views=2, n_channels=7, spacing=0.3),
+                        ImageGrid(n_x=12, n_y=12, pixel_size=0.5)),
+    "fan-4views": (ScanGeometry(mode="fan", n_views=4, n_channels=7, spacing=0.6, sid=20.0,
+                                sdd=40.0),
+                   ImageGrid(n_x=12, n_y=9, pixel_size=0.5, origin=(0.3, -0.2))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FEW_VIEW_CASES))
+@pytest.mark.parametrize("zero", [0, 1], ids=["zero-real-part", "zero-imaginary-part"])
+def test_a_zero_column_paired_with_a_nonzero_one(case, zero):
+    geometry, grid = FEW_VIEW_CASES[case]
+    sino = _random_columns(geometry, 2, seed=2)
+    sino[:, zero] = 0.0
+    batch = fbp_reconstruct(sino, geometry, grid)
+    assert not batch[:, :, zero].any()
+    other = batch[:, :, 1 - zero]
+    assert other.any() and (other == 0).any()  # off-detector pixels among the rest
+    for m in range(2):
+        assert np.array_equal(batch[:, :, m], fbp_reconstruct(sino[:, m], geometry, grid))
 
 
 def test_backprojection_memory_beyond_the_image_does_not_grow_with_the_grid():
