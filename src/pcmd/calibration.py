@@ -223,19 +223,23 @@ class DrfPolynomial:
                  if self.n_sets == 1 else self.theta[ch])
         return replace(self, theta=theta)
 
-    def eval_jac(self, p: np.ndarray, work: Workspace = None):
+    def eval_jac(self, p: np.ndarray, work: Workspace = None, out: np.ndarray = None):
         """phi (M, K) and its Jacobian d phi / dp (M, K, L) for a stack of rows (M, L).
 
-        Rows are row-major (view, channel) over all detector channels; `select`
-        pairs rows with other channels.  Both results are views of one array
-        taken from `work` in the caller's frame (a fresh Workspace when None),
-        with rows along the fastest axis, so per-row arithmetic on them runs
-        over long contiguous vectors.  One basis table is contracted with each
-        coefficient set stacked with its derivative sets (`_with_derivatives`),
-        so phi and the Jacobian come from one product per set.  A per-channel
-        calibration is evaluated `_SET_GROUP` sets at a time, derivative sets
-        included, each set with its own matrix product, so grouping changes
-        no bit of the result.
+        Rows of `p` are row-major (view, channel) over all detector channels;
+        `select` pairs rows with other channels.  Each coefficient set, stacked
+        with its derivative sets (`_with_derivatives`), is contracted with the
+        basis table of its rows in one matrix product, written straight into
+        its place in a set-major (K, 1 + L, n_sets, views) array, so phi and
+        the Jacobian come from one product per set.  A per-channel calibration
+        builds the table `_SET_GROUP` sets at a time; each set keeps its own
+        product, so grouping changes no bit.  Given `out`, a C-contiguous array
+        of that shape, the results are views of it with rows set-major: all
+        rows of set 0 first, which is the rows' own order with one set or one
+        view.  Without it they are in the rows' order, taken from `work` in the
+        caller's frame (a fresh Workspace when None), or new when the orders
+        differ.  Either way rows run along the fastest axis, so per-row
+        arithmetic on them runs over long contiguous vectors.
         """
         p = np.asarray(p, dtype=float)
         if p.shape[0] % self.n_channels:
@@ -244,10 +248,11 @@ class DrfPolynomial:
         n_sets, n_bins, n_rows = self.n_sets, self.n_bins, 1 + self.n_materials
         groups = p.reshape(-1, n_sets, p.shape[1]).transpose(1, 2, 0)        # (C, L, V)
         n_views = groups.shape[2]
-        out = work.take((n_bins, n_rows, n_views, n_sets))
-        # one set's product is already in row order, and fills `out` only after
-        # the basis factors are spent, so they are built in its memory
-        scratch = Workspace(out.reshape(-1)) if n_sets == 1 else None
+        by_set = work.take((n_bins, n_rows, n_sets, n_views)) if out is None else out
+        # one set's product fills `by_set` only after the basis factors are
+        # spent, so they are built in its memory
+        scratch = Workspace(by_set.reshape(-1)) if n_sets == 1 else None
+        dest = by_set.reshape(n_bins * n_rows, n_sets, n_views).swapaxes(0, 1)
         for lo in range(0, n_sets, _SET_GROUP):
             sets = slice(lo, lo + _SET_GROUP)
             with work.frame():
@@ -255,13 +260,11 @@ class DrfPolynomial:
                 n_group, n_coef = tab.shape[:2]
                 coef = self._with_derivatives(self._coef[sets],
                                               work.take((n_group, n_bins, n_rows, n_coef)))
-                prod = (out.reshape(1, -1, n_views) if n_sets == 1 else
-                        work.take((n_group, n_bins * n_rows, n_views)))
-                np.matmul(coef.reshape(n_group, -1, n_coef), tab, out=prod)
-                if n_sets > 1:
-                    out[..., sets] = prod.reshape(-1, n_bins, n_rows, n_views).transpose(1, 2, 3, 0)
-        out = out.reshape(n_bins, n_rows, -1)
-        return out[:, 0].T, out[:, 1:].transpose(2, 0, 1)
+                np.matmul(coef.reshape(n_group, -1, n_coef), tab, out=dest[sets])
+        if out is None:   # back to the rows' order: no copy with one set or one view
+            by_set = np.ascontiguousarray(by_set.swapaxes(2, 3))
+        by_set = by_set.reshape(n_bins, n_rows, -1)
+        return by_set[:, 0].T, by_set[:, 1:].transpose(2, 0, 1)
 
     def eval_sino(self, p: np.ndarray) -> np.ndarray:
         """phi for a stack of projection rows (M, L) -> (M, K), rows as in `eval_jac`."""

@@ -108,15 +108,19 @@ def detector_agent_apply(p: np.ndarray, t_sino: np.ndarray, air_totals: np.ndarr
     channel) under `drf` and fully decoupled: each depends only on its own
     inputs and channel.  They are processed in blocks of whole views of at
     most `_BLOCK_ROWS` rows (one view when a view is longer), each block
-    running all its updates in the arrays of `work`.  A solver passes one
-    Workspace to all its passes; without one, the call allocates its own.  A
-    row with no counts in any bin has no finite likelihood minimum, so it
-    returns its tether unchanged: there the map is the identity, and in MACE
-    the prior fills the row in.  `empty` is the mask of such rows,
-    `empty_rows(t_sino)` when None; a solver computes it once for all its
-    passes.  With on_nonfinite="hold", rows whose update goes non-finite keep
-    their previous value instead of raising (callers then flag them
-    downstream).
+    running all its updates in the arrays of `work`.  An update works its
+    block in set-major order, all rows of channel 0 first (`_by_set`), the
+    order in which `drf.eval_jac` writes its products; under a shared
+    calibration, or in a one-view block, that is the rows' own order and
+    nothing is permuted.  The result is written back in row order.  A
+    solver passes one Workspace to all its passes; without one, the call
+    allocates its own.  A row with no counts in any bin has no finite
+    likelihood minimum, so it returns its tether unchanged: there the map is
+    the identity, and in MACE the prior fills the row in.  `empty` is the
+    mask of such rows, `empty_rows(t_sino)` when None; a solver computes it
+    once for all its passes.  With on_nonfinite="hold", rows whose update
+    goes non-finite keep their previous value instead of raising (callers
+    then flag them downstream).
     """
     _check_prox(sigma, n_sub)
     p = np.asarray(p, dtype=float)
@@ -124,6 +128,8 @@ def detector_agent_apply(p: np.ndarray, t_sino: np.ndarray, air_totals: np.ndarr
     air = np.asarray(air_totals, dtype=float)
     if t_sino.shape[:1] != p.shape[:1] or air.shape != p.shape[:1]:
         raise ToolkitError("detector agent: p, t, and air totals must agree on rows")
+    if p.shape[0] % drf.n_channels:   # blocks of whole views, as `_by_set` needs
+        raise ToolkitError("detector agent: sinogram rows not divisible by channel count")
     pp = p if p_prime is None else np.asarray(p_prime, dtype=float)
     if pp.shape != p.shape:
         raise ToolkitError(f"detector agent: p_prime is {pp.shape}, p is {p.shape}")
@@ -134,41 +140,68 @@ def detector_agent_apply(p: np.ndarray, t_sino: np.ndarray, air_totals: np.ndarr
     out = np.empty_like(p)
     for lo in range(0, p.shape[0], step):
         rows = slice(lo, lo + step)
-        q, held = pp[rows], empty[rows]
+        tether, counts, weights, held = (_by_set(x[rows], drf.n_sets)
+                                         for x in (p, t_sino, inv_a2, empty))
+        q = pp[rows]
         for _ in range(n_sub):
             with work.frame():
-                new = _prox_update(p[rows], t_sino[rows], inv_a2[rows], drf, q, work)
+                new = _prox_update(tether, counts, weights, drf, q, work).reshape(tether.shape)
                 if np.any(held):
-                    new[held] = p[rows][held]
-                bad = ~np.all(np.isfinite(new), axis=1)
+                    new[held] = tether[held]
+                bad = ~np.all(np.isfinite(new), axis=-1)
                 if np.any(bad):
                     if on_nonfinite == "raise":
                         raise NumericError("detector agent: non-finite update at rows "
-                                           f"{(lo + np.nonzero(bad)[0][:8]).tolist()}")
-                    new[bad] = q[bad]
-                out[rows] = new
+                                           f"{(lo + np.flatnonzero(bad.T)[:8]).tolist()}")
+                    new[bad] = _by_set(q, drf.n_sets)[bad]
+                _by_set(out[rows], drf.n_sets)[...] = new
             q = out[rows]
     return out
+
+
+def _by_set(rows: np.ndarray, n_sets: int) -> np.ndarray:
+    """A block's rows (view, channel) as a (set, view, ...) view: set-major order,
+    which is the rows' own order when there is one set or one view."""
+    return rows.reshape((-1, n_sets) + rows.shape[1:]).swapaxes(0, 1)
 
 
 def _prox_update(p, t_sino, inv_a2, drf, pp, work):
     """One linearize-and-solve update of a block of rows, linearized at `pp`.
 
-    Every array it computes is taken from `work`, the result too.  Each
-    einsum writes into an array laid out as the one it would allocate (rows
-    fastest, as in `a`), so it sums in the same order.
+    `pp` (M, L) holds the block's rows in (view, channel) order; `p`,
+    `t_sino` and `inv_a2` are (set, view, ...) views of them (`_by_set`), the
+    order in which `drf.eval_jac` writes its products, and the result (M, L)
+    is in that order too.  They are read in place as elementwise operands;
+    only `pp` is copied, to (L, set, view), for the product that pairs it
+    with the Jacobian.  Every array it computes is taken from `work`, the
+    result too, and laid out with rows fastest, as `a` is, so the elementwise
+    steps run over long contiguous vectors and each einsum sums in the order
+    of the array it would allocate.
     """
-    (m, n_mat), n_bins = p.shape, t_sino.shape[1]
-    phi, a = drf.eval_jac(pp, work)                  # (M, K), (M, K, L)
-    b, c = _surrogate_terms(phi, t_sino, EPSILON, out=(phi, work.take((n_bins, m)).T))
+    (n_sets, n_views, n_mat), n_bins = p.shape, t_sino.shape[-1]
+    rows = (n_sets, n_views)
+    phi, a = drf.eval_jac(pp, work, work.take((n_bins, 1 + n_mat, n_sets, n_views)))
+    z = phi.T.reshape((n_bins,) + rows)
+    b, c = _surrogate_terms(z, t_sino.transpose(2, 0, 1), EPSILON, out=(z, work.take(z.shape)))
+    b, c = _rows_first(b), _rows_first(c)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        h = np.einsum("mki,mk,mkj->mij", a, c, a, out=work.take((n_mat, n_mat, m)).transpose(2, 0, 1))
+        h = np.einsum("mki,mk,mkj->mij", a, c, a, out=_rows_first(work.take((n_mat, n_mat) + rows)))
         with work.frame():
-            h += np.multiply(inv_a2[:, None, None], np.eye(n_mat), out=work.take(h.shape))
-        a_pp = np.einsum("mkl,ml->mk", a, pp, out=work.take((n_bins, m)).T)
+            h += _rows_first(np.multiply(np.eye(n_mat)[..., None, None], inv_a2,
+                                         out=work.take((n_mat, n_mat) + rows)))
+        a_pp = _rows_first(work.take(z.shape))
+        with work.frame():
+            q = work.take((n_mat,) + rows)
+            q[...] = _by_set(pp, n_sets).transpose(2, 0, 1)
+            np.einsum("mkl,ml->mk", a, _rows_first(q), out=a_pp)
         a_pp *= c
         a_pp -= b
-        rhs = np.einsum("mkl,mk->ml", a, a_pp, out=work.take((n_mat, m)).T)
+        rhs = np.einsum("mkl,mk->ml", a, a_pp, out=_rows_first(work.take((n_mat,) + rows)))
         with work.frame():
-            rhs += np.multiply(inv_a2[:, None], p, out=work.take(p.shape))
+            rhs += _rows_first(np.multiply(inv_a2, p.transpose(2, 0, 1), out=work.take(q.shape)))
         return _solve_batched(h, rhs, work)
+
+
+def _rows_first(x: np.ndarray) -> np.ndarray:
+    """A (..., set, view) array as (M, ...), a view with its rows still fastest."""
+    return np.moveaxis(x.reshape(x.shape[:-2] + (-1,)), -1, 0)

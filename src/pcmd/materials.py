@@ -62,6 +62,12 @@ class MaterialAttenuation:
         return np.interp(energy_kev, self.energies, self.mu)
 
 
+def bin_edges(kvp: float, e_min: float, n_bins: int) -> np.ndarray:
+    """The n_bins + 1 edges (keV) of equal-width energy bins over [e_min, kvp];
+    defined here so that `pcmd decompose` checks them without loading `spectrum`."""
+    return np.linspace(float(e_min), float(kvp), n_bins + 1)
+
+
 _CACHE: dict = {}
 
 

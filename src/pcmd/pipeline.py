@@ -38,6 +38,7 @@ from .arrayio import read_array, write_array, write_png_preview
 from .config import PipelineConfig
 from .detector import empty_rows
 from .errors import ConfigError, ToolkitError
+from .materials import bin_edges
 from .metrics import cnr, roi_stats
 from .recon import synthesize_mono
 from .solver import mle_decompose, run_mace, same_mle_at_cap
@@ -235,7 +236,7 @@ class Stage:
             "config_hash": self.config_hash,
             "inputs": {os.path.basename(p): _sha256(p) for p in self.inputs},
             "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
-            "elapsed_s": round(time.perf_counter() - self.t0, 3),
+            "elapsed_s": round(time.perf_counter() - self.t0, 6),
         }
         with open(self.manifest_path, "w") as fh:
             json.dump(manifest, fh, indent=1, sort_keys=True)
@@ -291,7 +292,6 @@ def _mle_start(cfg: PipelineConfig, out: str, n_iter: int):
 def cmd_decompose(cfg: PipelineConfig, method: str, out_dir=None) -> list:
     """Decompose the transmission sinogram into material pathlengths."""
     from .calibration import load_calibration
-    from .spectrum import bin_edges
 
     if method not in METHODS:
         raise ConfigError(f"decompose: method must be one of {METHODS}, got {method!r}")
@@ -332,7 +332,7 @@ def cmd_decompose(cfg: PipelineConfig, method: str, out_dir=None) -> list:
     records += [{"iteration": i, "equilibrium_residual": r} for i, r in enumerate(result.residuals)]
     flagged = 0 if result.flagged_rows is None else int(result.flagged_rows.size)
     records.append({"method": method, "rows": air.size, **summary, "flagged_rows": flagged,
-                    "elapsed_s": round(elapsed, 3), "seconds_per_row": elapsed / air.size})
+                    "elapsed_s": round(elapsed, 6), "seconds_per_row": elapsed / air.size})
     with open(log_path, "w") as fh:
         fh.writelines(json.dumps(r) + "\n" for r in records)
     return stage.finish([path, log_path])

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ToolkitError
-from .materials import load_material
+from .materials import bin_edges, load_material
 
 
 @dataclass(frozen=True)
@@ -81,11 +81,6 @@ class SourceSpectrum:
     @property
     def total_fluence(self) -> float:
         return float(self.binned_fluence_matrix().sum())
-
-
-def bin_edges(kvp: float, e_min: float, n_bins: int) -> np.ndarray:
-    """The n_bins + 1 edges (keV) of equal-width bins over [e_min, kvp]."""
-    return np.linspace(float(e_min), float(kvp), n_bins + 1)
 
 
 def filtered_kramers(kvp: float = 120.0, e_min: float = 40.0, n_bins: int = 8,

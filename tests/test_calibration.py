@@ -294,6 +294,26 @@ def test_selected_channels_evaluate_as_their_channels(shared):
         assert np.allclose(jac[row], drf.grad(p[row], channel=c), rtol=1e-13, atol=1e-13)
 
 
+def test_products_written_set_major_match_each_rows_channel():
+    rng = np.random.default_rng(16)
+    n_chan, n_views = 11, 5   # 11 sets: a group of 8 and one of 3
+    drf = DrfPolynomial(theta=rng.normal(size=(n_chan, 6, 25)), order=4, n_materials=2,
+                        domain=DEFAULT_DOMAIN, basis_scale=np.array([40.0, 5.0]))
+    p = rng.uniform([-5.0, -1.0], [45.0, 6.0], size=(n_views * n_chan, 2))   # rows (view, channel)
+    work = Workspace()
+    out = work.take((6, 3, n_chan, n_views))
+    phi, jac = drf.eval_jac(p, work, out)
+    assert np.shares_memory(phi, out) and np.shares_memory(jac, out)
+    by_row = drf.eval_jac(p)
+    for view in range(n_views):
+        for c in range(n_chan):
+            row, at = view * n_chan + c, c * n_views + view   # its place in set-major order
+            assert np.array_equal(phi[at], by_row[0][row])
+            assert np.array_equal(jac[at], by_row[1][row])
+            assert np.allclose(phi[at], drf.eval(p[row], channel=c), rtol=1e-13, atol=1e-13)
+            assert np.allclose(jac[at], drf.grad(p[row], channel=c), rtol=1e-13, atol=1e-13)
+
+
 def test_per_row_selection_traces_no_more_than_the_basis_derivative_kernel():
     # The MLE rescue evaluates `select(rows % n_channels)`, one coefficient set
     # per row, in the workspace its refinement passes grew on whole-view blocks.

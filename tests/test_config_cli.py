@@ -321,6 +321,8 @@ def test_a_search_grid_past_its_memory_budget_exits_2_before_any_stage(tmp_path,
     # 4096^2 grid points x 25 basis terms: a 3.4 GB table, though each axis is within SIZE_MAX
     cfg = tiny_config(tmp_path / "out")
     cfg["mle"]["grid_points"] = [4096, 4096]
+    with pytest.raises(ConfigError):  # so that main, below, cannot go on to build the table
+        PipelineConfig(cfg)
     assert main(["pipeline", "--config", write_config(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: mle.grid_points:") and "calibration.order" in err
@@ -554,6 +556,14 @@ def test_simulate_loads_no_calibration(tmp_path):
     path = write_config(tmp_path, tiny_config(tmp_path / "out"))
     _, loaded = run_cli_after("simulate", "--config", path)
     assert "pcmd.simulate" in loaded and "pcmd.calibration" not in loaded
+
+
+def test_decompose_loads_no_spectrum(pipeline_dir, tmp_path):
+    # the calibration's bin edges are checked against the config's without the spectrum module
+    out, config_path = pipeline_dir
+    _, loaded = run_cli_after("decompose", "--config", config_path, "--method", "mle",
+                              "--out", str(copy_outputs(out, tmp_path)))
+    assert "pcmd.calibration" in loaded and "pcmd.spectrum" not in loaded
 
 
 def test_cli_exit_codes(tmp_path):

@@ -318,9 +318,9 @@ def test_blocks_give_the_unblocked_result(per_channel_rows, monkeypatch, explici
     seen = []
     eval_jac = DrfPolynomial.eval_jac
 
-    def spy(self, rows, work=None):
+    def spy(self, rows, *args):
         seen.append(rows.shape[0])
-        return eval_jac(self, rows, work)
+        return eval_jac(self, rows, *args)
 
     monkeypatch.setattr(DrfPolynomial, "eval_jac", spy)
     monkeypatch.setattr(detector, "_BLOCK_ROWS", 30)
@@ -339,6 +339,43 @@ def test_a_bad_row_in_a_later_block_is_reported_by_its_row(per_channel_rows, mon
     monkeypatch.setattr(detector, "_BLOCK_ROWS", block_rows)
     with pytest.raises(NumericError, match=r"rows \[70\]$"):
         detector_agent_apply(p, t, air, drf, 1.0, p_prime=pp)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+@pytest.mark.parametrize("n_chan, n_views, block_rows, n_sub", [
+    (7, 11, 30, 1),     # 7 sets, a block of 4 views, the last of 3
+    (97, 3, 200, 3),    # 97 sets (12 groups of 8 and one of 1), the last block of one view
+    (7, 4, 5, 1),       # a view longer than a block: one view per block
+])
+def test_set_major_blocks_give_each_row_its_one_row_result(noiseless_drf, monkeypatch, n_chan,
+                                                           n_views, block_rows, n_sub):
+    theta = np.stack([noiseless_drf.theta[0] * (1.0 + 0.01 * c) for c in range(n_chan)])
+    drf = DrfPolynomial(theta=theta, order=noiseless_drf.order, n_materials=2,
+                        domain=noiseless_drf.domain, basis_scale=noiseless_drf.basis_scale)
+    rng = np.random.default_rng(n_chan)
+    m = n_chan * n_views
+    p_true = rng.uniform([1.0, 0.1], [30.0, 4.0], size=(m, 2))
+    t = np.exp(-drf.eval_sino(p_true)) * rng.uniform(0.95, 1.05, size=(m, 8))
+    t[[3, m - 2]] = 0.0          # empty rows hold their tether
+    tether = p_true + rng.normal(0.0, 0.3, size=p_true.shape)
+    pp = p_true + rng.normal(0.0, 0.3, size=p_true.shape)
+    tether[m // 2, 1] = np.inf   # held at its linearization point
+    air = rng.uniform(1.0e4, 3.0e4, size=m)
+    monkeypatch.setattr(detector, "_BLOCK_ROWS", block_rows)
+    out = detector_agent_apply(tether, t, air, drf, 0.7, n_sub, p_prime=pp, on_nonfinite="hold")
+    assert np.array_equal(out[[3, m - 2]], tether[[3, m - 2]])
+    assert np.array_equal(out[m // 2], pp[m // 2])
+    for row in range(m):
+        one = detector_agent_apply(tether[row][None], t[row][None], air[row][None],
+                                   drf.select([row % n_chan]), 0.7, n_sub, p_prime=pp[row][None],
+                                   on_nonfinite="hold")
+        assert np.allclose(out[row], one[0], rtol=1e-13, atol=1e-13), row
+
+
+def test_rows_that_are_not_whole_views_raise(per_channel_rows):
+    drf, p, t, air, pp = per_channel_rows
+    with pytest.raises(ToolkitError, match="not divisible by channel count"):
+        detector_agent_apply(p[:-1], t[:-1], air[:-1], drf, 1.0, p_prime=pp[:-1])
 
 
 def test_agent_memory_does_not_grow_with_rows(per_channel_rows):

@@ -74,7 +74,7 @@ def main(argv=None) -> int:
             walls.append(seconds)
             peak = max(peak, rss)
         print(f"{stage:>14} {statistics.median(walls):>14.4f} "
-              f"{statistics.median(elapsed):>14.3f} {peak:>14.2f}", flush=True)
+              f"{statistics.median(elapsed):>14.4f} {peak:>14.2f}", flush=True)
     return 0
 
 
