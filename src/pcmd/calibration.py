@@ -95,6 +95,37 @@ def _lift(order: int, scale: tuple) -> np.ndarray:
     return lift
 
 
+def _basis(p: np.ndarray, order: int, scale: np.ndarray, work: Workspace,
+           scratch: Workspace = None) -> np.ndarray:
+    """Monomial basis of `order` at point groups p (G, L, N), s = p / `scale`
+    per material: (G, n_coef, N), taken from `work`.
+
+    Each material's power table holds s^0 = 1, s^1 = s and each higher power
+    the one below it times s; the basis is their tensor product over
+    materials, left to right.  The factors are taken from `scratch` (default
+    `work`) and are spent on return.
+    """
+    scratch = work if scratch is None else scratch
+    n_groups, n_mat, n_pts = p.shape
+    n_pow = order + 1
+    table = work.take((n_groups,) + (n_pow,) * n_mat + (n_pts,))
+    power = scratch.take((n_groups, n_mat, n_pow, n_pts))
+    power[..., 0, :] = 1.0
+    if n_pow > 1:
+        np.divide(p, scale[:, None], out=power[..., 1, :])
+    for e in range(2, n_pow):
+        np.multiply(power[..., e - 1, :], power[..., 1, :], out=power[..., e, :])
+    prod = power[:, 0]                                                     # (G, P+1, N)
+    for m in range(1, n_mat):
+        shape = (n_groups,) + (n_pow,) * (m + 1) + (n_pts,)
+        dest = table if m == n_mat - 1 else scratch.take(shape)
+        step = power[:, m].reshape((n_groups,) + (1,) * m + (n_pow, n_pts))
+        prod = np.multiply(prod[..., None, :], step, out=dest)
+    if n_mat == 1:
+        table[...] = prod
+    return table.reshape(n_groups, -1, n_pts)
+
+
 @dataclass(frozen=True)
 class DrfPolynomial:
     """Per-channel polynomial detector response phi(p) and its gradient.
@@ -151,41 +182,6 @@ class DrfPolynomial:
         """Distinct coefficient sets: 1 when every channel shares one, else n_channels."""
         return self._coef.shape[0]
 
-    def _tables(self, p: np.ndarray, work: Workspace, scratch: Workspace = None) -> np.ndarray:
-        """Basis at point groups p (G, L, N): (G, n_coef, N), taken from `work`.
-
-        Tensor products over materials, left to right, of the power tables
-        s_l^0..s_l^P (s = p / basis_scale).  The factors are taken from
-        `scratch` (default `work`) and are spent on return.
-        """
-        scratch = work if scratch is None else scratch
-        n_groups, n_mat, n_pts = p.shape
-        n_pow = self.order + 1
-        table = work.take((n_groups,) + (n_pow,) * n_mat + (n_pts,))
-        s = np.divide(p, self.basis_scale[:, None], out=scratch.take(p.shape))
-        power = scratch.take((n_groups, n_mat, n_pow, n_pts))  # s^0 = 1 and s^1 = s exactly
-        power[..., 0, :] = 1.0
-        if n_pow > 1:
-            power[..., 1, :] = s
-        if n_pow > 2:
-            # numpy squares outright when 2 is the only exponent, which may round
-            # apart from pow; so at order 2 pow also gives s^1 (as s)
-            first = 2 if n_pow > 3 else 1
-            # pow runs some 30x slower on a negative base (numpy leaves its vector
-            # path), so it powers |s| and odd powers take the sign of s
-            mag = np.abs(s, out=scratch.take(p.shape))
-            np.power(mag[..., None, :], np.arange(first, n_pow)[:, None], out=power[..., first:, :])
-            np.copysign(power[..., 1::2, :], s[..., None, :], out=power[..., 1::2, :])
-        prod = power[:, 0]                                                 # (G, P+1, N)
-        for m in range(1, n_mat):
-            shape = (n_groups,) + (n_pow,) * (m + 1) + (n_pts,)
-            dest = table if m == n_mat - 1 else scratch.take(shape)
-            step = power[:, m].reshape((n_groups,) + (1,) * m + (n_pow, n_pts))
-            prod = np.multiply(prod[..., None, :], step, out=dest)
-        if n_mat == 1:
-            table[...] = prod
-        return table.reshape(n_groups, -1, n_pts)
-
     def _with_derivatives(self, coef: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """Coefficient sets (..., K, n_coef) stacked with their derivative sets
         (`_lift`): (..., K, 1 + L, n_coef), in `out` when given."""
@@ -209,7 +205,8 @@ class DrfPolynomial:
     def eval_sets(self, p):
         """phi at points p (N, L) under each coefficient set in turn, as
         `n_sets` arrays (K, N), all contracted with one basis table."""
-        tab = self._tables(np.asarray(p, dtype=float).T[None], Workspace())[0]
+        tab = _basis(np.asarray(p, dtype=float).T[None], self.order, self.basis_scale,
+                     Workspace())[0]
         return (coef @ tab for coef in self._coef)
 
     def select(self, channels) -> "DrfPolynomial":
@@ -256,7 +253,7 @@ class DrfPolynomial:
         for lo in range(0, n_sets, _SET_GROUP):
             sets = slice(lo, lo + _SET_GROUP)
             with work.frame():
-                tab = self._tables(groups[sets], work, scratch)             # (G, n_coef, V)
+                tab = _basis(groups[sets], self.order, self.basis_scale, work, scratch)
                 n_group, n_coef = tab.shape[:2]
                 coef = self._with_derivatives(self._coef[sets],
                                               work.take((n_group, n_bins, n_rows, n_coef)))
@@ -313,12 +310,10 @@ def fit_drf(points: np.ndarray, phi_hat: np.ndarray, order: int = 4,
             f"fit_drf: {n_pts} sample points cannot determine {n_coef} coefficients"
         )
     scale = np.where(domain.upper > 0, domain.upper, 1.0)
-    probe = DrfPolynomial(theta=np.zeros((1, 1, n_coef)), order=order, n_materials=n_mat,
-                          domain=domain, basis_scale=scale)
     theta = np.empty((n_chan, phi_hat.shape[2], n_coef))
     worst = 0.0
     for c in range(n_chan):
-        design = probe._tables(points[c].T[None], Workspace())[0].T
+        design = _basis(points[c].T[None], order, scale, Workspace())[0].T
         coef, _, rank, _ = np.linalg.lstsq(design, phi_hat[c], rcond=None)
         if rank < n_coef:
             raise NumericError(

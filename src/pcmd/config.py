@@ -133,6 +133,12 @@ POISSON_RATE_MAX = 1e18  # numpy's Poisson sampler refuses rates near 2^63
 AIR_COUNTS = number(gt=0, le=POISSON_RATE_MAX)
 
 
+def gaussian_radius(std: float) -> int:
+    """Half-width in samples of a Gaussian kernel of `std` samples, truncated
+    at 4 stds: the padding the prior adds on each side of an axis."""
+    return math.ceil(4.0 * std)
+
+
 def _std(value, path):
     """A Gaussian prior's std for one material: isotropic, or [along-views, along-channels]."""
     return (STD_PAIR if isinstance(value, list) else STD)(value, path)
@@ -278,17 +284,33 @@ def _check_rules(v):
     # Each derived size is the floats of the largest array it sets: (the key its
     # message starts with, the keys multiplied with it, the array, the floats).
     # A search-grid point takes (order + 1)^L floats in the basis table
-    # eval_sets builds and bins + 1 in the loss table _grid_search holds.
-    rows, bins = geo["n_views"] * geo["n_channels"], spec["n_bins"]
+    # calibration._basis builds for eval_sets and bins + 1 in the loss table
+    # _grid_search holds.  Every other (order + 1)^L-term basis spans a detector
+    # block's 2^14 rows (detector._BLOCK_ROWS; the slab-scan bound holds a
+    # longer view, as it has at least (order + 1)^L slabs per channel),
+    # fit_drf's slab points or, in _lift, (1 + L)(order + 1)^L derivative terms.
+    # A Gaussian prior pads each axis of a plane by gaussian_radius(std) per side.
+    views, channels, bins = geo["n_views"], geo["n_channels"], spec["n_bins"]
+    n_coef = (cal["order"] + 1) ** n
     derived = [
         ("geometry.n_views", "times geometry.n_channels times max(spectrum.n_bins, the number "
-         "of materials)", "transmission or pathlength sinogram", rows * max(bins, n)),
+         "of materials)", "transmission or pathlength sinogram", views * channels * max(bins, n)),
         ("calibration.points_per_axis", "product times geometry.n_channels times spectrum.n_bins",
-         "slab scan", math.prod(cal["points_per_axis"]) * geo["n_channels"] * bins),
+         "slab scan", math.prod(cal["points_per_axis"]) * channels * bins),
         ("mle.grid_points", f"product times max((calibration.order + 1)^{n}, spectrum.n_bins + 1)",
-         "search table", math.prod(v["mle"]["grid_points"]) * max((cal["order"] + 1) ** n,
-                                                                   bins + 1)),
+         "search table", math.prod(v["mle"]["grid_points"]) * max(n_coef, bins + 1)),
+        ("calibration.order", f"(calibration.order + 1)^{n} times max(2^14, the product of "
+         f"calibration.points_per_axis, {1 + n} (calibration.order + 1)^{n})", "basis table",
+         n_coef * max(2**14, math.prod(cal["points_per_axis"]), (1 + n) * n_coef)),
     ]
+    for path, prior in priors:
+        for l, std in enumerate(prior.get("std", ())):
+            along_views, along_channels = std if isinstance(std, list) else (std, std)
+            derived += [
+                (f"{path}.std[{l}]", "(geometry.n_views + 2 ceil(4 std)) times geometry.n_channels",
+                 "padded prior plane", (views + 2 * gaussian_radius(along_views)) * channels),
+                (f"{path}.std[{l}]", "(geometry.n_channels + 2 ceil(4 std)) times geometry.n_views",
+                 "padded prior plane", (channels + 2 * gaussian_radius(along_channels)) * views)]
     for key, times, array, floats in derived:
         if floats > PLANE_BYTES_MAX // 8:
             raise ConfigError(f"{key}: {times} must be at most {PLANE_BYTES_MAX // 8} floats (a "

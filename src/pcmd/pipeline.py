@@ -310,6 +310,10 @@ def cmd_decompose(cfg: PipelineConfig, method: str, out_dir=None) -> list:
         raise ConfigError(f"decompose: calibration {cal_path} was fitted for bin edges "
                           f"{drf.bin_edges.tolist()} keV, the config's spectrum has "
                           f"{edges.tolist()} keV; run calibrate")
+    order = cfg.values["calibration"]["order"]  # the size rules bounded this order's basis
+    if drf.order != order:
+        raise ConfigError(f"decompose: calibration {cal_path} was fitted at order {drf.order}, "
+                          f"the config's calibration.order is {order}; run calibrate")
     t0 = time.perf_counter()
     if method == "mle":
         result = mle_decompose(t_sino, air, drf, cfg.mle_config())

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .config import gaussian_radius
 from .errors import ToolkitError
 
 
@@ -91,8 +92,8 @@ def compose_priors(parts):
 
 
 def gaussian_kernel(std: float) -> np.ndarray:
-    """Sampled Gaussian truncated at 4*std, normalized to unit sum."""
-    radius = int(math.ceil(4.0 * std))
+    """Sampled Gaussian truncated at 4*std (`gaussian_radius`), normalized to unit sum."""
+    radius = gaussian_radius(std)
     x = np.arange(-radius, radius + 1, dtype=float)
     with np.errstate(over="ignore"):  # a std far below one sample keeps only the centre tap
         k = np.exp(-0.5 * (x / std) ** 2)

@@ -230,7 +230,7 @@ def test_kernel_matches_direct_monomial_sum(case):
 
 
 @pytest.mark.parametrize("shared", [True, False])
-@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("n_mat", [1, 2, 3])
 def test_derivative_sets_give_the_jacobian(n_mat, order, shared):
     rng = np.random.default_rng(100 * n_mat + order)
@@ -242,13 +242,15 @@ def test_derivative_sets_give_the_jacobian(n_mat, order, shared):
     drf = DrfPolynomial(theta=theta, order=order, n_materials=n_mat, basis_scale=scale,
                         domain=CalibrationDomain(lower=np.zeros(n_mat), upper=scale))
     p = rng.uniform(-0.5 * scale, 1.5 * scale, size=(20 * n_chan, n_mat))
-    _, jac = drf.eval_jac(p)
+    phi, jac = drf.eval_jac(p)
     if order == 0:
         assert not jac.any()
     for c in range(n_chan):
         rows = p[c::n_chan]
         # the basis-derivative product rule the kernel used before derivative sets
-        _, ref_jac, size = direct_response(theta[c], scale, order, rows)
+        ref_phi, ref_jac, size = direct_response(theta[c], scale, order, rows)
+        assert np.all(np.abs(phi[c::n_chan] - ref_phi) <= 1e-12 * size[..., 0])
+        assert np.all(np.abs(drf.eval(rows, channel=c) - ref_phi) <= 1e-12 * size[..., 0])
         assert np.all(np.abs(jac[c::n_chan] - ref_jac) <= 1e-12 * size[..., 1:])
         assert np.all(np.abs(drf.grad(rows, channel=c) - ref_jac) <= 1e-12 * size[..., 1:])
         for m in range(n_mat):

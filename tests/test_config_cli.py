@@ -340,6 +340,14 @@ def _three_materials(cfg):
     cfg["prior"]["std"] = [2.0, 2.0, 2.0]
 
 
+def _composed_prior(std_along_channels):
+    """An edit giving `cfg` a clip-then-Gaussian prior with a wide along-channel std."""
+    def edit(cfg):
+        cfg["prior"] = {"kind": "compose", "parts": [
+            {"kind": "clip"}, {"kind": "gaussian", "std": [2.0, [1.0, std_along_channels]]}]}
+    return edit
+
+
 # Each derived size one step past 2^24 floats, with the keys its message names.
 PAST_BOUND = {
     # 2^16 x 33 rows x 8 bins
@@ -355,6 +363,19 @@ PAST_BOUND = {
     # 4096^2 points x 9 loss-table rows (8 bins + 1), where order 0 has one basis term
     "search-loss-table": ({"calibration": {"order": 0}, "mle": {"grid_points": [4096, 4096]}},
                           None, "mle.grid_points", ["calibration.order", "spectrum.n_bins"]),
+    # 33^2 basis terms x 2^14 detector-block rows
+    "basis-block": ({"calibration": {"order": 32, "points_per_axis": [33, 33]}}, None,
+                    "calibration.order", ["calibration.points_per_axis"]),
+    # 32^2 basis terms x 32 x 513 slab points in fit_drf's design matrix
+    "basis-design": ({"calibration": {"order": 31, "points_per_axis": [32, 513]}}, None,
+                     "calibration.order", ["calibration.points_per_axis"]),
+    # (46 views + 2 x 32,746 padding) x 256 channels
+    "prior-padding-views": ({"geometry": {"n_views": 46, "n_channels": 256},
+                             "prior": {"kind": "gaussian", "std": [[8186.5, 1.0], 2.0]}}, None,
+                            "prior.std[0]", ["geometry.n_views", "geometry.n_channels"]),
+    # (48 channels + 2 x 131,049 padding) x 64 views, in a composition's part
+    "prior-padding-channels": ({"geometry": {"n_views": 64}}, _composed_prior(32762.25),
+                               "prior.parts[1].std[1]", ["geometry.n_channels", "geometry.n_views"]),
 }
 
 
@@ -409,6 +430,24 @@ def test_bounds_that_build_are_accepted(tmp_path):
     _three_materials(cfg)
     cfg["geometry"].update(n_views=2**16, n_channels=85)  # x 3 materials: 16,711,680 floats
     assert len(PipelineConfig(cfg).materials()) == 3
+    cfg = tiny_config(tmp_path / "out")
+    # 32^2 basis terms x 2^14 block rows = 32^2 x 32 x 512 slab points: 2^24 floats
+    cfg["calibration"].update(order=31, points_per_axis=[32, 512])
+    built = PipelineConfig(cfg)
+    assert built.calibration_domain().n_materials == 2
+    assert built.mace_config().init.grid_points == (21, 21)
+    cfg = tiny_config(tmp_path / "out")
+    cfg["geometry"].update(n_views=46, n_channels=256)
+    cfg["prior"]["std"] = [[8186.25, 1.0], 2.0]  # (46 + 2 x 32,745) x 256: 2^24 floats
+    kernels = PipelineConfig(cfg).prior()._kernels
+    assert [(kv.size, kc.size) for kv, kc in kernels] == [(2 * 32745 + 1, 9), (17, 17)]
+    cfg = tiny_config(tmp_path / "out")
+    cfg["geometry"]["n_views"] = 64
+    _composed_prior(32762.0)(cfg)  # (48 + 2 x 131,048) x 64: 2^24 floats
+    built = PipelineConfig(cfg)
+    kernels = built.prior(built.values["prior"]["parts"][1])._kernels
+    assert [(kv.size, kc.size) for kv, kc in kernels] == [(17, 17), (9, 2 * 131048 + 1)]
+    assert built.mace_config().prior is not None
 
 
 def test_decorrelated_prior_accepts_std_pairs():
@@ -1186,6 +1225,23 @@ def test_decompose_rejects_a_calibration_fitted_for_other_bin_edges(tmp_path, ca
     assert err.startswith("config error: decompose: calibration ")
     assert "calibration.pcmdcal" in err and "run calibrate" in err
     assert "120.0]" in err and "47.5" in err
+    assert not (tmp_path / "out" / "pathlengths_mle.pcmd").exists()
+
+
+def test_decompose_rejects_a_calibration_fitted_at_another_order(tmp_path, capsys):
+    # the config's size bounds checked its own order; a file's order goes unchecked otherwise
+    cfg = tiny_config(tmp_path / "out")
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", path]) == 0
+    assert main(["calibrate", "--config", path]) == 0  # order 4
+    cfg["calibration"]["order"] = 3
+    path = write_config(tmp_path, cfg)
+    capsys.readouterr()
+    assert main(["decompose", "--config", path, "--method", "mle"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: decompose: calibration ")
+    assert "calibration.pcmdcal" in err and "run calibrate" in err
+    assert "order 4" in err and "calibration.order is 3" in err
     assert not (tmp_path / "out" / "pathlengths_mle.pcmd").exists()
 
 
