@@ -65,27 +65,30 @@ def _surrogate_terms(z_ref: np.ndarray, t: np.ndarray, epsilon: float, out=(None
 
 
 def _solve_batched(h: np.ndarray, rhs: np.ndarray, work: Workspace) -> np.ndarray:
-    """Solve (M, L, L) systems; closed form for the canonical L = 2, taken from `work`.
+    """Solve (L, L, ...) systems for (L, ...) right-hand sides, rows on the trailing axes.
 
-    Singular systems cannot occur for finite alpha (the I/alpha^2 term
-    regularizes); if one does arise from non-finite inputs, the nan rows
-    surface in the caller's finiteness check.
+    The canonical L = 2 is solved in closed form over contiguous rows such as
+    `h[0, 0]`, in arrays taken from `work`; other L go to `np.linalg.solve`,
+    which wants the rows first.  Singular systems cannot occur for finite alpha
+    (the I/alpha^2 term regularizes); if one does arise from non-finite inputs,
+    the nan rows surface in the caller's finiteness check.
     """
-    if h.shape[-1] == 2:
+    if h.shape[0] == 2:
         x = work.take(rhs.shape)
-        det, tmp = work.take((2, h.shape[0]))
-        np.multiply(h[:, 0, 0], h[:, 1, 1], out=det)
-        det -= np.multiply(h[:, 0, 1], h[:, 1, 0], out=tmp)
-        np.multiply(h[:, 1, 1], rhs[:, 0], out=x[:, 0])
-        x[:, 0] -= np.multiply(h[:, 0, 1], rhs[:, 1], out=tmp)
-        np.multiply(h[:, 0, 0], rhs[:, 1], out=x[:, 1])
-        x[:, 1] -= np.multiply(h[:, 1, 0], rhs[:, 0], out=tmp)
-        x /= det[:, None]
+        det, tmp = work.take((2,) + rhs.shape[1:])
+        np.multiply(h[0, 0], h[1, 1], out=det)
+        det -= np.multiply(h[0, 1], h[1, 0], out=tmp)
+        np.multiply(h[1, 1], rhs[0], out=x[0])
+        x[0] -= np.multiply(h[0, 1], rhs[1], out=tmp)
+        np.multiply(h[0, 0], rhs[1], out=x[1])
+        x[1] -= np.multiply(h[1, 0], rhs[0], out=tmp)
+        x /= det
         return x
     try:
-        return np.linalg.solve(h, rhs[..., None])[..., 0]
+        x = np.linalg.solve(np.moveaxis(h, (0, 1), (-2, -1)), np.moveaxis(rhs, 0, -1)[..., None])
     except np.linalg.LinAlgError as err:
         raise NumericError(f"detector prox: singular system ({err})") from None
+    return np.moveaxis(x[..., 0], -1, 0)
 
 
 def _check_prox(sigma: float, n_sub: int = 1):
@@ -120,9 +123,12 @@ def detector_agent_apply(p: np.ndarray, t_sino: np.ndarray, air_totals: np.ndarr
     mask of such rows, `empty_rows(t_sino)` when None; a solver computes it
     once for all its passes.  With on_nonfinite="hold", rows whose update
     goes non-finite keep their previous value instead of raising (callers
-    then flag them downstream).
+    then flag them downstream); any value but "raise" or "hold" is an error.
     """
     _check_prox(sigma, n_sub)
+    if on_nonfinite not in ("raise", "hold"):
+        raise ToolkitError(f"detector agent: on_nonfinite must be 'raise' or 'hold', "
+                           f"not {on_nonfinite!r}")
     p = np.asarray(p, dtype=float)
     t_sino = np.asarray(t_sino, dtype=float)
     air = np.asarray(air_totals, dtype=float)
@@ -145,63 +151,57 @@ def detector_agent_apply(p: np.ndarray, t_sino: np.ndarray, air_totals: np.ndarr
         q = pp[rows]
         for _ in range(n_sub):
             with work.frame():
-                new = _prox_update(tether, counts, weights, drf, q, work).reshape(tether.shape)
+                new = _prox_update(tether, counts, weights, drf, q, work)
                 if np.any(held):
-                    new[held] = tether[held]
-                bad = ~np.all(np.isfinite(new), axis=-1)
-                if np.any(bad):
+                    new[:, held] = tether[:, held]
+                if not np.isfinite(new).all():   # far cheaper than the row mask it guards
+                    bad = ~np.all(np.isfinite(new), axis=0)
                     if on_nonfinite == "raise":
                         raise NumericError("detector agent: non-finite update at rows "
                                            f"{(lo + np.flatnonzero(bad.T)[:8]).tolist()}")
-                    new[bad] = _by_set(q, drf.n_sets)[bad]
+                    new[:, bad] = _by_set(q, drf.n_sets)[:, bad]
                 _by_set(out[rows], drf.n_sets)[...] = new
             q = out[rows]
     return out
 
 
 def _by_set(rows: np.ndarray, n_sets: int) -> np.ndarray:
-    """A block's rows (view, channel) as a (set, view, ...) view: set-major order,
-    which is the rows' own order when there is one set or one view."""
-    return rows.reshape((-1, n_sets) + rows.shape[1:]).swapaxes(0, 1)
+    """A block's rows (view, channel), each a scalar or a vector of components, as a
+    (component, set, view) view: rows last and set-major, all rows of channel 0
+    first, which is the rows' own order when there is one set or one view."""
+    return rows.reshape((-1, n_sets) + rows.shape[1:]).T
 
 
 def _prox_update(p, t_sino, inv_a2, drf, pp, work):
     """One linearize-and-solve update of a block of rows, linearized at `pp`.
 
-    `pp` (M, L) holds the block's rows in (view, channel) order; `p`,
-    `t_sino` and `inv_a2` are (set, view, ...) views of them (`_by_set`), the
-    order in which `drf.eval_jac` writes its products, and the result (M, L)
-    is in that order too.  They are read in place as elementwise operands;
-    only `pp` is copied, to (L, set, view), for the product that pairs it
-    with the Jacobian.  Every array it computes is taken from `work`, the
-    result too, and laid out with rows fastest, as `a` is, so the elementwise
-    steps run over long contiguous vectors and each einsum sums in the order
-    of the array it would allocate.
+    `pp` (M, L) holds the block's rows in (view, channel) order; `p` (L, set,
+    view), `t_sino` (K, set, view) and `inv_a2` (set, view) are `_by_set`
+    views of them, read in place as elementwise operands.  Every array it
+    computes is in that one layout, taken from `work`, the result (L, set,
+    view) too: `drf.eval_jac` writes phi and the Jacobian as (K, 1 + L, set,
+    view) products, read here as they are, and only `pp` is copied, to
+    (L, set, view), for the product that pairs it with the Jacobian.  So the
+    elementwise steps run over long contiguous vectors, and each einsum sums
+    in the order of the array it would allocate.
     """
-    (n_sets, n_views, n_mat), n_bins = p.shape, t_sino.shape[-1]
-    rows = (n_sets, n_views)
-    phi, a = drf.eval_jac(pp, work, work.take((n_bins, 1 + n_mat, n_sets, n_views)))
-    z = phi.T.reshape((n_bins,) + rows)
-    b, c = _surrogate_terms(z, t_sino.transpose(2, 0, 1), EPSILON, out=(z, work.take(z.shape)))
-    b, c = _rows_first(b), _rows_first(c)
+    (n_mat, n_sets, n_views), n_bins = p.shape, t_sino.shape[0]
+    by_set = work.take((n_bins, 1 + n_mat, n_sets, n_views))
+    drf.eval_jac(pp, work, by_set)
+    z, a = by_set[:, 0], by_set[:, 1:]
+    b, c = _surrogate_terms(z, t_sino, EPSILON, out=(z, work.take(z.shape)))
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        h = np.einsum("mki,mk,mkj->mij", a, c, a, out=_rows_first(work.take((n_mat, n_mat) + rows)))
+        h = np.einsum("kisv,ksv,kjsv->ijsv", a, c, a, out=work.take((n_mat,) + p.shape))
         with work.frame():
-            h += _rows_first(np.multiply(np.eye(n_mat)[..., None, None], inv_a2,
-                                         out=work.take((n_mat, n_mat) + rows)))
-        a_pp = _rows_first(work.take(z.shape))
+            h += np.multiply(np.eye(n_mat)[..., None, None], inv_a2, out=work.take(h.shape))
+        a_pp = work.take(z.shape)
         with work.frame():
-            q = work.take((n_mat,) + rows)
-            q[...] = _by_set(pp, n_sets).transpose(2, 0, 1)
-            np.einsum("mkl,ml->mk", a, _rows_first(q), out=a_pp)
+            q = work.take(p.shape)
+            q[...] = _by_set(pp, n_sets)
+            np.einsum("klsv,lsv->ksv", a, q, out=a_pp)
         a_pp *= c
         a_pp -= b
-        rhs = np.einsum("mkl,mk->ml", a, a_pp, out=_rows_first(work.take((n_mat,) + rows)))
+        rhs = np.einsum("klsv,ksv->lsv", a, a_pp, out=work.take(p.shape))
         with work.frame():
-            rhs += _rows_first(np.multiply(inv_a2, p.transpose(2, 0, 1), out=work.take(q.shape)))
+            rhs += np.multiply(inv_a2, p, out=work.take(p.shape))
         return _solve_batched(h, rhs, work)
-
-
-def _rows_first(x: np.ndarray) -> np.ndarray:
-    """A (..., set, view) array as (M, ...), a view with its rows still fastest."""
-    return np.moveaxis(x.reshape(x.shape[:-2] + (-1,)), -1, 0)

@@ -50,8 +50,9 @@ class GaussianPrior:
                            tuple((gaussian_kernel(sv), gaussian_kernel(sc)) for sv, sc in pairs))
         if self.rotation is not None:
             r = np.asarray(self.rotation, dtype=float)
-            if r.ndim != 2 or r.shape[0] != r.shape[1]:
-                raise ToolkitError("prior: rotation must be square")
+            if r.shape != (len(self.std),) * 2:
+                raise ToolkitError(f"prior: rotation is {r.shape}, need "
+                                   f"{len(self.std)} x {len(self.std)}, one row per material")
             if not np.allclose(r.T @ r, np.eye(r.shape[0]), atol=1e-12):
                 raise ToolkitError("prior: rotation must be orthonormal (R^T R = I to 1e-12)")
             object.__setattr__(self, "rotation", r)

@@ -31,6 +31,34 @@ def affine_drf():
                          basis_scale=np.ones(2))
 
 
+def three_material_drf():
+    """One channel, eight bins, an order-2 response in three materials over [0, 10] x
+    [0, 2] x [0, 1] cm: a falling, a rising and an edged attenuation spectrum, mild
+    hardening and small cross terms.  The Jacobian's condition number stays below 10,
+    so the rounding of a block's matrix product moves no update by 1e-13."""
+    k = np.arange(8)
+    mu = np.stack([0.4 * np.exp(-0.4 * k), 0.05 + 0.05 * k, 0.05 + 0.6 * (k >= 4)])
+    domain = CalibrationDomain(lower=np.zeros(3), upper=np.array([10.0, 2.0, 1.0]))
+    theta = np.random.default_rng(41).uniform(-0.005, 0.005, size=(1, 8, 27))
+    for l, lin in enumerate(mu * domain.upper[:, None]):
+        theta[0, :, 3 ** (2 - l)] = lin                   # s_l: entry of np.ndindex((3, 3, 3))
+        theta[0, :, 2 * 3 ** (2 - l)] = -0.02 * lin**2    # s_l^2
+    return DrfPolynomial(theta=theta, order=2, n_materials=3, domain=domain,
+                         basis_scale=domain.upper)
+
+
+def drf_of_sets(base, n_chan, shared):
+    """`n_chan` channels scaled from the one-channel `base`, all alike when `shared`."""
+    theta = np.stack([base.theta[0] * (1.0 + (0.0 if shared else 0.01) * c)
+                      for c in range(n_chan)])
+    return DrfPolynomial(theta=theta, order=base.order, n_materials=base.n_materials,
+                         domain=base.domain, basis_scale=base.basis_scale)
+
+
+# the range of the true pathlengths (cm) that test rows are drawn from, per material count
+ROW_RANGES = {2: ([1.0, 0.1], [30.0, 4.0]), 3: ([0.5, 0.1, 0.05], [7.5, 1.5, 0.75])}
+
+
 def poisson_loss(p, t, air_total, drf):
     """The detector agent's Poisson loss of one row (constant dropped): the prox
     oracle's objective times the air total, with the tether at `p`."""
@@ -246,6 +274,13 @@ def test_sigma_and_partial_updates_are_checked(noiseless_drf, sigma, n_sub, mess
                              sigma, n_sub)
 
 
+@pytest.mark.parametrize("mode", ["rise", "Hold", None])
+def test_an_unknown_on_nonfinite_raises(noiseless_drf, mode):
+    with pytest.raises(ToolkitError, match="on_nonfinite must be 'raise' or 'hold'"):
+        detector_agent_apply(np.ones((1, 2)), np.full((1, 8), 0.5), np.ones(1), noiseless_drf,
+                             1.0, on_nonfinite=mode)
+
+
 @pytest.mark.parametrize("rows", [2, 4])
 def test_p_prime_of_another_shape_raises(noiseless_drf, monkeypatch, rows):
     monkeypatch.setattr(detector, "_BLOCK_ROWS", 1)   # a longer p_prime must not be cut to p's rows
@@ -342,25 +377,35 @@ def test_a_bad_row_in_a_later_block_is_reported_by_its_row(per_channel_rows, mon
 
 
 @pytest.mark.filterwarnings("ignore:invalid value")
-@pytest.mark.parametrize("n_chan, n_views, block_rows, n_sub", [
-    (7, 11, 30, 1),     # 7 sets, a block of 4 views, the last of 3
-    (97, 3, 200, 3),    # 97 sets (12 groups of 8 and one of 1), the last block of one view
-    (7, 4, 5, 1),       # a view longer than a block: one view per block
-])
-def test_set_major_blocks_give_each_row_its_one_row_result(noiseless_drf, monkeypatch, n_chan,
-                                                           n_views, block_rows, n_sub):
-    theta = np.stack([noiseless_drf.theta[0] * (1.0 + 0.01 * c) for c in range(n_chan)])
-    drf = DrfPolynomial(theta=theta, order=noiseless_drf.order, n_materials=2,
-                        domain=noiseless_drf.domain, basis_scale=noiseless_drf.basis_scale)
-    rng = np.random.default_rng(n_chan)
-    m = n_chan * n_views
-    p_true = rng.uniform([1.0, 0.1], [30.0, 4.0], size=(m, 2))
-    t = np.exp(-drf.eval_sino(p_true)) * rng.uniform(0.95, 1.05, size=(m, 8))
-    t[[3, m - 2]] = 0.0          # empty rows hold their tether
+def noisy_rows(drf, n_views, seed):
+    """Rows of `n_views` views under `drf`: noisy counts, tether and linearization
+    point near a true state drawn from `ROW_RANGES`, and air totals."""
+    rng = np.random.default_rng(seed)
+    m = drf.n_channels * n_views
+    p_true = rng.uniform(*ROW_RANGES[drf.n_materials], size=(m, drf.n_materials))
+    t = np.exp(-drf.eval_sino(p_true)) * rng.uniform(0.95, 1.05, size=(m, drf.n_bins))
     tether = p_true + rng.normal(0.0, 0.3, size=p_true.shape)
     pp = p_true + rng.normal(0.0, 0.3, size=p_true.shape)
+    return tether, t, pp, rng.uniform(1.0e4, 3.0e4, size=m)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+@pytest.mark.parametrize("n_mat, n_chan, shared, n_views, block_rows, n_sub", [
+    (2, 7, False, 11, 30, 1),     # 7 sets, a block of 4 views, the last of 3
+    (2, 97, False, 3, 200, 3),    # 97 sets (12 groups of 8 and one of 1), the last block of one view
+    (2, 7, False, 4, 5, 1),       # a view longer than a block: one view per block
+    (3, 5, False, 9, 20, 2),      # three materials, 5 sets, blocks of 4 views, the last of one
+    (3, 5, True, 9, 20, 2),       # the same rows under one shared set
+], ids=["7-11-30-1", "97-3-200-3", "7-4-5-1", "3mat-5-9-20-2", "3mat-shared-5-9-20-2"])
+def test_set_major_blocks_give_each_row_its_one_row_result(noiseless_drf, monkeypatch, n_mat,
+                                                           n_chan, shared, n_views, block_rows,
+                                                           n_sub):
+    drf = drf_of_sets(noiseless_drf if n_mat == 2 else three_material_drf(), n_chan, shared)
+    assert drf.n_sets == (1 if shared else n_chan)
+    tether, t, pp, air = noisy_rows(drf, n_views, n_chan)
+    m = tether.shape[0]
+    t[[3, m - 2]] = 0.0          # empty rows hold their tether
     tether[m // 2, 1] = np.inf   # held at its linearization point
-    air = rng.uniform(1.0e4, 3.0e4, size=m)
     monkeypatch.setattr(detector, "_BLOCK_ROWS", block_rows)
     out = detector_agent_apply(tether, t, air, drf, 0.7, n_sub, p_prime=pp, on_nonfinite="hold")
     assert np.array_equal(out[[3, m - 2]], tether[[3, m - 2]])
@@ -370,6 +415,24 @@ def test_set_major_blocks_give_each_row_its_one_row_result(noiseless_drf, monkey
                                    drf.select([row % n_chan]), 0.7, n_sub, p_prime=pp[row][None],
                                    on_nonfinite="hold")
         assert np.allclose(out[row], one[0], rtol=1e-13, atol=1e-13), row
+
+
+@pytest.mark.parametrize("n_mat", [2, 3])
+def test_an_update_solves_the_surrogate_system(noiseless_drf, n_mat):
+    # per row: (J^T diag(c) J + I/alpha^2) x = J^T (c J pp - b) + tether/alpha^2,
+    # with b and c the surrogate's gradient and curvature at phi(pp)
+    drf = drf_of_sets(noiseless_drf if n_mat == 2 else three_material_drf(), 5, False)
+    tether, t, pp, air = noisy_rows(drf, 4, 50 + n_mat)
+    sigma = 0.7
+    phi, jac = drf.eval_jac(pp)
+    e = np.exp(-phi)
+    b, c = t - e, 2.0 * e * (np.expm1(EPSILON) - EPSILON) / EPSILON**2
+    inv_a2 = 1.0 / (sigma**2 * air)
+    h = np.einsum("mki,mk,mkj->mij", jac, c, jac) + inv_a2[:, None, None] * np.eye(n_mat)
+    rhs = np.einsum("mki,mk->mi", jac, c * np.einsum("mkj,mj->mk", jac, pp) - b)
+    dense = np.linalg.solve(h, (rhs + inv_a2[:, None] * tether)[..., None])[..., 0]
+    out = detector_agent_apply(tether, t, air, drf, sigma, 1, p_prime=pp)
+    assert np.allclose(out, dense, rtol=1e-12, atol=1e-12)
 
 
 def test_rows_that_are_not_whole_views_raise(per_channel_rows):

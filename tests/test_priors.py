@@ -114,6 +114,16 @@ def test_nonorthonormal_rotation_rejected():
         GaussianPrior([1.0, 1.0], np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("std, rotation", [
+    ((1.0, 1.0, 1.0), rotation_matrix(0.3)),     # 2 x 2 for three materials
+    ((1.0, 1.0), np.eye(3)),                     # 3 x 3 for two
+    ((1.0, 1.0), np.eye(2)[:1]),                 # not square
+])
+def test_a_rotation_of_another_size_is_rejected(std, rotation):
+    with pytest.raises(ToolkitError, match="rotation is .* need"):
+        GaussianPrior(std, rotation)
+
+
 def test_single_agents_are_nonexpansive():
     rng = np.random.default_rng(7)
     specs = [GaussianPrior([2.0, 3.0]),
